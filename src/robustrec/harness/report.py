@@ -4,9 +4,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-
-def _fmt_eps(x: float) -> str:
-    return f"{x:g}"
+from ..robustness import fmt_eps
 
 
 def read_results(path: str | Path) -> list[dict]:
@@ -47,8 +45,8 @@ def write_report(results_path: str | Path, out_dir: str | Path,
             means = [sum(r[m] for r in bucket) / n
                      for m in ("ndcg", "expl_pr", "expl_re", "expl_f1")]
             algo, dataset, lam, eps_d, eps_a, condition = key
-            writer.writerow([algo, dataset, _fmt_eps(lam), _fmt_eps(eps_d),
-                             _fmt_eps(eps_a), condition,
+            writer.writerow([algo, dataset, fmt_eps(lam), fmt_eps(eps_d),
+                             fmt_eps(eps_a), condition,
                              *(f"{v:.6f}" for v in means), n])
     written.append(agg_path)
 
@@ -63,8 +61,8 @@ def write_report(results_path: str | Path, out_dir: str | Path,
             curves["vanilla"] = [r for r in sub if r["lambda"] == 0.0]
         if lam is not None:
             for eps_d in sorted({r["eps_d"] for r in sub if r["lambda"] == lam}):
-                curves[_fmt_eps(eps_d)] = [r for r in sub
-                                           if r["lambda"] == lam and r["eps_d"] == eps_d]
+                curves[fmt_eps(eps_d)] = [r for r in sub
+                                          if r["lambda"] == lam and r["eps_d"] == eps_d]
         for tag, bucket in curves.items():
             by_eps: dict[float, list[float]] = {}
             for r in bucket:
@@ -75,6 +73,6 @@ def write_report(results_path: str | Path, out_dir: str | Path,
                 writer.writerow(["eps_a", "expl_f1"])
                 for eps_a in sorted(by_eps):
                     vals = by_eps[eps_a]
-                    writer.writerow([_fmt_eps(eps_a), f"{sum(vals) / len(vals):.6f}"])
+                    writer.writerow([fmt_eps(eps_a), f"{sum(vals) / len(vals):.6f}"])
             written.append(curve_path)
     return written

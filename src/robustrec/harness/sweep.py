@@ -22,15 +22,15 @@ from ..dataset import (DatasetSplit, build_split, dataset_stats, ingest_reviews,
 from ..evalkit import build_bed, evaluate, gold_explanations, train_feature_sets
 from ..models import build_model, load_checkpoint, save_checkpoint
 from ..models.base import Recommender
-from ..robustness import (DefenseConfig, attack_weights, attacked_copy, load_attack,
-                          save_attack, train_defended)
+from ..robustness import (DefenseConfig, attack_weights, attacked_copy, fmt_eps,
+                          load_attack, save_attack, train_defended)
 from .config import config_hash, defense_config, split_config, training_config
 
 CACHE_ENV = "ROBUSTREC_CACHE"
 
 RESULT_COLUMNS = ["run_id", "algo", "dataset", "lambda", "eps_d", "eps_a",
                   "condition", "ndcg", "expl_pr", "expl_re", "expl_f1",
-                  "n_users", "n_pairs"]
+                  "n_users", "n_pairs", "n_non_cf"]
 
 
 def resolve_cache(explicit: str | Path | None = None) -> Path:
@@ -61,10 +61,6 @@ def enumerate_cells(algos, lambdas, eps_ds, seeds) -> list[SweepCell]:
                     for eps_d in sorted(eps_ds):
                         cells.append(SweepCell(algo, lam, eps_d, seed))
     return cells
-
-
-def _fmt_eps(x: float) -> str:
-    return f"{x:g}"
 
 
 def load_dataset(cfg: dict, cache: Path) -> tuple[DatasetSplit, np.ndarray, np.ndarray, dict]:
@@ -164,14 +160,16 @@ def ensure_eval(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
                 run_id: str, eps_a: float, split: DatasetSplit,
                 bed: dict[int, list[int]], gold, user_features) -> dict:
     """One results row: clean when eps_a = 0, otherwise attack then evaluate."""
-    eval_path = run_dir / f"eval_{_fmt_eps(eps_a)}.json"
+    eval_path = run_dir / f"eval_{fmt_eps(eps_a)}.json"
     if eval_path.exists():
-        return json.loads(eval_path.read_text())
+        row = json.loads(eval_path.read_text())
+        if set(RESULT_COLUMNS) <= set(row):  # rows from before a column existed are redone
+            return row
     if eps_a == 0.0:
         target = model
     else:
         defense = DefenseConfig(lam=cell.lam, eps_d=cell.eps_d)
-        if (run_dir / f"attack_{_fmt_eps(eps_a)}.json").exists():
+        if (run_dir / f"attack_{fmt_eps(eps_a)}.json").exists():
             attack = load_attack(run_dir, eps_a)
         else:
             attack = attack_weights(model, defense, eps_a,
@@ -195,6 +193,7 @@ def ensure_eval(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
         "expl_f1": report.expl_f1,
         "n_users": report.n_users,
         "n_pairs": report.n_pairs,
+        "n_non_cf": report.n_non_cf,
     }
     run_dir.mkdir(parents=True, exist_ok=True)
     eval_path.write_text(json.dumps(row, indent=2, sort_keys=True))
@@ -214,11 +213,11 @@ def write_results(path: Path, rows: list[dict]) -> None:
         for row in sorted(rows, key=key):
             writer.writerow([
                 row["run_id"], row["algo"], row["dataset"],
-                _fmt_eps(row["lambda"]), _fmt_eps(row["eps_d"]), _fmt_eps(row["eps_a"]),
+                fmt_eps(row["lambda"]), fmt_eps(row["eps_d"]), fmt_eps(row["eps_a"]),
                 row["condition"],
                 f"{row['ndcg']:.6f}", f"{row['expl_pr']:.6f}",
                 f"{row['expl_re']:.6f}", f"{row['expl_f1']:.6f}",
-                row["n_users"], row["n_pairs"],
+                row["n_users"], row["n_pairs"], row["n_non_cf"],
             ])
 
 

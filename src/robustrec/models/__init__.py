@@ -3,13 +3,13 @@ from __future__ import annotations
 
 from ..dataset import DatasetSplit
 from .base import Explanation, PairBatch, Recommender, rank_items
-from .cer import CER, CERConfig, NotRecommendedError, counterfactual_delta
+from .cer import CER, CERConfig, NotRecommendedError, counterfactual_deltas
 from .checkpoint import load_checkpoint, save_checkpoint
 from .efm import EFM, EFMConfig
 
 __all__ = [
     "CER", "CERConfig", "EFM", "EFMConfig", "Explanation", "NotRecommendedError",
-    "PairBatch", "Recommender", "build_model", "counterfactual_delta",
+    "PairBatch", "Recommender", "build_model", "counterfactual_deltas",
     "load_checkpoint", "rank_items", "save_checkpoint",
 ]
 

@@ -2,13 +2,14 @@
 
 Both recommenders expose the same surface: a differentiable `loss` whose Y
 argument may be a gradient-tracked Tensor (the defense perturbs item aspect
-values), fast numpy `scores` for ranking, and per-pair `explain`.
+values), fast numpy `scores` for ranking, per-pair `explain`, and
+`explain_pairs` for many pairs in one call.
 """
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -141,6 +142,13 @@ class Recommender(ABC):
     def explain(self, u: int, v: int, top_n: int = 1,
                 require_recommended: bool = True) -> Explanation:
         """Ranked feature ids explaining why v is recommended to u."""
+
+    def explain_pairs(self, pairs: Sequence[tuple[int, int]], top_n: int = 1,
+                      require_recommended: bool = True) -> list[Explanation]:
+        """`explain` for every (u, v) of `pairs`, in order. Models whose
+        explanations share work across pairs override this."""
+        return [self.explain(u, v, top_n=top_n, require_recommended=require_recommended)
+                for u, v in pairs]
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}

@@ -2,18 +2,22 @@
 
 A feed-forward net scores (user, item) pairs from the concatenated aspect
 rows [X_u | Y_v]. Explanations answer "which aspects of v, weakened as
-little as possible, would push v out of u's top K": a per-pair delta over
-Y_v is optimized to drop the score below the (K+1)-th candidate's, and the
-most negatively perturbed features form the explanation.
+little as possible, would push v out of u's top K" (Tan et al., CIKM 2021):
+a delta over Y_v is optimized to drop the score below the (K+1)-th
+candidate's, and the most negatively perturbed features form the
+explanation. Training runs on the autodiff tape; explanation runs in plain
+numpy, every pair of a call solved together as one [B, F] problem with a
+hand-derived gradient.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ..diffcore import Adam, Tensor, add, concat_cols, gather_rows, matmul, mul, relu, sigmoid, softplus, square, sub, tmean, tsum
+from ..diffcore import (Adam, Tensor, add, concat_cols, gather_rows, matmul, mul, sigmoid,
+                        softplus, square, sub, tmean, tsum)
 from ..rng import derive_seed
 from .base import Explanation, PairBatch, Recommender, rank_items
 
@@ -33,27 +37,35 @@ class CERConfig:
     cf_margin_frac: float = 0.01  # margin = frac * spread of candidate scores
 
 
-def counterfactual_delta(score_fn: Callable[[Tensor], Tensor], n_features: int,
-                         threshold: float, margin: float, gamma: float = 100.0,
-                         steps: int = 200, lr: float = 0.01) -> tuple[np.ndarray, bool, float]:
-    """Minimize ||delta||^2 + gamma * max(0, margin + score(delta) - threshold).
+def counterfactual_deltas(score_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                          pairs: Sequence[tuple[int, int]], n_features: int,
+                          thresholds: np.ndarray, margins: np.ndarray, gamma: float = 100.0,
+                          steps: int = 200, lr: float = 0.01
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize ||delta_i||^2 + gamma * max(0, margin_i + score_i(delta_i) - threshold_i)
+    for every row i of a [B, n_features] delta at once.
 
-    `score_fn` maps a [1, n_features] delta Tensor to a scalar score Tensor.
-    Returns (delta, converged, final_score); converged means the final score
-    sits at or below threshold - margin.
+    `score_grad` maps the deltas to each row's score [B] and its gradient
+    d score_i / d delta_i [B, n_features]; rows never interact, so one Adam
+    run over the batch equals B separate runs. `pairs` names the (user,
+    item) of each row in errors. Returns (deltas, converged, final scores);
+    converged means a final score at or below threshold - margin.
     """
-    delta = Tensor(np.zeros((1, n_features)), requires_grad=True)
+    delta = Tensor(np.zeros((len(pairs), n_features)))
     opt = Adam([delta], lr=lr)
-    target = threshold - margin
+    target = thresholds - margins
     for _ in range(steps):
-        s = score_fn(delta)
-        hinge = relu(s - target)
-        obj = tsum(square(delta)) + gamma * hinge
-        opt.zero_grad()
-        obj.backward()
+        s, ds = score_grad(delta.data)
+        # relu's subgradient is 0 at the kink, so the hinge pulls only above target
+        delta.grad = 2.0 * delta.data + (gamma * (s > target))[:, None] * ds
         opt.step()
-    final = float(score_fn(delta).item())
-    return delta.data[0].copy(), final <= target, final
+    final, _ = score_grad(delta.data)
+    bad = ~(np.isfinite(final) & np.isfinite(delta.data).all(axis=1))
+    if bad.any():
+        u, v = pairs[int(np.argmax(bad))]
+        raise FloatingPointError(f"counterfactual solve: non-finite delta or score for "
+                                 f"user {u}, item {v} ({int(bad.sum())} of {len(pairs)} pairs)")
+    return delta.data, final <= target, final
 
 
 class CER(Recommender):
@@ -102,58 +114,81 @@ class CER(Recommender):
             reg = term if reg is None else reg + term
         return bce + self.config.lam_reg * reg
 
-    def _forward_np(self, x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
+    def _activations(self, pre1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Numpy forward from the layer-1 pre-activation [B, h1]: the two
+        hidden activations and the scores [B]."""
         p = self.params
-        z = np.hstack([x_rows, y_rows])
         with np.errstate(over="ignore"):
-            h = 1.0 / (1.0 + np.exp(-(z @ p["W1"].data + p["b1"].data)))
-            h = 1.0 / (1.0 + np.exp(-(h @ p["W2"].data + p["b2"].data)))
-        return (h @ p["W3"].data + p["b3"].data)[:, 0]
+            h1 = 1.0 / (1.0 + np.exp(-pre1))
+            h2 = 1.0 / (1.0 + np.exp(-(h1 @ p["W2"].data + p["b2"].data)))
+        return h1, h2, (h2 @ p["W3"].data + p["b3"].data)[:, 0]
 
     def scores(self, u: int, items: np.ndarray) -> np.ndarray:
         items = np.asarray(items, dtype=np.int64)
         x_rows = np.repeat(self._X[u:u + 1], len(items), axis=0)
-        return self._forward_np(x_rows, self._Y[items])
+        z = np.hstack([x_rows, self._Y[items]])
+        return self._activations(z @ self.params["W1"].data + self.params["b1"].data)[2]
 
-    def _pair_score_fn(self, u: int, v: int) -> Callable[[Tensor], Tensor]:
-        """Taped single-pair score as a function of a delta on Y_v; the
-        network weights enter as constants so no gradient reaches them."""
-        x_row = self._X[u:u + 1]
-        y_row = self._Y[v:v + 1]
-        const = {name: Tensor(p.data) for name, p in self.params.items()}
+    def _cf_score_grad(self, pairs: Sequence[tuple[int, int]]
+                       ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """Scores of the pairs with Y_v weakened by a delta [B, F], and each
+        score's gradient with respect to its delta, derived by hand through
+        the sigmoid layers. The user half of layer 1 is fixed over a solve."""
+        p = self.params
+        users, items = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        W1_item = p["W1"].data[self.n_features:]
+        pre1_user = self._X[users] @ p["W1"].data[:self.n_features] + p["b1"].data
+        y_rows = self._Y[items]
 
-        def score_fn(delta: Tensor) -> Tensor:
-            return self._forward(Tensor(x_row), add(Tensor(y_row), delta), const)
+        def score_grad(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            h1, h2, s = self._activations(pre1_user + (y_rows + delta) @ W1_item)
+            g2 = p["W3"].data[:, 0] * h2 * (1.0 - h2)
+            g1 = (g2 @ p["W2"].data.T) * h1 * (1.0 - h1)
+            return s, g1 @ W1_item.T
 
-        return score_fn
+        return score_grad
+
+    def explain_pairs(self, pairs: Sequence[tuple[int, int]], top_n: int = 1,
+                      require_recommended: bool = True) -> list[Explanation]:
+        """Features whose minimal weakening un-recommends each v for its u,
+        from one batched counterfactual solve over all pairs.
+
+        Each v must drop below the (K+1)-th of u's candidate scores by a margin
+        of a fraction of their spread. Raises NotRecommendedError, before any
+        solve, when a v is outside u's current top K and `require_recommended`
+        is set; evaluation over a fixed bed relaxes this.
+        """
+        cfg = self.config
+        targets: dict[int, tuple[list[int], np.ndarray, float]] = {}
+        for u, v in pairs:
+            if u not in targets:  # per user: ranking, scores best first, margin
+                cands = self.candidate_items(u)
+                scores = self.scores(u, cands)
+                spread = float(scores.max() - scores.min())
+                targets[u] = (rank_items(scores, cands), np.sort(scores)[::-1],
+                              cfg.cf_margin_frac * (spread if spread > 0.0 else 1.0))
+            ranked = targets[u][0]
+            if v not in ranked:
+                raise NotRecommendedError(f"item {v} is not among user {u}'s candidates")
+            if len(ranked) <= cfg.top_k:
+                raise NotRecommendedError(f"user {u} has only {len(ranked)} candidates; "
+                                          f"no top-{cfg.top_k} threshold exists")
+            if require_recommended and v not in ranked[:cfg.top_k]:
+                raise NotRecommendedError(f"item {v} is not in user {u}'s top {cfg.top_k}")
+        deltas, converged, _ = counterfactual_deltas(
+            self._cf_score_grad(pairs), pairs, self.n_features,
+            np.asarray([targets[u][1][cfg.top_k] for u, _ in pairs], dtype=np.float64),
+            np.asarray([targets[u][2] for u, _ in pairs], dtype=np.float64),
+            gamma=cfg.cf_gamma, steps=cfg.cf_steps, lr=cfg.cf_lr)
+        out = []
+        for delta, ok in zip(deltas, converged):
+            order = sorted(range(self.n_features), key=lambda f: (-abs(delta[f]), f))
+            negative = [f for f in order if delta[f] < 0.0]
+            chosen = negative[:top_n] if negative else order[:top_n]
+            out.append(Explanation(tuple(chosen), non_counterfactual=not ok))
+        return out
 
     def explain(self, u: int, v: int, top_n: int = 1,
                 require_recommended: bool = True) -> Explanation:
-        """Features whose minimal weakening un-recommends v for u.
-
-        Raises NotRecommendedError when v is outside u's current top K and
-        `require_recommended` is set; evaluation over a fixed bed relaxes
-        this, keeping the same (K+1)-th-score threshold.
-        """
-        cfg = self.config
-        cands = self.candidate_items(u)
-        if v not in set(int(c) for c in cands):
-            raise NotRecommendedError(f"item {v} is not among user {u}'s candidates")
-        if len(cands) <= cfg.top_k:
-            raise NotRecommendedError(f"user {u} has only {len(cands)} candidates; "
-                                      f"no top-{cfg.top_k} threshold exists")
-        scores = self.scores(u, cands)
-        ranked = rank_items(scores, cands)
-        if require_recommended and v not in ranked[:cfg.top_k]:
-            raise NotRecommendedError(f"item {v} is not in user {u}'s top {cfg.top_k}")
-        by_item = {item: float(s) for item, s in zip(cands.tolist(), scores)}
-        threshold = by_item[ranked[cfg.top_k]]
-        spread = float(scores.max() - scores.min())
-        margin = cfg.cf_margin_frac * (spread if spread > 0.0 else 1.0)
-        delta, converged, _ = counterfactual_delta(
-            self._pair_score_fn(u, v), self.n_features, threshold, margin,
-            gamma=cfg.cf_gamma, steps=cfg.cf_steps, lr=cfg.cf_lr)
-        order = sorted(range(self.n_features), key=lambda f: (-abs(delta[f]), f))
-        negative = [f for f in order if delta[f] < 0.0]
-        chosen = negative[:top_n] if negative else order[:top_n]
-        return Explanation(tuple(chosen), non_counterfactual=not converged)
+        """The single-pair case of `explain_pairs`."""
+        return self.explain_pairs([(u, v)], top_n, require_recommended)[0]

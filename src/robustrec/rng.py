@@ -62,9 +62,6 @@ class SplitMix64:
             j = self.randrange(i + 1)
             xs[i], xs[j] = xs[j], xs[i]
 
-    def choice(self, xs: Sequence[T]) -> T:
-        return xs[self.randrange(len(xs))]
-
     def sample(self, xs: Sequence[T], k: int) -> list[T]:
         """k distinct elements, order random (partial Fisher-Yates)."""
         if k > len(xs):

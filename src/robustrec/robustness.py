@@ -163,7 +163,8 @@ def attack_weights(model: Recommender, defense: DefenseConfig, eps_a: float,
 
     Xi accumulates dL_total/dTheta over one pass of the training set with the
     model's own defense settings. Delta* = eps_a * Xi / ||Xi||_2; a gradient
-    with norm below 1e-12 (or eps_a = 0) yields the zero perturbation.
+    with norm below 1e-12 (or eps_a = 0) yields the zero perturbation, and a
+    non-finite one raises FloatingPointError.
     """
     params = model.params
     saved = {name: p.grad for name, p in params.items()}
@@ -178,6 +179,10 @@ def attack_weights(model: Recommender, defense: DefenseConfig, eps_a: float,
     for name, p in params.items():
         p.grad = saved[name]
     grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in xi.values())))
+    if not np.isfinite(grad_norm):
+        bad = sorted(name for name, g in xi.items() if not np.isfinite(g).all())
+        raise FloatingPointError(f"attack: non-finite training gradient "
+                                 f"(norm {grad_norm}) in parameters {bad}")
     if eps_a == 0.0 or grad_norm < ZERO_GRAD_NORM:
         delta = {name: np.zeros_like(g) for name, g in xi.items()}
         return AttackResult(delta=delta, grad_norm=grad_norm, delta_norm=0.0)
@@ -206,14 +211,15 @@ def attacked_copy(model: Recommender, delta: dict[str, np.ndarray]) -> Recommend
     return model.with_params(apply_attack(model.param_arrays(), delta))
 
 
-def _fmt_eps(eps_a: float) -> str:
-    return f"{eps_a:g}"
+def fmt_eps(eps: float) -> str:
+    """A budget as it appears in artifact names and CSV cells."""
+    return f"{eps:g}"
 
 
 def save_attack(run_dir: str | Path, eps_a: float, result: AttackResult) -> Path:
     """attack_<eps_a>.json manifest + the delta in checkpoint format."""
     run_dir = Path(run_dir)
-    tag = _fmt_eps(eps_a)
+    tag = fmt_eps(eps_a)
     manifest = {"eps_a": eps_a, "grad_norm": result.grad_norm, "delta_norm": result.delta_norm}
     (run_dir / f"attack_{tag}.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     save_checkpoint(run_dir / f"attack_{tag}", {"kind": "attack-delta", **manifest}, result.delta)
@@ -222,7 +228,7 @@ def save_attack(run_dir: str | Path, eps_a: float, result: AttackResult) -> Path
 
 def load_attack(run_dir: str | Path, eps_a: float) -> AttackResult:
     run_dir = Path(run_dir)
-    tag = _fmt_eps(eps_a)
+    tag = fmt_eps(eps_a)
     manifest = json.loads((run_dir / f"attack_{tag}.json").read_text())
     _, delta = load_checkpoint(run_dir / f"attack_{tag}")
     return AttackResult(delta=delta, grad_norm=manifest["grad_norm"],

@@ -23,7 +23,7 @@ from robustrec.harness.config import default_config
 from robustrec.harness.sweep import run_sweep
 from robustrec.harness.training import TrainingConfig
 from robustrec.models import CER, CERConfig, EFM, EFMConfig
-from robustrec.models.cer import counterfactual_delta
+from robustrec.models.cer import counterfactual_deltas
 from robustrec.rng import SplitMix64, derive_seed
 from robustrec.robustness import (DefenseConfig, attack_weights, attacked_copy,
                                   defense_loss, train_defended)
@@ -473,27 +473,31 @@ def test_criterion_8_counterfactual_validity(report, monkeypatch):
         batch_size=8, lr=0.01, max_epochs=3, patience=99), seed=0)
 
     calls = []
-    real = counterfactual_delta
+    real = counterfactual_deltas
 
-    def spy(score_fn, n_features, threshold, margin, **kw):
-        delta, converged, _ = real(score_fn, n_features, threshold, margin, **kw)
-        # re-score the returned delta independently of the optimizer's record
-        final = float(score_fn(Tensor(delta[None, :])).item())
-        calls.append((threshold, margin, converged, final))
-        return delta, converged, final
+    def spy(score_grad, pairs, n_features, thresholds, margins, **kw):
+        deltas, converged, finals = real(score_grad, pairs, n_features, thresholds,
+                                         margins, **kw)
+        # re-score every returned delta independently of the optimizer's
+        # record, through the taped forward the model trains with
+        for (u, v), delta, t, m, c in zip(pairs, deltas, thresholds, margins, converged):
+            final = float(model._forward(Tensor(model.X[u:u + 1]),
+                                         Tensor(model.Y[v:v + 1] + delta[None, :]),
+                                         model.params).item())
+            calls.append((float(t), float(m), bool(c), final))
+        return deltas, converged, finals
 
-    monkeypatch.setattr(cer_mod, "counterfactual_delta", spy)
-    for u in sorted(split.test):
-        for v in model.candidate_items(u)[:3]:
-            model.explain(u, int(v), require_recommended=False)
+    monkeypatch.setattr(cer_mod, "counterfactual_deltas", spy)
+    model.explain_pairs([(u, int(v)) for u in sorted(split.test)
+                         for v in model.candidate_items(u)[:3]], require_recommended=False)
 
     converged = [(t, m, f) for t, m, c, f in calls if c]
     bound_ok = all(f <= t - m + 1e-6 for t, m, f in converged)
 
-    w = Tensor(np.array([[3.0], [1.0]]))
-    one = Tensor(np.array([[1.0]]))
-    delta, conv, _ = real(lambda d: diffcore.add(diffcore.matmul(d, w), one),
-                          2, threshold=0.0, margin=0.1, steps=300, lr=0.05)
+    w = np.array([3.0, 1.0])
+    deltas, conv, _ = real(lambda d: (d @ w + 1.0, np.broadcast_to(w, d.shape)), [(0, 0)],
+                           2, np.array([0.0]), np.array([0.1]), steps=300, lr=0.05)
+    delta, conv = deltas[0], bool(conv[0])
     head = min(range(2), key=lambda f: (-abs(delta[f]), f))
     linear_ok = conv and head == 0 and delta[0] < 0.0
 

@@ -116,20 +116,27 @@ def test_train_feature_sets_any_sentiment():
 
 
 class _ScriptedModel:
-    """scores() follows a per-user script; explain() replays canned features."""
+    """scores() follows a per-user script; explain_pairs() replays canned
+    features, flagging the pairs in `unconverged` as non-counterfactual."""
 
-    def __init__(self, score_fn, explanations=None):
+    def __init__(self, score_fn, explanations=None, unconverged=()):
         self._score_fn = score_fn
         self._explanations = explanations or {}
+        self._unconverged = set(unconverged)
         self.explain_calls = []
+        self.batches = 0
 
     def scores(self, u, items):
         return np.asarray([self._score_fn(u, int(v)) for v in items], dtype=np.float64)
 
-    def explain(self, u, v, top_n=1, require_recommended=True):
-        self.explain_calls.append((u, v, top_n, require_recommended))
-        return SimpleNamespace(features=tuple(self._explanations[(u, v)][:top_n]),
-                               non_counterfactual=False)
+    def explain_pairs(self, pairs, top_n=1, require_recommended=True):
+        self.batches += 1
+        out = []
+        for u, v in pairs:
+            self.explain_calls.append((u, v, top_n, require_recommended))
+            out.append(SimpleNamespace(features=tuple(self._explanations[(u, v)][:top_n]),
+                                       non_counterfactual=(u, v) in self._unconverged))
+        return out
 
 
 def test_build_bed_keeps_only_top_ranked_positives(tiny_split):
@@ -174,7 +181,8 @@ def test_evaluate_macro_averages_and_masks(tiny_split):
     bed = {u1: [v1], u2: [v2a, v2b]}
     gold = {(u1, v1): {3}, (u2, v2a): {1, 2}}  # (u2, v2b) has no gold: skipped
     expl = {(u1, v1): [3, 9], (u2, v2a): [1]}
-    model = _ScriptedModel(lambda u, v: -float(v), explanations=expl)
+    model = _ScriptedModel(lambda u, v: -float(v), explanations=expl,
+                           unconverged={(u2, v2a)})
 
     report = evaluate(model, tiny_split, bed, gold,
                       user_features={u1: {3}, u2: {1, 2, 9}}, top_n=2)
@@ -187,6 +195,10 @@ def test_evaluate_macro_averages_and_masks(tiny_split):
     assert report.top_n == 2
     # the bed is fixed by the reference model, so explain never enforces top-K
     assert all(call[3] is False for call in model.explain_calls)
+    # every gold-bearing bed pair goes out in one batch, in bed order
+    assert model.batches == 1
+    assert [call[:2] for call in model.explain_calls] == [(u1, v1), (u2, v2a)]
+    assert report.n_non_cf == 1
     assert report.n_users == len(users)
     assert 0.0 <= report.ndcg <= 1.0
 
@@ -201,3 +213,4 @@ def test_eval_report_json_roundtrip(tmp_path):
     assert loaded["expl_f1"] == 0.375
     assert loaded["n_pairs"] == 4
     assert loaded["k_ndcg"] == 100 and loaded["top_n"] == 1
+    assert loaded["n_non_cf"] == 0

@@ -253,6 +253,15 @@ def test_run_sweep_layout_and_idempotence(corpus, tmp_path):
     assert run_sweep(_sweep_config(corpus), cache) == out
     assert out.read_bytes() == first  # cached re-run: byte-identical
 
+    # an eval row cached before the n_non_cf column existed is redone, not
+    # written out short of a column
+    for path in cache.glob("runs/*/eval_*.json"):
+        row = json.loads(path.read_text())
+        del row["n_non_cf"]
+        path.write_text(json.dumps(row))
+    run_sweep(_sweep_config(corpus), cache)
+    assert out.read_bytes() == first
+
     fresh = tmp_path / "cache2"
     run_sweep(_sweep_config(corpus), fresh)
     assert (fresh / "results.csv").read_bytes() == first  # from scratch too
@@ -264,7 +273,7 @@ def test_write_report_aggregates_and_curves(tmp_path):
                 "eps_d": eps_d, "eps_a": eps_a,
                 "condition": "clean" if eps_a == 0.0 else "attacked",
                 "ndcg": 0.5, "expl_pr": f1, "expl_re": f1, "expl_f1": f1,
-                "n_users": 4, "n_pairs": 6}
+                "n_users": 4, "n_pairs": 6, "n_non_cf": 0}
 
     rows = [row(0.0, 0.0, 0.0, 0.40, "a"), row(0.0, 0.0, 1.0, 0.10, "a"),
             row(0.0, 0.0, 0.0, 0.60, "b"), row(0.0, 0.0, 1.0, 0.30, "b"),

@@ -6,10 +6,10 @@ import pytest
 
 import robustrec.models.cer as cer_mod
 from gradcheck import gradcheck
-from robustrec.diffcore import Tensor, add, matmul, tsum
+from robustrec.diffcore import Tensor, tsum
 from robustrec.models import CER, CERConfig
 from robustrec.models.base import Explanation
-from robustrec.models.cer import NotRecommendedError, counterfactual_delta
+from robustrec.models.cer import NotRecommendedError, counterfactual_deltas
 from robustrec.rng import SplitMix64
 
 
@@ -54,41 +54,107 @@ def test_epoch_batches_binary_targets(cer_tiny):
         assert np.all(batch.targets[half:] == 0.0)
 
 
-def test_forward_np_matches_tape(cer_tiny):
-    rng = np.random.default_rng(0)
-    x_rows = rng.uniform(0.0, 5.0, (7, cer_tiny.n_features))
-    y_rows = rng.uniform(0.0, 5.0, (7, cer_tiny.n_features))
-    taped = cer_tiny._forward(Tensor(x_rows), Tensor(y_rows), cer_tiny.params)
-    fast = cer_tiny._forward_np(x_rows, y_rows)
-    np.testing.assert_allclose(fast, taped.data[:, 0], rtol=0.0, atol=1e-12)
+def _bed_like_pairs(model, n_users=4, per_user=3):
+    users = sorted(u for u in model._candidates)[:n_users]
+    return [(u, int(v)) for u in users for v in model.candidate_items(u)[:per_user]]
+
+
+def test_numpy_forward_matches_tape(cer_tiny):
+    # scores() and the counterfactual objective share one numpy forward; both
+    # entry points must agree with the taped forward the loss trains through
+    pairs = _bed_like_pairs(cer_tiny)
+    users = np.asarray([u for u, _ in pairs])
+    items = np.asarray([v for _, v in pairs])
+    delta = np.random.default_rng(0).normal(0.0, 0.5, (len(pairs), cer_tiny.n_features))
+    taped = cer_tiny._forward(Tensor(cer_tiny.X[users]), Tensor(cer_tiny.Y[items] + delta),
+                              cer_tiny.params)
+    s, _ = cer_tiny._cf_score_grad(pairs)(delta)
+    np.testing.assert_allclose(s, taped.data[:, 0], rtol=0.0, atol=1e-12)
+
+    u = users[0]
+    cands = cer_tiny.candidate_items(u)
+    taped = cer_tiny._forward(Tensor(np.repeat(cer_tiny.X[u:u + 1], len(cands), axis=0)),
+                              Tensor(cer_tiny.Y[cands]), cer_tiny.params)
+    np.testing.assert_allclose(cer_tiny.scores(u, cands), taped.data[:, 0], rtol=0.0, atol=1e-12)
+
+
+def test_hand_gradient_matches_tape(cer_tiny):
+    pairs = _bed_like_pairs(cer_tiny)
+    users = np.asarray([u for u, _ in pairs])
+    items = np.asarray([v for _, v in pairs])
+    delta = np.random.default_rng(1).normal(0.0, 0.5, (len(pairs), cer_tiny.n_features))
+    const = {name: Tensor(p.data) for name, p in cer_tiny.params.items()}
+    y_leaf = Tensor(cer_tiny.Y[items] + delta, requires_grad=True)
+    # rows are independent, so the gradient of the summed scores holds each
+    # row's own d score / d delta
+    tsum(cer_tiny._forward(Tensor(cer_tiny.X[users]), y_leaf, const)).backward()
+    _, grad = cer_tiny._cf_score_grad(pairs)(delta)
+    assert grad.shape == (len(pairs), cer_tiny.n_features)
+    np.testing.assert_allclose(grad, y_leaf.grad, rtol=1e-10, atol=1e-14)
 
 
 def test_counterfactual_linear_closed_form():
     # score(delta) = 3*d0 + 1*d1 + 1; the cheapest way below the target
     # moves along -(3, 1), so feature 0 carries the largest weakening
-    w = Tensor(np.array([[3.0], [1.0]]))
+    w = np.array([3.0, 1.0])
 
-    def score_fn(delta):
-        return add(matmul(delta, w), Tensor(np.array([[1.0]])))
+    def score_grad(delta):
+        return delta @ w + 1.0, np.broadcast_to(w, delta.shape)
 
-    delta, converged, final = counterfactual_delta(
-        score_fn, 2, threshold=0.0, margin=0.1, gamma=100.0, steps=300, lr=0.05)
-    assert converged
-    assert final <= -0.1 + 1e-6
+    deltas, converged, final = counterfactual_deltas(
+        score_grad, [(0, 0)], 2, np.array([0.0]), np.array([0.1]),
+        gamma=100.0, steps=300, lr=0.05)
+    delta = deltas[0]
+    assert converged[0]
+    assert final[0] <= -0.1 + 1e-6
     assert delta[0] < 0.0 and delta[1] < 0.0
     assert abs(delta[0]) > 2.0 * abs(delta[1])
 
 
 def test_counterfactual_gives_up_when_score_is_flat():
     # a constant score can never cross the threshold; the flag must say so
-    def score_fn(delta):
-        return tsum(delta) * 0.0 + 5.0
+    def score_grad(delta):
+        return np.full(len(delta), 5.0), np.zeros_like(delta)
 
-    delta, converged, final = counterfactual_delta(
-        score_fn, 4, threshold=0.0, margin=0.1, steps=50)
-    assert not converged
-    assert final == pytest.approx(5.0)
-    np.testing.assert_array_equal(delta, np.zeros(4))
+    deltas, converged, final = counterfactual_deltas(
+        score_grad, [(0, 0)], 4, np.array([0.0]), np.array([0.1]), steps=50)
+    assert not converged[0]
+    assert final[0] == pytest.approx(5.0)
+    np.testing.assert_array_equal(deltas[0], np.zeros(4))
+
+
+def test_counterfactual_rejects_non_finite_scores():
+    # a NaN score must stop the solve and name the pair, not reach the metrics
+    def score_grad(delta):
+        s = delta.sum(axis=1) + 1.0
+        s[1] = np.nan
+        return s, np.ones_like(delta)
+
+    with pytest.raises(FloatingPointError, match="counterfactual.*user 4, item 9"):
+        counterfactual_deltas(score_grad, [(3, 7), (4, 9)], 2, np.zeros(2), np.full(2, 0.1),
+                              steps=5)
+
+
+def test_batched_solve_matches_pairs_solved_alone(cer_tiny, monkeypatch):
+    pairs = _bed_like_pairs(cer_tiny)
+    solves = []
+
+    def record(*args, **kw):
+        out = counterfactual_deltas(*args, **kw)
+        solves.append(out)
+        return out
+
+    monkeypatch.setattr(cer_mod, "counterfactual_deltas", record)
+    together = cer_tiny.explain_pairs(pairs, top_n=2, require_recommended=False)
+    assert len(solves) == 1 and len(together) == len(pairs)
+    deltas, converged, _ = solves[0]
+    assert deltas.shape == (len(pairs), cer_tiny.n_features)
+    for i, (u, v) in enumerate(pairs):
+        alone = cer_tiny.explain(u, v, top_n=2, require_recommended=False)
+        np.testing.assert_allclose(solves[-1][0][0], deltas[i], rtol=1e-9, atol=1e-12)
+        assert solves[-1][1][0] == converged[i]
+        assert alone == together[i]
+    assert len(solves) == 1 + len(pairs)
 
 
 def _first_test_user(model):
@@ -107,12 +173,12 @@ def test_explain_threshold_is_next_candidate_score(cer_tiny, tiny_split, monkeyp
 
     seen = {}
 
-    def fake(score_fn, n_features, threshold, margin, **kw):
-        seen["threshold"] = threshold
-        seen["margin"] = margin
-        return np.zeros(n_features), True, threshold - margin
+    def fake(score_grad, pairs, n_features, thresholds, margins, **kw):
+        seen["threshold"] = thresholds[0]
+        seen["margin"] = margins[0]
+        return np.zeros((len(pairs), n_features)), np.ones(len(pairs), bool), thresholds - margins
 
-    monkeypatch.setattr(cer_mod, "counterfactual_delta", fake)
+    monkeypatch.setattr(cer_mod, "counterfactual_deltas", fake)
     cer_tiny.explain(u, ranked[0], top_n=1)
     assert seen["threshold"] == by_item[ranked[cer_tiny.config.top_k]]
     assert seen["margin"] == cer_tiny.config.cf_margin_frac * spread
@@ -124,8 +190,8 @@ def test_explain_orders_by_magnitude_negatives_first(cer_tiny, tiny_split, monke
     delta = np.zeros(cer_tiny.n_features)
     delta[0], delta[1], delta[2], delta[6] = 0.5, -0.5, -0.2, 0.1
 
-    monkeypatch.setattr(cer_mod, "counterfactual_delta",
-                        lambda *a, **k: (delta, True, 0.0))
+    monkeypatch.setattr(cer_mod, "counterfactual_deltas",
+                        lambda *a, **k: (delta[None, :], np.array([True]), np.array([0.0])))
     # |d0| ties |d1| and the lower index wins the order, but only negative
     # entries may head an explanation
     expl = cer_tiny.explain(u, v, top_n=1, require_recommended=False)
@@ -143,8 +209,8 @@ def test_explain_falls_back_to_magnitude_without_negatives(cer_tiny, tiny_split,
     delta = np.zeros(cer_tiny.n_features)
     delta[0], delta[1] = 0.3, 0.7
 
-    monkeypatch.setattr(cer_mod, "counterfactual_delta",
-                        lambda *a, **k: (delta, False, 3.0))
+    monkeypatch.setattr(cer_mod, "counterfactual_deltas",
+                        lambda *a, **k: (delta[None, :], np.array([False]), np.array([3.0])))
     expl = cer_tiny.explain(u, v, top_n=2, require_recommended=False)
     assert expl.features == (1, 0)
     assert expl.non_counterfactual
@@ -155,6 +221,17 @@ def test_explain_rejects_unknown_candidate(cer_tiny, tiny_split):
     outside = max(int(i) for i in cer_tiny.candidate_items(u)) + 1
     with pytest.raises(NotRecommendedError, match="not among"):
         cer_tiny.explain(u, outside)
+
+
+def test_explain_pairs_checks_every_pair_before_solving(cer_tiny, tiny_split, monkeypatch):
+    u = sorted(tiny_split.test)[0]
+    inside = int(cer_tiny.candidate_items(u)[0])
+    outside = max(int(i) for i in cer_tiny.candidate_items(u)) + 1
+    solves = []
+    monkeypatch.setattr(cer_mod, "counterfactual_deltas", lambda *a, **k: solves.append(a))
+    with pytest.raises(NotRecommendedError, match="not among"):
+        cer_tiny.explain_pairs([(u, inside), (u, outside)], require_recommended=False)
+    assert solves == []
 
 
 def test_explain_requires_a_threshold_candidate(tiny_split, tiny_matrices):

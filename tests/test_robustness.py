@@ -239,3 +239,11 @@ def test_attack_save_load_roundtrip(efm_tiny, tmp_path):
     assert set(loaded.delta) == set(res.delta)
     for name in res.delta:
         np.testing.assert_array_equal(loaded.delta[name], res.delta[name])
+
+
+def test_attack_rejects_non_finite_gradient(cer_tiny):
+    # a NaN weight poisons the full-data gradient; the attack must stop
+    # instead of scaling it into a NaN delta
+    cer_tiny.params["W2"].data[0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="attack.*W2"):
+        attack_weights(cer_tiny, DefenseConfig(), 0.5, seed=0)

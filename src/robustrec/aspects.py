@@ -89,6 +89,8 @@ def save_matrix(path: str | Path, matrix: np.ndarray, n_rating: int) -> None:
 def load_matrix(path: str | Path) -> tuple[np.ndarray, int]:
     raw = Path(path).read_bytes()
     head_size = struct.calcsize("<4sIQQI")
+    if len(raw) < head_size:
+        raise ValueError(f"{path}: truncated cache header ({len(raw)} bytes)")
     magic, version, rows, cols, n_rating = struct.unpack("<4sIQQI", raw[:head_size])
     if magic != _MAGIC:
         raise ValueError(f"{path}: not an aspect-matrix cache (magic {magic!r})")

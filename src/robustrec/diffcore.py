@@ -26,7 +26,7 @@ Array = np.ndarray
 class Tensor:
     """A float64 array plus the bookkeeping reverse mode needs."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -46,7 +46,8 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every requires_grad leaf."""
+        """Accumulate gradients of this scalar into every requires_grad leaf,
+        then release the graph: each graph is backpropagated once."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar result, got shape {self.shape}")
         # iterative postorder; parents are strictly older than children, so
@@ -73,6 +74,10 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
+        # each backward closure holds its output node: drop the edges so the
+        # graph is freed by reference counting, not by the cycle collector
+        for node in topo:
+            node._parents, node._backward = (), None
 
     # operator sugar; plain numbers and arrays are wrapped as constants
     def __add__(self, other):

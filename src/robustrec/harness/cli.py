@@ -14,12 +14,11 @@ import sys
 from pathlib import Path
 
 from ..evalkit import gold_explanations, train_feature_sets
-from ..robustness import attack_weights, save_attack
 from .config import (ConfigError, apply_overrides, defense_config, load_config,
                      training_config)
 from .report import write_report
-from .sweep import (SweepCell, ensure_bed, ensure_eval, ensure_trained, load_dataset,
-                    resolve_cache, run_sweep)
+from .sweep import (SweepCell, ensure_attack, ensure_bed, ensure_eval, ensure_trained,
+                    load_dataset, new_model, resolve_cache, run_sweep, train_cell)
 from .training import hyperparameter_search
 
 
@@ -51,63 +50,52 @@ def _cell_from_config(cfg: dict) -> SweepCell:
 
 
 def cmd_ingest(cfg: dict, cache: Path, args) -> None:
-    split, X, Y, stats = load_dataset(cfg, cache)
-    print(json.dumps(stats, indent=2, sort_keys=True))
+    print(json.dumps(load_dataset(cfg, cache).stats, indent=2, sort_keys=True))
 
 
 def cmd_train(cfg: dict, cache: Path, args) -> None:
-    split, X, Y, _ = load_dataset(cfg, cache)
+    data = load_dataset(cfg, cache)
     cell = _cell_from_config(cfg)
     if args.search:
-        from ..models import build_model
-
-        def make_model():
-            model = build_model(cell.algo, split, {cell.algo: cfg["model"][cell.algo]})
-            model.attach(split, X, Y)
-            return model
-
-        lr, wd, _ = hyperparameter_search(make_model, split, defense_config(cfg),
-                                          training_config(cfg), cell.seed,
-                                          search_epochs=args.search_epochs)
+        lr, wd, _ = hyperparameter_search(lambda: new_model(cfg, cell, data), data.split,
+                                          defense_config(cfg), training_config(cfg),
+                                          cell.seed, search_epochs=args.search_epochs)
         cfg["training"]["lr"] = lr
         cfg["training"]["weight_decay"] = wd
         print(f"search selected lr={lr:g} weight_decay={wd:g}", file=sys.stderr)
-    model, run_dir, run_id = ensure_trained(cfg, cell, split, X, Y, cache)
-    manifest = json.loads((run_dir / "checkpoint" / "manifest.json").read_text())
+    _, manifest, run_dir = train_cell(cfg, cell, data, cache)
     print(json.dumps({
-        "run_id": run_id,
+        "run_id": run_dir.name,
         "checkpoint": str(run_dir / "checkpoint"),
         "best_epoch": manifest["best_epoch"],
         "epochs_trained": manifest["epochs_trained"],
         "val_ndcg": manifest["val_history"][manifest["best_epoch"]],
+        "lr_used": manifest["lr_used"],
+        "restarts": manifest["restarts"],
     }, indent=2, sort_keys=True))
 
 
 def cmd_attack(cfg: dict, cache: Path, args) -> None:
-    split, X, Y, _ = load_dataset(cfg, cache)
+    data = load_dataset(cfg, cache)
     cell = _cell_from_config(cfg)
-    model, run_dir, run_id = ensure_trained(cfg, cell, split, X, Y, cache)
+    model, run_dir, run_id = ensure_trained(cfg, cell, data, cache)
     grid = [args.eps_a] if args.eps_a is not None else \
         [e for e in cfg["attack"]["eps_a_grid"] if e != 0.0]
-    defense = defense_config(cfg)
     out = []
     for eps_a in grid:
-        result = attack_weights(model, defense, float(eps_a),
-                                seed=int(cfg["attack"]["seed"]),
-                                batch_size=int(cfg["attack"]["batch_size"]))
-        path = save_attack(run_dir, float(eps_a), result)
+        result, path = ensure_attack(cfg, cell, model, run_dir, run_id, float(eps_a))
         out.append({"run_id": run_id, "eps_a": eps_a, "grad_norm": result.grad_norm,
                     "delta_norm": result.delta_norm, "artifact": str(path)})
     print(json.dumps(out, indent=2, sort_keys=True))
 
 
 def cmd_evaluate(cfg: dict, cache: Path, args) -> None:
-    split, X, Y, _ = load_dataset(cfg, cache)
+    data = load_dataset(cfg, cache)
     cell = _cell_from_config(cfg)
-    model, run_dir, run_id = ensure_trained(cfg, cell, split, X, Y, cache)
-    bed = ensure_bed(cfg, cell, model, run_dir, split, X, Y, cache)
-    row = ensure_eval(cfg, cell, model, run_dir, run_id, float(args.eps_a), split,
-                      bed, gold_explanations(split), train_feature_sets(split))
+    model, run_dir, run_id = ensure_trained(cfg, cell, data, cache)
+    bed = ensure_bed(cfg, cell, data, cache)
+    row = ensure_eval(cfg, cell, model, run_dir, run_id, float(args.eps_a), data,
+                      bed, gold_explanations(data.split), train_feature_sets(data.split))
     print(json.dumps(row, indent=2, sort_keys=True))
 
 

@@ -16,9 +16,7 @@ over the concatenation of every parameter.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +25,6 @@ from .diffcore import Adam, Tensor
 from .evalkit import validation_ndcg
 from .harness.training import EarlyStopper, TrainingConfig
 from .models.base import PairBatch, Recommender
-from .models.checkpoint import load_checkpoint, save_checkpoint
 from .rng import SplitMix64, derive_seed
 
 ZERO_GRAD_NORM = 1e-12
@@ -212,24 +209,5 @@ def attacked_copy(model: Recommender, delta: dict[str, np.ndarray]) -> Recommend
 
 
 def fmt_eps(eps: float) -> str:
-    """A budget as it appears in artifact names and CSV cells."""
+    """A budget as it appears in CSV cells and report file names."""
     return f"{eps:g}"
-
-
-def save_attack(run_dir: str | Path, eps_a: float, result: AttackResult) -> Path:
-    """attack_<eps_a>.json manifest + the delta in checkpoint format."""
-    run_dir = Path(run_dir)
-    tag = fmt_eps(eps_a)
-    manifest = {"eps_a": eps_a, "grad_norm": result.grad_norm, "delta_norm": result.delta_norm}
-    (run_dir / f"attack_{tag}.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    save_checkpoint(run_dir / f"attack_{tag}", {"kind": "attack-delta", **manifest}, result.delta)
-    return run_dir / f"attack_{tag}.json"
-
-
-def load_attack(run_dir: str | Path, eps_a: float) -> AttackResult:
-    run_dir = Path(run_dir)
-    tag = fmt_eps(eps_a)
-    manifest = json.loads((run_dir / f"attack_{tag}.json").read_text())
-    _, delta = load_checkpoint(run_dir / f"attack_{tag}")
-    return AttackResult(delta=delta, grad_norm=manifest["grad_norm"],
-                        delta_norm=manifest["delta_norm"])

@@ -1,4 +1,7 @@
 """Reverse-mode AD: per-primitive gradients, composition, optimizer algebra."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -157,6 +160,23 @@ def test_gradient_accumulation_across_graphs():
     np.testing.assert_allclose(t.grad, 2.0 * first)
     t.zero_grad()
     assert t.grad is None
+
+
+def test_backward_frees_the_graph_without_the_cycle_collector():
+    gc.disable()
+    try:
+        t = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        hidden = relu(mul(t, 2.0))
+        node = weakref.ref(hidden)
+        loss = tsum(square(hidden))
+        del hidden
+        assert node() is not None  # the loss's graph holds it
+        loss.backward()
+        del loss
+        assert node() is None
+        np.testing.assert_array_equal(t.grad, [8.0, 0.0, 24.0])
+    finally:
+        gc.enable()
 
 
 def test_constants_never_track_gradients():

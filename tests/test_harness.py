@@ -1,10 +1,13 @@
 """Config plumbing, convergence policy, sweep caching, reports, and the CLI."""
 import csv
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustrec.harness.sweep as sweep
 import robustrec.harness.training as training_mod
 import robustrec.robustness as rob
 from robustrec.harness.cli import main as cli_main
@@ -241,13 +244,15 @@ def test_run_sweep_layout_and_idempotence(corpus, tmp_path):
         assert (datasets[0] / name).exists()
     run_dirs = sorted((cache / "runs").iterdir())
     assert len(run_dirs) == 2
-    vanilla = [d for d in run_dirs if (d / "bed.json").exists()]
+    vanilla = [d for d in run_dirs if list(d.glob("bed_*.json"))]
     assert len(vanilla) == 1  # the bed belongs to the vanilla run only
     for d in run_dirs:
         assert (d / "checkpoint" / "manifest.json").exists()
-        assert (d / "eval_0.json").exists()
-        assert (d / "eval_0.5.json").exists()
-        assert (d / "attack_0.5.json").exists()
+        assert len(list(d.glob("eval_*.json"))) == 2  # one per attack budget
+        attacks = list(d.glob("attack_*"))
+        assert len(attacks) == 1  # eps_a = 0 needs no attack artifact
+        assert (attacks[0] / "manifest.json").exists()
+    assert not list(cache.rglob("*.partial"))
 
     first = out.read_bytes()
     assert run_sweep(_sweep_config(corpus), cache) == out
@@ -265,6 +270,68 @@ def test_run_sweep_layout_and_idempotence(corpus, tmp_path):
     fresh = tmp_path / "cache2"
     run_sweep(_sweep_config(corpus), fresh)
     assert (fresh / "results.csv").read_bytes() == first  # from scratch too
+
+
+@pytest.fixture(scope="module")
+def warm_cache(corpus, tmp_path_factory):
+    """A cache filled by one sweep of `_sweep_config(corpus)`."""
+    cache = tmp_path_factory.mktemp("warm") / "cache"
+    run_sweep(_sweep_config(corpus), cache)
+    return cache
+
+
+@pytest.mark.parametrize("change", ["eval.top_n=2", "eval.k_ndcg=10", "eval.k_rec=3",
+                                    "attack.seed=1", "attack.batch_size=8", "reviews"])
+def test_warm_rerun_after_an_input_change_matches_a_fresh_run(change, corpus, warm_cache,
+                                                               tmp_path):
+    cache = tmp_path / "cache"
+    cfg = _sweep_config(corpus)
+    if change == "reviews":  # the review file is rewritten in place
+        cfg = _sweep_config(shutil.copy(corpus, tmp_path / "reviews.jsonl"))
+        run_sweep(cfg, cache)
+        write_reviews(cfg["dataset"]["path"], SynthConfig(
+            n_users=20, n_items=200, n_features=10, reviews_per_user=20, seed=4))
+    else:
+        shutil.copytree(warm_cache, cache)
+        apply_override(cfg, *change.split("="))
+    warm = run_sweep(cfg, cache).read_bytes()
+    fresh = run_sweep(cfg, tmp_path / "fresh").read_bytes()
+    assert warm == fresh
+    assert warm != (warm_cache / "results.csv").read_bytes()  # the change matters
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _unpublish(path):
+    """What a write interrupted before its rename leaves behind."""
+    path.rename(path.with_name(path.name + ".partial"))
+
+
+def _first(cache, pattern):
+    return sorted(cache.glob(pattern))[0]
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda c: _truncate(_first(c, "runs/*/checkpoint/*.f64")), id="param-blob"),
+    pytest.param(lambda c: _first(c, "runs/*/checkpoint/index.json").unlink(), id="index-json"),
+    pytest.param(lambda c: _truncate(_first(c, "datasets/*/split.json")), id="split-json"),
+    pytest.param(lambda c: _truncate(_first(c, "datasets/*/x.bin")), id="x-bin"),
+    pytest.param(lambda c: _unpublish(_first(c, "runs/*/checkpoint")), id="temp-sibling"),
+])
+def test_damaged_artifact_is_rebuilt(damage, corpus, warm_cache, tmp_path, caplog):
+    cache = tmp_path / "cache"
+    shutil.copytree(warm_cache, cache)
+    damage(cache)
+    with caplog.at_level("WARNING", logger="robustrec"):
+        out = run_sweep(_sweep_config(corpus), cache)
+    assert [r for r in caplog.records if r.name.startswith("robustrec.")]
+    assert out.read_bytes() == (warm_cache / "results.csv").read_bytes()
+    caplog.clear()
+    run_sweep(_sweep_config(corpus), cache)  # healed: nothing left to rebuild
+    assert not caplog.records
 
 
 def test_write_report_aggregates_and_curves(tmp_path):
@@ -301,7 +368,7 @@ def test_write_report_aggregates_and_curves(tmp_path):
 
 # -------------------------------------------------------------------- CLI ---
 
-def test_cli_pipeline(corpus, tmp_path, capsys):
+def test_cli_pipeline(corpus, tmp_path, capsys, monkeypatch):
     cache = str(tmp_path / "cache")
     base = ["--cache", cache, "--dataset.path", str(corpus),
             "--model.efm.n_factors", "6", "--model.efm.n_hidden", "3",
@@ -315,15 +382,20 @@ def test_cli_pipeline(corpus, tmp_path, capsys):
     trained = json.loads(capsys.readouterr().out)
     assert (tmp_path / "cache" / "runs" / trained["run_id"] / "checkpoint" /
             "manifest.json").exists()
+    assert trained["lr_used"] == 0.01 and trained["restarts"] == 0
 
     assert cli_main(base[:2] + ["attack", "--eps-a", "0.5"] + base[2:]) == 0
     attacked = json.loads(capsys.readouterr().out)
     assert attacked[0]["run_id"] == trained["run_id"]
     assert attacked[0]["delta_norm"] == pytest.approx(0.5, abs=1e-6)
+    assert (Path(attacked[0]["artifact"]) / "manifest.json").exists()
 
+    # evaluate finds the attack the attack command stored
+    monkeypatch.setattr(sweep, "attack_weights", lambda *a, **k: pytest.fail("attack rerun"))
     assert cli_main(base[:2] + ["evaluate", "--eps-a", "0.5"] + base[2:]) == 0
     row = json.loads(capsys.readouterr().out)
     assert row["condition"] == "attacked" and row["run_id"] == trained["run_id"]
+    monkeypatch.undo()
 
     assert cli_main(base[:2] + ["evaluate"] + base[2:]) == 0
     clean = json.loads(capsys.readouterr().out)

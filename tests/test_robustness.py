@@ -2,14 +2,16 @@
 import numpy as np
 import pytest
 
+import robustrec.harness.sweep as sweep
 import robustrec.robustness as rob
 from robustrec.diffcore import Tensor
+from robustrec.harness.config import default_config
 from robustrec.harness.training import TrainingConfig
 from robustrec.models import EFM, EFMConfig
 from robustrec.robustness import (AttackResult, DefenseConfig, DivergenceError,
                                   apply_attack, attack_weights, attacked_copy,
                                   clip_perturbed_y, defense_loss, fgsm_delta_y,
-                                  load_attack, save_attack, train_defended)
+                                  train_defended)
 from robustrec.rng import SplitMix64
 
 
@@ -229,16 +231,22 @@ def test_train_defended_gives_up_after_retries(efm_tiny, tiny_split, monkeypatch
                        TrainingConfig(retries=2), seed=0)
 
 
-def test_attack_save_load_roundtrip(efm_tiny, tmp_path):
+def test_attack_save_load_roundtrip(efm_tiny, tmp_path, monkeypatch):
+    cfg = default_config()
+    cfg["attack"]["seed"] = 3
+    cell = sweep.SweepCell("efm", 0.5, 0.25, 0)
     res = attack_weights(efm_tiny, DefenseConfig(lam=0.5, eps_d=0.25), 1.5, seed=3)
-    path = save_attack(tmp_path, 1.5, res)
-    assert path.name == "attack_1.5.json"
-    loaded = load_attack(tmp_path, 1.5)
-    assert loaded.grad_norm == res.grad_norm
-    assert loaded.delta_norm == res.delta_norm
-    assert set(loaded.delta) == set(res.delta)
-    for name in res.delta:
-        np.testing.assert_array_equal(loaded.delta[name], res.delta[name])
+    built, path = sweep.ensure_attack(cfg, cell, efm_tiny, tmp_path, "run", 1.5)
+    assert path.parent == tmp_path and path.name.startswith("attack_")
+    monkeypatch.setattr(sweep, "attack_weights", lambda *a, **k: pytest.fail("attack rerun"))
+    loaded, again = sweep.ensure_attack(cfg, cell, efm_tiny, tmp_path, "run", 1.5)
+    assert again == path
+    for got in (built, loaded):
+        assert got.grad_norm == res.grad_norm
+        assert got.delta_norm == res.delta_norm
+        assert set(got.delta) == set(res.delta)
+        for name in res.delta:
+            np.testing.assert_array_equal(got.delta[name], res.delta[name])
 
 
 def test_attack_rejects_non_finite_gradient(cer_tiny):

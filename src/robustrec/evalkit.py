@@ -12,10 +12,8 @@ counterfactual explanations whose solve missed its target are counted.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -119,12 +117,6 @@ class EvalReport:
     k_ndcg: int = 100
     top_n: int = 1
     n_non_cf: int = 0  # explanations flagged non_counterfactual
-
-    def to_json(self, path: str | Path | None = None) -> str:
-        text = json.dumps(asdict(self), indent=2, sort_keys=True)
-        if path is not None:
-            Path(path).write_text(text)
-        return text
 
 
 def evaluate(model: Recommender, split: DatasetSplit, bed: dict[int, list[int]],

@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from ..evalkit import gold_explanations, train_feature_sets
-from .config import (ConfigError, apply_overrides, defense_config, load_config,
-                     training_config)
+from ..robustness import DefenseConfig
+from .config import ConfigError, apply_overrides, load_config, training_config
 from .report import write_report
 from .sweep import (SweepCell, ensure_attack, ensure_bed, ensure_eval, ensure_trained,
                     load_dataset, new_model, resolve_cache, run_sweep, train_cell)
@@ -58,7 +58,8 @@ def cmd_train(cfg: dict, cache: Path, args) -> None:
     cell = _cell_from_config(cfg)
     if args.search:
         lr, wd, _ = hyperparameter_search(lambda: new_model(cfg, cell, data), data.split,
-                                          defense_config(cfg), training_config(cfg),
+                                          DefenseConfig(cell.lam, cell.eps_d),
+                                          training_config(cfg),
                                           cell.seed, search_epochs=args.search_epochs)
         cfg["training"]["lr"] = lr
         cfg["training"]["weight_decay"] = wd

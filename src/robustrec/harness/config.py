@@ -3,15 +3,19 @@
 Every run is parameterized by a single nested dict. Files and overrides may
 only touch keys that exist in the defaults; unknown paths are rejected with
 the offending dotted path so typos cannot silently change an experiment.
+The model, training and defense defaults are the fields of the dataclasses
+that take them (`EFMConfig`, `CERConfig`, `TrainingConfig`, `DefenseConfig`).
 """
 from __future__ import annotations
 
 import copy
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from ..dataset import SplitConfig
+from ..models import CERConfig, EFMConfig
 from ..robustness import DefenseConfig
 from .training import TrainingConfig
 
@@ -26,46 +30,17 @@ DEFAULTS: dict = {
         "name": "default",
         "min_reviews_per_user": 1,
         "max_rating": 5,
-        "seed": 0,
+        "seed": SplitConfig.seed,
     },
     "model": {
         "algo": "efm",
-        "efm": {
-            "n_factors": 64,
-            "n_hidden": 32,
-            "alpha": 0.85,
-            "top_k_features": 10,
-            "explain_pool": 0,
-            "lam_x": 1.0,
-            "lam_y": 1.0,
-            "lam_a": 1.0,
-            "lam_reg": 1e-3,
-            "lam_nn": 1.0,
-        },
-        "cer": {
-            "hidden": [256, 64],
-            "lam_reg": 1e-4,
-            "top_k": 5,
-            "cf_gamma": 100.0,
-            "cf_steps": 200,
-            "cf_lr": 0.01,
-            "cf_margin_frac": 0.01,
-        },
+        "efm": asdict(EFMConfig()),
+        "cer": {**asdict(CERConfig()), "hidden": list(CERConfig.hidden)},
     },
-    "training": {
-        "batch_size": 32,
-        "lr": 0.001,
-        "weight_decay": 0.0,
-        "max_epochs": 50,
-        "patience": 5,
-        "min_delta": 1e-4,
-        "retries": 2,
-        "val_k": 10,
-        "seed": 0,
-    },
+    "training": {**asdict(TrainingConfig()), "seed": 0},
     "defense": {
-        "lambda": 0.0,
-        "eps_d": 0.0,
+        "lambda": DefenseConfig.lam,
+        "eps_d": DefenseConfig.eps_d,
     },
     "attack": {
         "eps_a_grid": [0.0, 0.25, 0.5, 0.75, 1.0],
@@ -167,19 +142,5 @@ def config_hash(obj) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def split_config(cfg: dict) -> SplitConfig:
-    return SplitConfig(seed=int(cfg["dataset"]["seed"]))
-
-
-def defense_config(cfg: dict) -> DefenseConfig:
-    return DefenseConfig(lam=float(cfg["defense"]["lambda"]),
-                         eps_d=float(cfg["defense"]["eps_d"]))
-
-
 def training_config(cfg: dict) -> TrainingConfig:
-    t = cfg["training"]
-    return TrainingConfig(batch_size=int(t["batch_size"]), lr=float(t["lr"]),
-                          weight_decay=float(t["weight_decay"]),
-                          max_epochs=int(t["max_epochs"]), patience=int(t["patience"]),
-                          min_delta=float(t["min_delta"]), retries=int(t["retries"]),
-                          val_k=int(t["val_k"]))
+    return TrainingConfig(**{k: v for k, v in cfg["training"].items() if k != "seed"})

@@ -23,14 +23,14 @@ from typing import Callable, NamedTuple, TypeVar
 import numpy as np
 
 from ..aspects import build_matrices, load_matrix, save_matrix
-from ..dataset import (DatasetSplit, build_split, dataset_stats, ingest_reviews,
+from ..dataset import (DatasetSplit, SplitConfig, build_split, dataset_stats, ingest_reviews,
                        load_split_manifest, save_split_manifest)
 from ..evalkit import build_bed, evaluate, gold_explanations, train_feature_sets
 from ..models import build_model, load_checkpoint, save_checkpoint
 from ..models.base import Recommender
 from ..robustness import (AttackResult, DefenseConfig, attack_weights, attacked_copy,
                           fmt_eps, train_defended)
-from .config import config_hash, split_config, training_config
+from .config import config_hash, training_config
 
 CACHE_ENV = "ROBUSTREC_CACHE"
 
@@ -135,7 +135,8 @@ def load_dataset(cfg: dict, cache: Path) -> Dataset:
         records = ingest_reviews(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
                                  min_reviews_per_user=int(dcfg["min_reviews_per_user"]),
                                  max_rating=int(dcfg["max_rating"]))
-        split = build_split(records, split_config(cfg), max_rating=int(dcfg["max_rating"]))
+        split = build_split(records, SplitConfig(seed=dcfg["seed"]),
+                            max_rating=int(dcfg["max_rating"]))
         X, Y = build_matrices(split.train, split.n_users, split.n_items,
                               split.n_features, split.n_rating)
         return Dataset(split, X, Y, {**dataset_stats(records), "sha256": sha256})

@@ -20,8 +20,5 @@ def build_model(kind: str, split: DatasetSplit, model_cfg: dict) -> Recommender:
     if kind == "efm":
         return EFM(*dims, config=EFMConfig(**model_cfg.get("efm", {})))
     if kind == "cer":
-        cfg = dict(model_cfg.get("cer", {}))
-        if "hidden" in cfg:
-            cfg["hidden"] = tuple(cfg["hidden"])
-        return CER(*dims, config=CERConfig(**cfg))
+        return CER(*dims, config=CERConfig(**model_cfg.get("cer", {})))
     raise ValueError(f"unknown model kind {kind!r} (expected 'efm' or 'cer')")

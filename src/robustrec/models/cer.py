@@ -36,6 +36,13 @@ class CERConfig:
     cf_lr: float = 0.01
     cf_margin_frac: float = 0.01  # margin = frac * spread of candidate scores
 
+    def __post_init__(self):
+        hidden = tuple(self.hidden) if isinstance(self.hidden, (list, tuple)) else ()
+        if len(hidden) != 2 or not all(type(w) is int and w > 0 for w in hidden):
+            raise ValueError(f"CERConfig.hidden must be two positive integer widths, "
+                             f"got {self.hidden!r}")
+        object.__setattr__(self, "hidden", hidden)  # a JSON config gives a list
+
 
 def counterfactual_deltas(score_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                           pairs: Sequence[tuple[int, int]], n_features: int,

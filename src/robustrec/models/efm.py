@@ -21,17 +21,12 @@ class EFMConfig:
     n_factors: int = 64        # r: shared feature-latent rank
     n_hidden: int = 32         # r': free rating-residual rank
     alpha: float = 0.85        # weight on the feature-match score component
-    top_k_features: int = 10   # k: user features entering the score
-    explain_pool: int = 0      # m: candidate pool for explanations; 0 means k
+    top_k_features: int = 10   # k: user features entering the score and explanations
     lam_x: float = 1.0
     lam_y: float = 1.0
     lam_a: float = 1.0
     lam_reg: float = 1e-3
     lam_nn: float = 1.0
-
-    @property
-    def pool_size(self) -> int:
-        return self.explain_pool if self.explain_pool > 0 else self.top_k_features
 
 
 class EFM(Recommender):
@@ -134,8 +129,7 @@ class EFM(Recommender):
     def explain(self, u: int, v: int, top_n: int = 1,
                 require_recommended: bool = True) -> Explanation:
         """The item's strongest features among the user's favourite pool."""
-        cfg = self.config
-        pool = self._top_features(self._user_feature_scores(u), cfg.pool_size)
+        pool = self._top_features(self._user_feature_scores(u), self.config.top_k_features)
         y_v = self._item_feature_scores(v)
         ranked = sorted((int(f) for f in pool), key=lambda f: (-y_v[f], f))
         return Explanation(tuple(ranked[:top_n]))

@@ -1,15 +1,14 @@
 """Metric oracles and evaluation plumbing: NDCG, explanation P/R/F1, beds."""
 import itertools
-import json
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from robustrec.evalkit import (EvalReport, build_bed, evaluate, explanation_prf,
-                               gold_explanations, mask_explanation, ndcg_at,
-                               train_feature_sets, validation_ndcg)
+from robustrec.evalkit import (build_bed, evaluate, explanation_prf, gold_explanations,
+                               mask_explanation, ndcg_at, train_feature_sets,
+                               validation_ndcg)
 
 
 def _brute_ndcg(ranked, relevant, k):
@@ -201,16 +200,3 @@ def test_evaluate_macro_averages_and_masks(tiny_split):
     assert report.n_non_cf == 1
     assert report.n_users == len(users)
     assert 0.0 <= report.ndcg <= 1.0
-
-
-def test_eval_report_json_roundtrip(tmp_path):
-    report = EvalReport(ndcg=0.5, expl_pr=0.25, expl_re=0.75, expl_f1=0.375,
-                        n_users=3, n_pairs=4)
-    path = tmp_path / "report.json"
-    report.to_json(path)
-    loaded = json.loads(path.read_text())
-    assert loaded["ndcg"] == 0.5
-    assert loaded["expl_f1"] == 0.375
-    assert loaded["n_pairs"] == 4
-    assert loaded["k_ndcg"] == 100 and loaded["top_n"] == 1
-    assert loaded["n_non_cf"] == 0

@@ -2,6 +2,7 @@
 import csv
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +14,15 @@ import robustrec.robustness as rob
 from robustrec.harness.cli import main as cli_main
 from robustrec.harness.cli import parse_override_tokens
 from robustrec.harness.config import (ConfigError, DEFAULTS, apply_override,
-                                      config_hash, default_config, load_config)
+                                      config_hash, default_config, load_config,
+                                      training_config)
 from robustrec.harness.report import write_report
 from robustrec.harness.sweep import (CACHE_ENV, RESULT_COLUMNS, SweepCell,
                                      enumerate_cells, resolve_cache, run_sweep,
                                      write_results)
 from robustrec.harness.training import (EarlyStopper, TrainingConfig,
                                         hyperparameter_search)
-from robustrec.models import EFM, EFMConfig
+from robustrec.models import CERConfig, EFM, EFMConfig, build_model
 from robustrec.models.checkpoint import load_checkpoint, save_checkpoint
 from robustrec.robustness import DefenseConfig, TrainResult, train_defended
 from robustrec.synth import SynthConfig, write_reviews
@@ -69,6 +71,32 @@ def test_apply_override_dotted_paths():
             apply_override(cfg, bad, "1")
     with pytest.raises(ConfigError):
         apply_override(cfg, "training.batch_size", "0.5")  # float over int
+
+
+def _non_default(value):
+    if isinstance(value, list):
+        return [w + 1 for w in value]
+    return value + 1 if isinstance(value, int) else 2.0 * value + 0.5
+
+
+@pytest.mark.parametrize("dotted, cls", [("training", TrainingConfig),
+                                         ("model.efm", EFMConfig), ("model.cer", CERConfig)])
+def test_every_setting_reaches_its_dataclass(tiny_split, dotted, cls):
+    section = DEFAULTS
+    for part in dotted.split("."):
+        section = section[part]
+    keys = set(section) - {"seed"} if dotted == "training" else set(section)
+    assert keys == {f.name for f in fields(cls)}
+    for key in sorted(keys):
+        cfg = default_config()
+        value = _non_default(section[key])
+        apply_override(cfg, f"{dotted}.{key}", json.dumps(value))
+        if dotted == "training":
+            built = training_config(cfg)
+        else:
+            built = build_model(dotted.split(".")[1], tiny_split, cfg["model"]).config
+        assert getattr(built, key) == (tuple(value) if isinstance(value, list) else value), key
+        assert getattr(built, key) != getattr(cls(), key), key
 
 
 def test_parse_override_tokens_forms():

@@ -7,7 +7,7 @@ import pytest
 import robustrec.models.cer as cer_mod
 from gradcheck import gradcheck
 from robustrec.diffcore import Tensor, tsum
-from robustrec.models import CER, CERConfig
+from robustrec.models import CER, CERConfig, build_model
 from robustrec.models.base import Explanation
 from robustrec.models.cer import NotRecommendedError, counterfactual_deltas
 from robustrec.rng import SplitMix64
@@ -262,3 +262,10 @@ def test_explain_top_k_gate_and_relaxation(tiny_split, tiny_matrices):
     expl = model.explain(u, worst, require_recommended=False)
     assert isinstance(expl, Explanation)
     assert len(expl.features) == 1
+
+
+@pytest.mark.parametrize("hidden", [[8], [8, 4, 2], [8, 0], [8.0, 4], [True, 4], []])
+def test_build_model_rejects_malformed_hidden(tiny_split, hidden):
+    # the widths come from JSON config; a bad one must fail here, not in reinit
+    with pytest.raises(ValueError, match="hidden"):
+        build_model("cer", tiny_split, {"cer": {"hidden": hidden}})

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from ..evalkit import gold_explanations, train_feature_sets
-from ..robustness import DefenseConfig
+from ..robustness import DefenseConfig, fmt_eps, scale_attack
 from .config import ConfigError, apply_overrides, load_config, training_config
 from .report import write_report
 from .sweep import (SweepCell, ensure_attack, ensure_bed, ensure_eval, ensure_trained,
@@ -82,12 +82,11 @@ def cmd_attack(cfg: dict, cache: Path, args) -> None:
     model, run_dir, run_id = ensure_trained(cfg, cell, data, cache)
     grid = [args.eps_a] if args.eps_a is not None else \
         [e for e in cfg["attack"]["eps_a_grid"] if e != 0.0]
-    out = []
-    for eps_a in grid:
-        result, path = ensure_attack(cfg, cell, model, run_dir, run_id, float(eps_a))
-        out.append({"run_id": run_id, "eps_a": eps_a, "grad_norm": result.grad_norm,
-                    "delta_norm": result.delta_norm, "artifact": str(path)})
-    print(json.dumps(out, indent=2, sort_keys=True))
+    gradient, path = ensure_attack(cfg, cell, model, run_dir, run_id)
+    print(json.dumps({
+        "run_id": run_id, "grad_norm": gradient.grad_norm, "artifact": str(path),
+        "delta_norm": {fmt_eps(e): scale_attack(gradient, float(e)).delta_norm for e in grid},
+    }, indent=2, sort_keys=True))
 
 
 def cmd_evaluate(cfg: dict, cache: Path, args) -> None:
@@ -125,7 +124,8 @@ def main(argv: list[str] | None = None) -> int:
     p_train.add_argument("--search", action="store_true",
                          help="grid-search lr and weight decay first")
     p_train.add_argument("--search-epochs", type=int, default=5)
-    p_attack = sub.add_parser("attack", help="compute weight-attack artifacts for a trained run")
+    p_attack = sub.add_parser("attack", help="compute a trained run's weight-attack gradient "
+                                             "and the delta norm per budget")
     p_attack.add_argument("--eps-a", type=float, default=None,
                           help="single budget (default: the config grid's nonzero entries)")
     p_eval = sub.add_parser("evaluate", help="evaluate one run (clean or attacked)")

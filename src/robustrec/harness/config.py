@@ -91,12 +91,21 @@ def _coerce(dotted: str, default, value):
     if isinstance(default, str) and isinstance(value, str):
         return value
     if isinstance(default, list) and isinstance(value, list):
-        return list(value)
+        # elements are typed like the default's (every list default is non-empty)
+        return [_coerce_element(f"{dotted}[{i}]", default[0], v) for i, v in enumerate(value)]
     # empty-string defaults act as untyped placeholders (e.g. dataset.path)
     if isinstance(default, str):
         return str(value)
     raise ConfigError(f"config key {dotted!r}: cannot assign {value!r} "
                       f"over default {default!r}")
+
+
+def _coerce_element(dotted: str, default, value):
+    # a list element has no untyped placeholder: a string default wants a string
+    if isinstance(default, str) and not isinstance(value, str):
+        raise ConfigError(f"config key {dotted!r}: cannot assign {value!r} "
+                          f"over default {default!r}")
+    return _coerce(dotted, default, value)
 
 
 def load_config(path: str | Path | None = None) -> dict:

@@ -28,15 +28,19 @@ from ..dataset import (DatasetSplit, SplitConfig, build_split, dataset_stats, in
 from ..evalkit import build_bed, evaluate, gold_explanations, train_feature_sets
 from ..models import build_model, load_checkpoint, save_checkpoint
 from ..models.base import Recommender
-from ..robustness import (AttackResult, DefenseConfig, attack_weights, attacked_copy,
-                          fmt_eps, train_defended)
+# attack_weights is not called here; it stays importable from this module
+# because bench/tracing.py patches it by this name
+from ..robustness import (AttackGradient, DefenseConfig, attack_gradient,  # noqa: F401
+                          attack_weights, attacked_copy, fmt_eps, scale_attack,
+                          train_defended)
 from .config import config_hash, training_config
 
 CACHE_ENV = "ROBUSTREC_CACHE"
 
-RESULT_COLUMNS = ["run_id", "algo", "dataset", "lambda", "eps_d", "eps_a",
-                  "condition", "ndcg", "expl_pr", "expl_re", "expl_f1",
-                  "n_users", "n_pairs", "n_non_cf"]
+# the EvalReport fields a results row carries, under the same names
+REPORT_COLUMNS = ["ndcg", "expl_pr", "expl_re", "expl_f1", "n_users", "n_pairs", "n_non_cf"]
+RESULT_COLUMNS = ["run_id", "algo", "dataset", "lambda", "eps_d", "eps_a", "condition",
+                  *REPORT_COLUMNS, "grad_norm"]
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -238,31 +242,32 @@ def ensure_bed(cfg: dict, cell: SweepCell, data: Dataset, cache: Path) -> dict[i
     return artifact(cache / "runs" / vanilla_id / f"bed_{key}.json", build, save, load)
 
 
-def _attack_key(cfg: dict, run_id: str, eps_a: float) -> str:
+def _attack_key(cfg: dict, run_id: str) -> str:
     a = cfg["attack"]
-    return config_hash({"run": run_id, "eps_a": eps_a, "seed": int(a["seed"]),
+    return config_hash({"run": run_id, "seed": int(a["seed"]),
                         "batch_size": int(a["batch_size"])})
 
 
 def ensure_attack(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
-                  run_id: str, eps_a: float) -> tuple[AttackResult, Path]:
-    """The weight attack on a trained run at budget eps_a, and its path: a
-    checkpoint-format directory holding the delta."""
-    def build() -> AttackResult:
-        return attack_weights(model, DefenseConfig(lam=cell.lam, eps_d=cell.eps_d), eps_a,
-                              seed=int(cfg["attack"]["seed"]),
-                              batch_size=int(cfg["attack"]["batch_size"]))
+                  run_id: str) -> tuple[AttackGradient, Path]:
+    """The attack gradient Xi of a trained run, shared by every eps_a, and its
+    path: a checkpoint-format directory holding Xi, with ||Xi||_2 in the
+    manifest. `scale_attack` turns it into the delta for one budget."""
+    def build() -> AttackGradient:
+        return attack_gradient(model, DefenseConfig(lam=cell.lam, eps_d=cell.eps_d),
+                               seed=int(cfg["attack"]["seed"]),
+                               batch_size=int(cfg["attack"]["batch_size"]))
 
-    def save(path: Path, result: AttackResult) -> None:
-        manifest = {"kind": "attack-delta", "eps_a": eps_a, "grad_norm": result.grad_norm,
-                    "delta_norm": result.delta_norm}
-        save_checkpoint(path, manifest, result.delta)
+    def save(path: Path, gradient: AttackGradient) -> None:
+        save_checkpoint(path, {"kind": "attack-gradient", "grad_norm": gradient.grad_norm},
+                        gradient.xi)
 
-    def load(path: Path) -> AttackResult:
-        manifest, delta = load_checkpoint(path)
-        return AttackResult(delta, manifest["grad_norm"], manifest["delta_norm"])
+    def load(path: Path) -> AttackGradient:
+        manifest, xi = load_checkpoint(path)
+        # in the model's parameter order, which the norms of a delta are summed in
+        return AttackGradient({name: xi[name] for name in model.params}, manifest["grad_norm"])
 
-    path = run_dir / f"attack_{_attack_key(cfg, run_id, eps_a)}"
+    path = run_dir / f"attack_{_attack_key(cfg, run_id)}"
     return artifact(path, build, save, load), path
 
 
@@ -270,24 +275,24 @@ def ensure_eval(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
                 run_id: str, eps_a: float, data: Dataset,
                 bed: dict[int, list[int]], gold, user_features) -> dict:
     """One results row: clean when eps_a = 0, otherwise attack then evaluate.
-    A cached row is reused without loading the attack behind it."""
+    A cached row is reused without loading the attack gradient behind it."""
     top_n, k_ndcg = int(cfg["eval"]["top_n"]), int(cfg["eval"]["k_ndcg"])
-    key = config_hash({"attack": _attack_key(cfg, run_id, eps_a),
+    key = config_hash({"attack": _attack_key(cfg, run_id), "eps_a": eps_a,
                        "bed": _bed_key(cfg, cell, data)[1], "top_n": top_n,
                        "k_ndcg": k_ndcg, "dataset": cfg["dataset"]["name"]})
 
     def build() -> dict:
-        target = model
+        target, grad_norm = model, None
         if eps_a != 0.0:
-            attack, _ = ensure_attack(cfg, cell, model, run_dir, run_id, eps_a)
-            target = attacked_copy(model, attack.delta)
+            gradient, _ = ensure_attack(cfg, cell, model, run_dir, run_id)
+            target = attacked_copy(model, scale_attack(gradient, eps_a).delta)
+            grad_norm = gradient.grad_norm
         report = evaluate(target, data.split, bed, gold, user_features,
                           top_n=top_n, k_ndcg=k_ndcg)
-        row = {"run_id": run_id, "algo": cell.algo, "dataset": cfg["dataset"]["name"],
-               "lambda": cell.lam, "eps_d": cell.eps_d, "eps_a": eps_a,
-               "condition": "clean" if eps_a == 0.0 else "attacked"}
-        # the remaining columns are the EvalReport fields of the same names
-        return {**row, **{c: getattr(report, c) for c in RESULT_COLUMNS[len(row):]}}
+        return {"run_id": run_id, "algo": cell.algo, "dataset": cfg["dataset"]["name"],
+                "lambda": cell.lam, "eps_d": cell.eps_d, "eps_a": eps_a,
+                "condition": "clean" if eps_a == 0.0 else "attacked",
+                **{c: getattr(report, c) for c in REPORT_COLUMNS}, "grad_norm": grad_norm}
 
     def load(path: Path) -> dict:
         row = json.loads(path.read_text())
@@ -302,7 +307,8 @@ def ensure_eval(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
 
 
 def write_results(path: Path, rows: list[dict]) -> None:
-    """Deterministic CSV: fixed column order, sorted rows, fixed float formats."""
+    """Deterministic CSV: fixed column order, sorted rows, fixed float formats.
+    grad_norm is empty on clean rows (and rows without one)."""
     def key(row):
         return (row["algo"], row["dataset"], row["lambda"], row["eps_d"],
                 row["run_id"], row["eps_a"])
@@ -319,6 +325,7 @@ def write_results(path: Path, rows: list[dict]) -> None:
                     f"{row['ndcg']:.6f}", f"{row['expl_pr']:.6f}",
                     f"{row['expl_re']:.6f}", f"{row['expl_f1']:.6f}",
                     row["n_users"], row["n_pairs"], row["n_non_cf"],
+                    "" if row.get("grad_norm") is None else f"{row['grad_norm']:.6e}",
                 ])
 
     publish(path, save)

@@ -12,11 +12,14 @@ to the clean loss object itself, so those reductions are exact to the bit.
 Attack: a single-shot perturbation of the trained weights,
 Delta* = eps_a * Xi / ||Xi||_2, with Xi the full-training-set gradient of the
 model's own training objective (its trained lambda/eps_d) and the norm taken
-over the concatenation of every parameter.
+over the concatenation of every parameter. Xi does not depend on eps_a, so it
+is computed once per trained model (`attack_gradient`) and every budget is a
+cheap rescaling of it (`scale_attack`); `attack_weights` is the two in a row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +50,11 @@ class TrainResult:
     epochs_run: int
     lr_used: float
     restarts: int
+
+
+class AttackGradient(NamedTuple):
+    xi: dict[str, np.ndarray]  # dL_total/dTheta summed over one training pass
+    grad_norm: float           # ||Xi||_2 over every parameter
 
 
 @dataclass
@@ -154,15 +162,12 @@ def train_defended(model: Recommender, split: DatasetSplit, defense: DefenseConf
                     f"(last lr {lr:g})") from None
 
 
-def attack_weights(model: Recommender, defense: DefenseConfig, eps_a: float,
-                   seed: int, batch_size: int = 32) -> AttackResult:
-    """Single-shot weight perturbation along the normalized full-data gradient.
-
-    Xi accumulates dL_total/dTheta over one pass of the training set with the
-    model's own defense settings. Delta* = eps_a * Xi / ||Xi||_2; a gradient
-    with norm below 1e-12 (or eps_a = 0) yields the zero perturbation, and a
-    non-finite one raises FloatingPointError.
-    """
+def attack_gradient(model: Recommender, defense: DefenseConfig, seed: int,
+                    batch_size: int) -> AttackGradient:
+    """Xi: dL_total/dTheta accumulated over one pass of the training set with
+    the model's own defense settings, and its norm. Gradients the model held
+    before are put back; a non-finite Xi raises FloatingPointError naming
+    the parameters it came from."""
     params = model.params
     saved = {name: p.grad for name, p in params.items()}
     for p in params.values():
@@ -180,6 +185,16 @@ def attack_weights(model: Recommender, defense: DefenseConfig, eps_a: float,
         bad = sorted(name for name, g in xi.items() if not np.isfinite(g).all())
         raise FloatingPointError(f"attack: non-finite training gradient "
                                  f"(norm {grad_norm}) in parameters {bad}")
+    return AttackGradient(xi, grad_norm)
+
+
+def scale_attack(gradient: AttackGradient, eps_a: float) -> AttackResult:
+    """Delta* = (eps_a / ||Xi||_2) * Xi. A gradient with norm below 1e-12 (or
+    eps_a = 0) yields the zero perturbation; a negative or non-finite eps_a
+    raises ValueError."""
+    if not (np.isfinite(eps_a) and eps_a >= 0.0):
+        raise ValueError(f"attack budget eps_a must be finite and >= 0, got {eps_a!r}")
+    xi, grad_norm = gradient
     if eps_a == 0.0 or grad_norm < ZERO_GRAD_NORM:
         delta = {name: np.zeros_like(g) for name, g in xi.items()}
         return AttackResult(delta=delta, grad_norm=grad_norm, delta_norm=0.0)
@@ -187,6 +202,13 @@ def attack_weights(model: Recommender, defense: DefenseConfig, eps_a: float,
     delta = {name: scale * g for name, g in xi.items()}
     delta_norm = float(np.sqrt(sum(float((d * d).sum()) for d in delta.values())))
     return AttackResult(delta=delta, grad_norm=grad_norm, delta_norm=delta_norm)
+
+
+def attack_weights(model: Recommender, defense: DefenseConfig, eps_a: float,
+                   seed: int, batch_size: int = 32) -> AttackResult:
+    """Single-shot weight perturbation along the normalized full-data
+    gradient: `attack_gradient` then `scale_attack`."""
+    return scale_attack(attack_gradient(model, defense, seed, batch_size), eps_a)
 
 
 def apply_attack(params: dict[str, np.ndarray], delta: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -73,6 +73,29 @@ def test_apply_override_dotted_paths():
         apply_override(cfg, "training.batch_size", "0.5")  # float over int
 
 
+@pytest.mark.parametrize("dotted, good, bad", [
+    ("sweep.lambdas", [0, 0.5], ["a", None]),
+    ("sweep.eps_ds", [0.25], [True]),
+    ("attack.eps_a_grid", [0.0, 1], [0.5, False]),
+    ("sweep.seeds", [0, 3], [1.5]),
+    ("sweep.algos", ["cer"], [1]),
+])
+def test_list_keys_check_their_elements(dotted, good, bad, tmp_path):
+    cfg = default_config()
+    section, leaf = dotted.split(".")
+    apply_override(cfg, dotted, json.dumps(good))
+    assert cfg[section][leaf] == good
+    assert [type(v) for v in cfg[section][leaf]] == \
+        [type(DEFAULTS[section][leaf][0])] * len(good)
+    with pytest.raises(ConfigError, match=dotted):
+        apply_override(cfg, dotted, json.dumps(bad))
+    assert cfg[section][leaf] == good  # a rejected value is not stored
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({section: {leaf: bad}}))
+    with pytest.raises(ConfigError, match=dotted):
+        load_config(doc)
+
+
 def _non_default(value):
     if isinstance(value, list):
         return [w + 1 for w in value]
@@ -286,18 +309,60 @@ def test_run_sweep_layout_and_idempotence(corpus, tmp_path):
     assert run_sweep(_sweep_config(corpus), cache) == out
     assert out.read_bytes() == first  # cached re-run: byte-identical
 
-    # an eval row cached before the n_non_cf column existed is redone, not
-    # written out short of a column
-    for path in cache.glob("runs/*/eval_*.json"):
-        row = json.loads(path.read_text())
-        del row["n_non_cf"]
-        path.write_text(json.dumps(row))
-    run_sweep(_sweep_config(corpus), cache)
-    assert out.read_bytes() == first
+    # an eval row cached before the n_non_cf or grad_norm column existed is
+    # redone, not written out short of a column
+    for column in ("n_non_cf", "grad_norm"):
+        for path in cache.glob("runs/*/eval_*.json"):
+            row = json.loads(path.read_text())
+            del row[column]
+            path.write_text(json.dumps(row))
+        run_sweep(_sweep_config(corpus), cache)
+        assert out.read_bytes() == first
 
     fresh = tmp_path / "cache2"
     run_sweep(_sweep_config(corpus), fresh)
     assert (fresh / "results.csv").read_bytes() == first  # from scratch too
+
+
+def test_sweep_computes_the_attack_gradient_once_per_run(corpus, tmp_path, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return rob.attack_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "attack_gradient", spy)
+    cfg = _sweep_config(corpus)
+    cfg["attack"]["eps_a_grid"] = DEFAULTS["attack"]["eps_a_grid"]
+    cache = tmp_path / "cache"
+    out = run_sweep(cfg, cache)
+    run_dirs = list((cache / "runs").iterdir())
+    assert len(calls) == len(run_dirs) == 2  # once per trained run, not per eps_a
+    for d in run_dirs:
+        assert len(list(d.glob("attack_*"))) == 1
+        assert len(list(d.glob("eval_*.json"))) == len(cfg["attack"]["eps_a_grid"])
+
+    # attacked rows carry their run's ||Xi||; clean rows leave the cell empty
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    norms = {}
+    for row in rows:
+        if row["condition"] == "clean":
+            assert row["grad_norm"] == ""
+        else:
+            norms.setdefault(row["run_id"], set()).add(row["grad_norm"])
+    assert len(norms) == 2 and all(len(v) == 1 for v in norms.values())
+    for d in run_dirs:
+        manifest = json.loads(next(d.glob("attack_*/manifest.json")).read_text())
+        assert norms[d.name] == {f"{manifest['grad_norm']:.6e}"}
+
+    calls.clear()
+    run_sweep(cfg, cache)  # every row cached
+    assert calls == []
+    cfg["attack"]["eps_a_grid"] = [0.0]
+    run_sweep(cfg, tmp_path / "clean-only")
+    assert calls == []
+    assert not list((tmp_path / "clean-only").glob("runs/*/attack_*"))
 
 
 @pytest.fixture(scope="module")
@@ -414,12 +479,13 @@ def test_cli_pipeline(corpus, tmp_path, capsys, monkeypatch):
 
     assert cli_main(base[:2] + ["attack", "--eps-a", "0.5"] + base[2:]) == 0
     attacked = json.loads(capsys.readouterr().out)
-    assert attacked[0]["run_id"] == trained["run_id"]
-    assert attacked[0]["delta_norm"] == pytest.approx(0.5, abs=1e-6)
-    assert (Path(attacked[0]["artifact"]) / "manifest.json").exists()
+    assert attacked["run_id"] == trained["run_id"]
+    assert attacked["delta_norm"]["0.5"] == pytest.approx(0.5, abs=1e-6)
+    assert attacked["grad_norm"] > 0.0
+    assert (Path(attacked["artifact"]) / "manifest.json").exists()
 
     # evaluate finds the attack the attack command stored
-    monkeypatch.setattr(sweep, "attack_weights", lambda *a, **k: pytest.fail("attack rerun"))
+    monkeypatch.setattr(sweep, "attack_gradient", lambda *a, **k: pytest.fail("attack rerun"))
     assert cli_main(base[:2] + ["evaluate", "--eps-a", "0.5"] + base[2:]) == 0
     row = json.loads(capsys.readouterr().out)
     assert row["condition"] == "attacked" and row["run_id"] == trained["run_id"]

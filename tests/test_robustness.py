@@ -9,9 +9,9 @@ from robustrec.harness.config import default_config
 from robustrec.harness.training import TrainingConfig
 from robustrec.models import EFM, EFMConfig
 from robustrec.robustness import (AttackResult, DefenseConfig, DivergenceError,
-                                  apply_attack, attack_weights, attacked_copy,
-                                  clip_perturbed_y, defense_loss, fgsm_delta_y,
-                                  train_defended)
+                                  apply_attack, attack_gradient, attack_weights,
+                                  attacked_copy, clip_perturbed_y, defense_loss,
+                                  fgsm_delta_y, scale_attack, train_defended)
 from robustrec.rng import SplitMix64
 
 
@@ -236,10 +236,12 @@ def test_attack_save_load_roundtrip(efm_tiny, tmp_path, monkeypatch):
     cfg["attack"]["seed"] = 3
     cell = sweep.SweepCell("efm", 0.5, 0.25, 0)
     res = attack_weights(efm_tiny, DefenseConfig(lam=0.5, eps_d=0.25), 1.5, seed=3)
-    built, path = sweep.ensure_attack(cfg, cell, efm_tiny, tmp_path, "run", 1.5)
+    gradient, path = sweep.ensure_attack(cfg, cell, efm_tiny, tmp_path, "run")
+    built = scale_attack(gradient, 1.5)
     assert path.parent == tmp_path and path.name.startswith("attack_")
-    monkeypatch.setattr(sweep, "attack_weights", lambda *a, **k: pytest.fail("attack rerun"))
-    loaded, again = sweep.ensure_attack(cfg, cell, efm_tiny, tmp_path, "run", 1.5)
+    monkeypatch.setattr(sweep, "attack_gradient", lambda *a, **k: pytest.fail("attack rerun"))
+    gradient, again = sweep.ensure_attack(cfg, cell, efm_tiny, tmp_path, "run")
+    loaded = scale_attack(gradient, 1.5)
     assert again == path
     for got in (built, loaded):
         assert got.grad_norm == res.grad_norm
@@ -255,3 +257,33 @@ def test_attack_rejects_non_finite_gradient(cer_tiny):
     cer_tiny.params["W2"].data[0, 0] = np.nan
     with pytest.raises(FloatingPointError, match="attack.*W2"):
         attack_weights(cer_tiny, DefenseConfig(), 0.5, seed=0)
+
+
+@pytest.mark.parametrize("algo", ["efm", "cer"])
+@pytest.mark.parametrize("lam, eps_d", [(0.0, 0.0), (0.5, 0.25)])
+def test_scaled_gradient_matches_attack_weights_bit_for_bit(algo, lam, eps_d, efm_tiny,
+                                                            cer_tiny, tmp_path):
+    # the sweep builds Xi once (then loads it) and rescales it per budget;
+    # every budget must give exactly the one-call attack
+    model = efm_tiny if algo == "efm" else cer_tiny
+    cfg = default_config()
+    cell = sweep.SweepCell(algo, lam, eps_d, 0)
+    defense = DefenseConfig(lam=lam, eps_d=eps_d)
+    for eps in cfg["attack"]["eps_a_grid"]:
+        gradient, _ = sweep.ensure_attack(cfg, cell, model, tmp_path, "run")
+        got = scale_attack(gradient, eps)
+        want = attack_weights(model, defense, eps, seed=0)
+        assert got.grad_norm == want.grad_norm and got.delta_norm == want.delta_norm
+        assert sorted(got.delta) == sorted(want.delta)
+        for name, d in want.delta.items():
+            assert got.delta[name].tobytes() == d.tobytes(), (eps, name)
+    assert len(list(tmp_path.glob("attack_*"))) == 1
+
+
+@pytest.mark.parametrize("eps_a", [-0.5, -1e-300, float("nan"), float("inf")])
+def test_attack_rejects_invalid_budget(efm_tiny, eps_a):
+    gradient = attack_gradient(efm_tiny, DefenseConfig(), seed=0, batch_size=32)
+    with pytest.raises(ValueError, match="eps_a"):
+        scale_attack(gradient, eps_a)
+    with pytest.raises(ValueError, match="eps_a"):
+        attack_weights(efm_tiny, DefenseConfig(), eps_a, seed=0)

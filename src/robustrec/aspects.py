@@ -12,16 +12,11 @@ twice in one review counts twice.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import DatasetSplit, Interaction
-
-_MAGIC = b"RRAM"
-_VERSION = 1
 
 
 @dataclass
@@ -73,30 +68,3 @@ def split_matrices(split: "DatasetSplit") -> tuple[np.ndarray, np.ndarray]:
     """Aspect matrices for a finished split (train interactions only)."""
     return build_matrices(split.train, split.n_users, split.n_items,
                           split.n_features, split.n_rating)
-
-
-def save_matrix(path: str | Path, matrix: np.ndarray, n_rating: int) -> None:
-    """Binary cache: header (magic, version, rows, cols, N) + row-major <f8."""
-    m = np.ascontiguousarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"matrix cache requires a 2-d array, got shape {m.shape}")
-    header = struct.pack("<4sIQQI", _MAGIC, _VERSION, m.shape[0], m.shape[1], n_rating)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(m.astype("<f8").tobytes())
-
-
-def load_matrix(path: str | Path) -> tuple[np.ndarray, int]:
-    raw = Path(path).read_bytes()
-    head_size = struct.calcsize("<4sIQQI")
-    if len(raw) < head_size:
-        raise ValueError(f"{path}: truncated cache header ({len(raw)} bytes)")
-    magic, version, rows, cols, n_rating = struct.unpack("<4sIQQI", raw[:head_size])
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: not an aspect-matrix cache (magic {magic!r})")
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported cache version {version}")
-    body = np.frombuffer(raw[head_size:], dtype="<f8")
-    if body.size != rows * cols:
-        raise ValueError(f"{path}: truncated cache ({body.size} values, expected {rows * cols})")
-    return body.reshape(rows, cols).astype(np.float64), int(n_rating)

@@ -18,9 +18,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .rng import SplitMix64, derive_seed
 
 log = logging.getLogger(__name__)
+
+MAX_RATING = 5  # the default rating scale N
+_COLUMNS = ("user", "item", "rating", "timestamp")  # Interaction fields as split arrays
 
 
 class IngestError(ValueError):
@@ -116,6 +121,9 @@ def _parse_record(obj: dict, line_no: int, max_rating: int) -> ReviewRecord:
         raise IngestError(f"line {line_no}: rating {rating} outside [1, {max_rating}]")
     if not isinstance(timestamp, int):
         raise IngestError(f"line {line_no}: timestamp must be an integer, got {timestamp!r}")
+    if not (-2**63 <= timestamp < 2**63):  # the dataset artifact stores int64
+        raise IngestError(f"line {line_no}: timestamp {timestamp} does not fit "
+                          "a signed 64-bit integer")
     triples = []
     for t in raw_triples:
         try:
@@ -129,7 +137,7 @@ def _parse_record(obj: dict, line_no: int, max_rating: int) -> ReviewRecord:
 
 
 def ingest_reviews(source: str | Path | Iterable[str], min_reviews_per_user: int = 1,
-                   max_rating: int = 5) -> list[ReviewRecord]:
+                   max_rating: int = MAX_RATING) -> list[ReviewRecord]:
     """Parse JSON-lines reviews, drop sparse users, sort by (user_id, timestamp).
 
     Dropping a user never changes any other user's review count, so one
@@ -177,7 +185,7 @@ def dataset_stats(records: list[ReviewRecord]) -> dict:
 
 
 def build_split(records: list[ReviewRecord], config: SplitConfig = SplitConfig(),
-                max_rating: int = 5) -> DatasetSplit:
+                max_rating: int = MAX_RATING) -> DatasetSplit:
     """Temporal per-user split with seeded negative sampling.
 
     Short users keep at least 1 train and 1 validation interaction and give
@@ -264,45 +272,54 @@ def user_positive_items(split: DatasetSplit) -> dict[int, set[int]]:
     return pos
 
 
-def _interaction_to_json(it: Interaction) -> list:
-    return [it.user, it.item, it.rating, it.timestamp, [list(m) for m in it.mentions]]
+def split_arrays(split: DatasetSplit) -> dict[str, np.ndarray]:
+    """The split as int64/float64 arrays for `models.checkpoint`; its id lists
+    and n_rating go in the manifest instead.
+
+    One table holds every interaction, train in split order, then each
+    validation positive, then each user's test positives (users ascending),
+    told apart by `part` (0, 1, 2). Interaction i's (feature, sentiment) rows
+    are mentions[mention_offsets[i]:mention_offsets[i + 1]]. Validation and
+    test users come with their negatives as [users, n_neg] matrices.
+    """
+    val_users, test_users = sorted(split.validation), sorted(split.test)
+    rows = ([(0, it) for it in split.train]
+            + [(1, split.validation[u].positive) for u in val_users]
+            + [(2, it) for u in test_users for it in split.test[u].positives])
+    arrays = {name: np.array([getattr(it, name) for _, it in rows],
+                             dtype=np.float64 if name == "rating" else np.int64)
+              for name in _COLUMNS}
+    arrays["part"] = np.array([part for part, _ in rows], dtype=np.int64)
+    arrays["mention_offsets"] = np.cumsum([0] + [len(it.mentions) for _, it in rows],
+                                          dtype=np.int64)
+    arrays["mentions"] = np.array([m for _, it in rows for m in it.mentions],
+                                  dtype=np.int64).reshape(-1, 2)
+    for name, users, entries in (("val", val_users, split.validation),
+                                 ("test", test_users, split.test)):
+        arrays[f"{name}_users"] = np.array(users, dtype=np.int64)
+        negatives = np.array([entries[u].negatives for u in users], dtype=np.int64)
+        arrays[f"{name}_negatives"] = negatives.reshape(len(users), -1 if users else 0)
+    return arrays
 
 
-def _interaction_from_json(row: list) -> Interaction:
-    u, v, rating, ts, mentions = row
-    return Interaction(int(u), int(v), float(rating), int(ts),
-                       tuple((int(f), int(s)) for f, s in mentions))
-
-
-def save_split_manifest(split: DatasetSplit, path: str | Path) -> None:
-    doc = {
-        "users": split.users,
-        "items": split.items,
-        "features": split.features,
-        "n_rating": split.n_rating,
-        "train": [_interaction_to_json(it) for it in split.train],
-        "validation": {str(u): {"positive": _interaction_to_json(e.positive),
-                                "negatives": e.negatives}
-                       for u, e in sorted(split.validation.items())},
-        "test": {str(u): {"positives": [_interaction_to_json(it) for it in e.positives],
-                          "negatives": e.negatives}
-                 for u, e in sorted(split.test.items())},
-    }
-    Path(path).write_text(json.dumps(doc, separators=(",", ":"), sort_keys=True))
-
-
-def load_split_manifest(path: str | Path) -> DatasetSplit:
-    doc = json.loads(Path(path).read_text())
+def split_from_arrays(manifest: dict, arrays: dict[str, np.ndarray]) -> DatasetSplit:
+    """Inverse of `split_arrays`; `manifest` holds users, items, features and
+    n_rating. Arrays of mismatched lengths raise ValueError."""
+    offsets = arrays["mention_offsets"].tolist()
+    mentions = list(map(tuple, arrays["mentions"].tolist()))
+    parts: dict[int, list[Interaction]] = {0: [], 1: [], 2: []}
+    columns = [arrays[name].tolist() for name in ("part", *_COLUMNS)]
+    for part, u, v, rating, ts, lo, hi in zip(*columns, offsets[:-1], offsets[1:], strict=True):
+        parts[part].append(Interaction(u, v, rating, ts, tuple(mentions[lo:hi])))
+    test_pos: dict[int, list[Interaction]] = {u: [] for u in arrays["test_users"].tolist()}
+    for it in parts[2]:
+        test_pos[it.user].append(it)
     return DatasetSplit(
-        users=list(doc["users"]),
-        items=list(doc["items"]),
-        features=list(doc["features"]),
-        n_rating=int(doc["n_rating"]),
-        train=[_interaction_from_json(row) for row in doc["train"]],
-        validation={int(u): ValidationEntry(_interaction_from_json(e["positive"]),
-                                            [int(x) for x in e["negatives"]])
-                    for u, e in doc["validation"].items()},
-        test={int(u): TestEntry([_interaction_from_json(r) for r in e["positives"]],
-                                [int(x) for x in e["negatives"]])
-              for u, e in doc["test"].items()},
+        users=list(manifest["users"]), items=list(manifest["items"]),
+        features=list(manifest["features"]), n_rating=int(manifest["n_rating"]),
+        train=parts[0],
+        validation={u: ValidationEntry(it, negs) for u, it, negs in zip(
+            arrays["val_users"].tolist(), parts[1], arrays["val_negatives"].tolist(), strict=True)},
+        test={u: TestEntry(test_pos[u], negs) for u, negs in zip(
+            test_pos, arrays["test_negatives"].tolist(), strict=True)},
     )

@@ -122,7 +122,7 @@ class EvalReport:
 def evaluate(model: Recommender, split: DatasetSplit, bed: dict[int, list[int]],
              gold: dict[tuple[int, int], set[int]],
              user_features: dict[int, set[int]] | None = None,
-             top_n: int = 1, k_ndcg: int = 100) -> EvalReport:
+             top_n: int = EvalReport.top_n, k_ndcg: int = EvalReport.k_ndcg) -> EvalReport:
     """Rank every test user's candidates (NDCG@k) and explain every bed pair
     with nonempty gold. Explanations never enforce the top-K precondition
     here: the bed is fixed by the reference model, not the one under test."""

@@ -3,20 +3,23 @@
 Every run is parameterized by a single nested dict. Files and overrides may
 only touch keys that exist in the defaults; unknown paths are rejected with
 the offending dotted path so typos cannot silently change an experiment.
-The model, training and defense defaults are the fields of the dataclasses
-that take them (`EFMConfig`, `CERConfig`, `TrainingConfig`, `DefenseConfig`).
+Every default is declared once, where its value is taken: on a dataclass
+(`EFMConfig`, `CERConfig`, `TrainingConfig`, `DefenseConfig`, `SplitConfig`,
+`EvalReport`) or in the signature of `ingest_reviews`, `build_bed` or `attack_weights`.
 """
 from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import json
 from dataclasses import asdict
 from pathlib import Path
 
-from ..dataset import SplitConfig
+from ..dataset import SplitConfig, ingest_reviews
+from ..evalkit import EvalReport, build_bed
 from ..models import CERConfig, EFMConfig
-from ..robustness import DefenseConfig
+from ..robustness import DefenseConfig, attack_weights
 from .training import TrainingConfig
 
 
@@ -24,12 +27,17 @@ class ConfigError(ValueError):
     pass
 
 
+def _default(fn, name: str):
+    """The default value of `fn`'s parameter `name`."""
+    return inspect.signature(fn).parameters[name].default
+
+
 DEFAULTS: dict = {
     "dataset": {
         "path": "",
         "name": "default",
-        "min_reviews_per_user": 1,
-        "max_rating": 5,
+        "min_reviews_per_user": _default(ingest_reviews, "min_reviews_per_user"),
+        "max_rating": _default(ingest_reviews, "max_rating"),
         "seed": SplitConfig.seed,
     },
     "model": {
@@ -44,13 +52,13 @@ DEFAULTS: dict = {
     },
     "attack": {
         "eps_a_grid": [0.0, 0.25, 0.5, 0.75, 1.0],
-        "batch_size": 32,
+        "batch_size": _default(attack_weights, "batch_size"),
         "seed": 0,
     },
     "eval": {
-        "k_ndcg": 100,
-        "k_rec": 5,
-        "top_n": 1,
+        "k_ndcg": EvalReport.k_ndcg,
+        "k_rec": _default(build_bed, "k_rec"),
+        "top_n": EvalReport.top_n,
     },
     "sweep": {
         "algos": ["efm", "cer"],

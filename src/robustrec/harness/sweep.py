@@ -22,9 +22,9 @@ from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
-from ..aspects import build_matrices, load_matrix, save_matrix
+from ..aspects import build_matrices
 from ..dataset import (DatasetSplit, SplitConfig, build_split, dataset_stats, ingest_reviews,
-                       load_split_manifest, save_split_manifest)
+                       split_arrays, split_from_arrays)
 from ..evalkit import build_bed, evaluate, gold_explanations, train_feature_sets
 from ..models import build_model, load_checkpoint, save_checkpoint
 from ..models.base import Recommender
@@ -146,16 +146,16 @@ def load_dataset(cfg: dict, cache: Path) -> Dataset:
         return Dataset(split, X, Y, {**dataset_stats(records), "sha256": sha256})
 
     def save(path: Path, data: Dataset) -> None:
-        path.mkdir()
-        save_split_manifest(data.split, path / "split.json")
-        save_matrix(path / "x.bin", data.X, data.split.n_rating)
-        save_matrix(path / "y.bin", data.Y, data.split.n_rating)
-        (path / "stats.json").write_text(json.dumps(data.stats, indent=2, sort_keys=True))
+        split = data.split
+        save_checkpoint(path, {"users": split.users, "items": split.items,
+                               "features": split.features, "n_rating": split.n_rating,
+                               "stats": data.stats},
+                        {**split_arrays(split), "X": data.X, "Y": data.Y})
 
     def load(path: Path) -> Dataset:
-        return Dataset(load_split_manifest(path / "split.json"), load_matrix(path / "x.bin")[0],
-                       load_matrix(path / "y.bin")[0],
-                       json.loads((path / "stats.json").read_text()))
+        manifest, arrays = load_checkpoint(path)
+        return Dataset(split_from_arrays(manifest, arrays), arrays["X"], arrays["Y"],
+                       manifest["stats"])
 
     key = config_hash(_dataset_source(cfg, sha256))
     return artifact(cache / "datasets" / key, build, save, load)
@@ -275,11 +275,12 @@ def ensure_eval(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
                 run_id: str, eps_a: float, data: Dataset,
                 bed: dict[int, list[int]], gold, user_features) -> dict:
     """One results row: clean when eps_a = 0, otherwise attack then evaluate.
-    A cached row is reused without loading the attack gradient behind it."""
+    A cached row is reused without loading the attack gradient behind it; a
+    clean row's key leaves the attack settings out, as its value does."""
     top_n, k_ndcg = int(cfg["eval"]["top_n"]), int(cfg["eval"]["k_ndcg"])
-    key = config_hash({"attack": _attack_key(cfg, run_id), "eps_a": eps_a,
-                       "bed": _bed_key(cfg, cell, data)[1], "top_n": top_n,
-                       "k_ndcg": k_ndcg, "dataset": cfg["dataset"]["name"]})
+    source = {"run": run_id} if eps_a == 0.0 else {"attack": _attack_key(cfg, run_id)}
+    key = config_hash({**source, "eps_a": eps_a, "bed": _bed_key(cfg, cell, data)[1],
+                       "top_n": top_n, "k_ndcg": k_ndcg, "dataset": cfg["dataset"]["name"]})
 
     def build() -> dict:
         target, grad_norm = model, None

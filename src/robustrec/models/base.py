@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..dataset import DatasetSplit, Interaction, user_positive_items
+from ..dataset import MAX_RATING, DatasetSplit, Interaction, user_positive_items
 from ..diffcore import Tensor
 from ..rng import SplitMix64
 
@@ -40,9 +40,15 @@ class PairBatch:
 
 
 def rank_items(scores: np.ndarray, item_ids: np.ndarray) -> list[int]:
-    """Item ids by descending score; exact ties go to the lower item index."""
+    """Item ids by descending score; exact ties go to the lower item index.
+    A NaN or infinite score raises FloatingPointError naming its item."""
     scores = np.asarray(scores, dtype=np.float64)
     item_ids = np.asarray(item_ids, dtype=np.int64)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise FloatingPointError(f"ranking: item {int(item_ids[first])} has "
+                                 f"non-finite score {scores[first]}")
     order = np.lexsort((item_ids, -scores))
     return [int(item_ids[i]) for i in order]
 
@@ -60,7 +66,7 @@ class Recommender(ABC):
         self._train: list[Interaction] = []
         self._user_pos: dict[int, set[int]] = {}
         self._candidates: dict[int, np.ndarray] = {}
-        self.n_rating: int = 5
+        self.n_rating: int = MAX_RATING
 
     def attach(self, split: DatasetSplit, X: np.ndarray, Y: np.ndarray) -> None:
         """Bind the training data this model learns from and is scored on."""

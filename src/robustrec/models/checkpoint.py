@@ -1,35 +1,56 @@
-"""Checkpoint directories: manifest.json + index.json + one <f8 blob per parameter."""
+"""The cache's one array format, shared by checkpoints, attack gradients and datasets.
+
+A directory holds manifest.json, index.json (array name -> shape) and one raw
+little-endian blob per array, whose suffix is its dtype: `<name>.f64` holds
+float64 and `<name>.i64` int64. Arrays round-trip bit for bit.
+"""
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
+DTYPES = {"f64": "<f8", "i64": "<i8"}  # blob suffix -> stored dtype
+
 
 def save_checkpoint(path: str | Path, manifest: dict, params: dict[str, np.ndarray]) -> None:
-    """Write a checkpoint directory. Round-trips bit-exactly: parameters are
-    stored as raw little-endian float64, shapes in index.json."""
+    """Write an array directory; every array must be float64 or int64."""
+    blobs = {}
+    for name, arr in sorted(params.items()):
+        arr = np.asarray(arr)
+        suffix = {"f8": "f64", "i8": "i64"}.get(f"{arr.dtype.kind}{arr.dtype.itemsize}")
+        if suffix is None:
+            raise ValueError(f"array {name}: dtype {arr.dtype} is neither float64 nor int64")
+        blobs[name] = suffix, arr
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    index = {name: list(arr.shape) for name, arr in sorted(params.items())}
+    index = {name: list(arr.shape) for name, (_, arr) in blobs.items()}
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     (root / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True))
-    for name, arr in sorted(params.items()):
-        data = np.ascontiguousarray(arr, dtype="<f8")
-        (root / f"{name}.f64").write_bytes(data.tobytes())
+    for name, (suffix, arr) in blobs.items():
+        (root / f"{name}.{suffix}").write_bytes(np.asarray(arr, dtype=DTYPES[suffix]).tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """(manifest, arrays) of an array directory. A malformed index entry, or a
+    blob missing, of another dtype or of the wrong size, raises ValueError."""
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text())
     index = json.loads((root / "index.json").read_text())
+    files = {p.name for p in root.iterdir()}
     params: dict[str, np.ndarray] = {}
     for name, shape in index.items():
-        raw = (root / f"{name}.f64").read_bytes()
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        expected = int(np.prod(shape)) if shape else 1
-        if arr.size != expected:
-            raise ValueError(f"{path}: parameter {name} has {arr.size} values, expected {expected}")
-        params[name] = arr.reshape(shape)
+        found = [suffix for suffix in DTYPES if f"{name}.{suffix}" in files]
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+                and len(found) == 1):
+            raise ValueError(f"{path}: array {name} needs a shape and one .f64 or .i64 "
+                             f"blob, has shape {shape!r} and {len(found)} blobs")
+        dtype, raw = DTYPES[found[0]], (root / f"{name}.{found[0]}").read_bytes()
+        if len(raw) != 8 * math.prod(shape):
+            raise ValueError(f"{path}: array {name} holds {len(raw)} bytes, "
+                             f"expected {math.prod(shape)} values")
+        # astype to the native dtype copies, so the array is writable
+        params[name] = np.frombuffer(raw, dtype).astype(dtype[1:]).reshape(shape)
     return manifest, params

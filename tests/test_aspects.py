@@ -1,12 +1,11 @@
-"""Aspect matrices: high-precision formula oracle, worked values, cache format."""
+"""Aspect matrices: high-precision formula oracle and worked values."""
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustrec.aspects import (build_matrices, build_x, build_y, count_mentions,
-                               load_matrix, save_matrix)
+from robustrec.aspects import build_matrices, build_x, build_y, count_mentions
 from robustrec.dataset import Interaction
 
 
@@ -95,30 +94,3 @@ def test_build_matrices_only_sees_train():
     assert X.shape == (2, 2) and Y.shape == (3, 2)
     assert X[1].sum() == 0.0 and Y[0].sum() == 0.0 and Y[2].sum() == 0.0
     assert X[0, 0] > 1.0 and Y[1, 0] > 1.0
-
-
-def test_matrix_cache_round_trip(tmp_path):
-    rng = np.random.Generator(np.random.PCG64(3))
-    m = rng.uniform(0, 5, (7, 4))
-    m[m < 1.0] = 0.0
-    path = tmp_path / "x.bin"
-    save_matrix(path, m, n_rating=5)
-    loaded, n = load_matrix(path)
-    np.testing.assert_array_equal(loaded, m)
-    assert n == 5
-
-
-def test_matrix_cache_rejects_corruption(tmp_path):
-    path = tmp_path / "y.bin"
-    save_matrix(path, np.ones((2, 2)), n_rating=5)
-    raw = path.read_bytes()
-    bad_magic = tmp_path / "bad1.bin"
-    bad_magic.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ValueError, match="magic"):
-        load_matrix(bad_magic)
-    truncated = tmp_path / "bad2.bin"
-    truncated.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="truncated"):
-        load_matrix(truncated)
-    with pytest.raises(ValueError, match="2-d"):
-        save_matrix(tmp_path / "bad3.bin", np.ones(3), n_rating=5)

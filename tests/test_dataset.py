@@ -1,12 +1,14 @@
-"""Ingestion validation, the temporal split, negative sampling, manifests."""
+"""Ingestion validation, the temporal split, negative sampling, the dataset artifact."""
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from robustrec.dataset import (IngestError, SplitConfig, SplitError, build_split,
-                               dataset_stats, ingest_reviews, load_split_manifest,
-                               save_split_manifest, user_positive_items)
+                               dataset_stats, ingest_reviews, user_positive_items)
+from robustrec.harness.config import default_config
+from robustrec.harness.sweep import load_dataset
 
 
 def _line(user, item, rating, ts, triples=()):
@@ -151,16 +153,42 @@ def test_dataset_stats_sparsity_five_significant_digits():
     assert stats["sparsity_pct"] != 100.0 * 13 / (stats["n_users"] * stats["n_items"])
 
 
-def test_manifest_round_trip(tmp_path):
+def test_timestamps_must_fit_int64():
+    for ts in (-2**63, 2**63 - 1):
+        assert ingest_reviews([_line("a", "b", 3, ts)])[0].timestamp == ts
+    for ts in (-2**63 - 1, 2**63):
+        with pytest.raises(IngestError, match="line 2: timestamp"):
+            ingest_reviews([_line("a", "b", 3, 1), _line("a", "c", 3, ts)])
+
+
+def test_dataset_artifact_round_trip(tmp_path, caplog):
+    # alice has a full split, bob 2 interactions (no test), carol 1 (train only)
     lines = [_line("alice", f"i{t:02d}", (t % 5) + 1, t, [("screen", "ok", 1), ("fan", "loud", -1)])
              for t in range(1, 11)]
-    lines += _filler_lines()
-    split = build_split(ingest_reviews(lines), SplitConfig(seed=2))
-    path = tmp_path / "split.json"
-    save_split_manifest(split, path)
-    loaded = load_split_manifest(path)
-    assert loaded.users == split.users and loaded.items == split.items
-    assert loaded.features == split.features and loaded.n_rating == split.n_rating
-    assert loaded.train == split.train
-    assert loaded.validation == split.validation and loaded.test == split.test
-    assert user_positive_items(loaded) == user_positive_items(split)
+    lines += [_line("alice", "i11", 4, 2**62, [("screen", "great", 1)])]
+    lines += [_line("bob", "i01", 2, 5), _line("bob", "i02", 5, 6, [("fan", "quiet", 1)])]
+    lines += [_line("carol", "i03", 3, 7)] + _filler_lines()
+    path = tmp_path / "reviews.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = default_config()
+    cfg["dataset"]["path"] = str(path)
+
+    with caplog.at_level(logging.WARNING):
+        built = load_dataset(cfg, tmp_path / "cache")
+    assert "split reduced" in caplog.text
+    loaded = load_dataset(cfg, tmp_path / "cache")  # read back from the artifact
+    split, again = built.split, loaded.split
+    users = {name: split.users.index(name) for name in ("alice", "bob", "carol")}
+    assert users["bob"] in split.validation and users["bob"] not in split.test
+    assert users["carol"] not in split.validation and users["carol"] not in split.test
+    assert max(it.timestamp for it in split.test[users["alice"]].positives) == 2**62
+
+    assert again.users == split.users and again.items == split.items
+    assert again.features == split.features and again.n_rating == split.n_rating
+    assert again.train == split.train
+    assert again.validation == split.validation and again.test == split.test
+    assert user_positive_items(again) == user_positive_items(split)
+    for name in ("X", "Y"):
+        old, new = getattr(built, name), getattr(loaded, name)
+        assert new.dtype == np.float64 and new.tobytes() == old.tobytes()
+    assert loaded.stats == built.stats and "sha256" in loaded.stats

@@ -200,3 +200,20 @@ def test_evaluate_macro_averages_and_masks(tiny_split):
     assert report.n_non_cf == 1
     assert report.n_users == len(users)
     assert 0.0 <= report.ndcg <= 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_scores_stop_every_ranking(tiny_split, bad):
+    u = sorted(tiny_split.test)[0]
+    v = tiny_split.test[u].negatives[3]
+    model = _ScriptedModel(lambda user, item: bad if (user, item) == (u, v) else -float(item))
+    pattern = f"item {v} has non-finite score {bad}"
+    with pytest.raises(FloatingPointError, match=pattern):
+        build_bed(model, tiny_split)
+    with pytest.raises(FloatingPointError, match=pattern):
+        evaluate(model, tiny_split, {}, {})
+    w = sorted(tiny_split.validation)[0]
+    y = tiny_split.validation[w].negatives[1]
+    model = _ScriptedModel(lambda user, item: bad if (user, item) == (w, y) else 0.0)
+    with pytest.raises(FloatingPointError, match=f"item {y} has non-finite"):
+        validation_ndcg(model, tiny_split)

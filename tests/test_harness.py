@@ -1,5 +1,6 @@
 """Config plumbing, convergence policy, sweep caching, reports, and the CLI."""
 import csv
+import inspect
 import json
 import shutil
 from dataclasses import fields
@@ -11,6 +12,8 @@ import pytest
 import robustrec.harness.sweep as sweep
 import robustrec.harness.training as training_mod
 import robustrec.robustness as rob
+from robustrec.dataset import build_split, ingest_reviews
+from robustrec.evalkit import EvalReport, build_bed, evaluate
 from robustrec.harness.cli import main as cli_main
 from robustrec.harness.cli import parse_override_tokens
 from robustrec.harness.config import (ConfigError, DEFAULTS, apply_override,
@@ -24,7 +27,7 @@ from robustrec.harness.training import (EarlyStopper, TrainingConfig,
                                         hyperparameter_search)
 from robustrec.models import CERConfig, EFM, EFMConfig, build_model
 from robustrec.models.checkpoint import load_checkpoint, save_checkpoint
-from robustrec.robustness import DefenseConfig, TrainResult, train_defended
+from robustrec.robustness import DefenseConfig, TrainResult, attack_weights, train_defended
 from robustrec.synth import SynthConfig, write_reviews
 
 
@@ -120,6 +123,53 @@ def test_every_setting_reaches_its_dataclass(tiny_split, dotted, cls):
             built = build_model(dotted.split(".")[1], tiny_split, cfg["model"]).config
         assert getattr(built, key) == (tuple(value) if isinstance(value, list) else value), key
         assert getattr(built, key) != getattr(cls(), key), key
+
+
+# the settings the sweep passes straight to a call: (function, parameter)
+CALL_SETTINGS = {
+    "dataset.min_reviews_per_user": (ingest_reviews, "min_reviews_per_user"),
+    "dataset.max_rating": (ingest_reviews, "max_rating"),
+    "attack.batch_size": (attack_weights, "batch_size"),
+    "eval.k_rec": (build_bed, "k_rec"),
+    "eval.top_n": (evaluate, "top_n"),
+    "eval.k_ndcg": (evaluate, "k_ndcg"),
+}
+
+
+@pytest.mark.parametrize("dotted", sorted(CALL_SETTINGS))
+def test_every_call_setting_defaults_to_its_signature(dotted):
+    fn, name = CALL_SETTINGS[dotted]
+    section, key = dotted.split(".")
+    assert DEFAULTS[section][key] == inspect.signature(fn).parameters[name].default
+    if dotted == "dataset.max_rating":
+        assert DEFAULTS[section][key] == inspect.signature(build_split).parameters[name].default
+    if section == "eval" and key != "k_rec":
+        assert DEFAULTS[section][key] == getattr(EvalReport, key)
+
+
+def test_every_call_setting_reaches_its_call(corpus, tmp_path, monkeypatch):
+    seen = {}
+
+    def spy(fn, *names):
+        def wrapper(*args, **kwargs):
+            seen.update({f"{fn.__name__}.{n}": kwargs[n] for n in names})
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn, names in ((ingest_reviews, ("min_reviews_per_user", "max_rating")),
+                      (build_split, ("max_rating",)), (build_bed, ("k_rec",)),
+                      (evaluate, ("top_n", "k_ndcg")), (rob.attack_gradient, ("batch_size",))):
+        monkeypatch.setattr(sweep, fn.__name__, spy(fn, *names))
+    cfg = _sweep_config(corpus)
+    cfg["sweep"]["lambdas"] = [0.0]
+    for dotted in CALL_SETTINGS:
+        section, key = dotted.split(".")
+        apply_override(cfg, dotted, json.dumps(_non_default(DEFAULTS[section][key])))
+    run_sweep(cfg, tmp_path / "cache")
+    assert seen == {"ingest_reviews.min_reviews_per_user": 2, "ingest_reviews.max_rating": 6,
+                    "build_split.max_rating": 6, "build_bed.k_rec": 6,
+                    "evaluate.top_n": 2, "evaluate.k_ndcg": 101,
+                    "attack_gradient.batch_size": 33}
 
 
 def test_parse_override_tokens_forms():
@@ -250,6 +300,48 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         load_checkpoint(tmp_path / "ck")
 
 
+def test_checkpoint_int_arrays_and_damage(tmp_path):
+    arrays = {"ids": np.array([[-2**63, 0], [7, 2**63 - 1]], dtype=np.int64),
+              "w": np.array([0.5, -0.0, np.inf])}
+    save_checkpoint(tmp_path / "ck", {}, arrays)
+    assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == \
+        ["ids.i64", "index.json", "manifest.json", "w.f64"]
+    _, loaded = load_checkpoint(tmp_path / "ck")
+    for name, arr in arrays.items():
+        assert loaded[name].dtype == arr.dtype and loaded[name].tobytes() == arr.tobytes()
+    loaded["ids"][0, 0] = 1  # writable, like the arrays that were saved
+
+    with pytest.raises(ValueError, match="neither float64 nor int64"):
+        save_checkpoint(tmp_path / "f32", {}, {"a": np.ones(2, dtype=np.float32)})
+    assert not (tmp_path / "f32").exists()
+    for index, match in (({"ids": [2, "2"], "w": [3]}, "ids needs a shape"),
+                         ({"ids": [2, 2], "w": [3], "gone": [1]}, "gone needs .* 0 blobs")):
+        (tmp_path / "ck" / "index.json").write_text(json.dumps(index))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(tmp_path / "ck")
+    (tmp_path / "ck" / "index.json").write_text(json.dumps({"ids": [2, 2], "w": [3]}))
+    (tmp_path / "ck" / "w.f64").rename(tmp_path / "ck" / "w.f32")
+    with pytest.raises(ValueError, match="w needs .* 0 blobs"):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_checkpoint_in_the_float64_only_layout_loads_bit_identically(tmp_path):
+    # the layout written before int64 arrays existed: sorted index.json of
+    # name -> shape, one raw <f8 blob per parameter
+    rng = np.random.default_rng(2)
+    params = {"W1": rng.standard_normal((4, 3)), "b1": rng.standard_normal(3)}
+    root = tmp_path / "checkpoint"
+    root.mkdir()
+    (root / "manifest.json").write_text(json.dumps({"kind": "cer", "best_epoch": 2}))
+    (root / "index.json").write_text(json.dumps({"W1": [4, 3], "b1": [3]}, indent=2))
+    for name, arr in params.items():
+        (root / f"{name}.f64").write_bytes(arr.astype("<f8").tobytes())
+    manifest, loaded = load_checkpoint(root)
+    assert manifest == {"kind": "cer", "best_epoch": 2}
+    for name, arr in params.items():
+        assert loaded[name].tobytes() == arr.tobytes() and loaded[name].shape == arr.shape
+
+
 def test_resolve_cache_precedence(monkeypatch, tmp_path):
     monkeypatch.delenv(CACHE_ENV, raising=False)
     assert resolve_cache(None).name == "cache"
@@ -291,8 +383,10 @@ def test_run_sweep_layout_and_idempotence(corpus, tmp_path):
 
     datasets = list((cache / "datasets").iterdir())
     assert len(datasets) == 1
-    for name in ("split.json", "x.bin", "y.bin", "stats.json"):
-        assert (datasets[0] / name).exists()
+    assert sorted(p.name for p in datasets[0].iterdir()) == sorted([
+        "manifest.json", "index.json", "X.f64", "Y.f64", "rating.f64", "part.i64",
+        "user.i64", "item.i64", "timestamp.i64", "mention_offsets.i64", "mentions.i64",
+        "val_users.i64", "val_negatives.i64", "test_users.i64", "test_negatives.i64"])
     run_dirs = sorted((cache / "runs").iterdir())
     assert len(run_dirs) == 2
     vanilla = [d for d in run_dirs if list(d.glob("bed_*.json"))]
@@ -410,8 +504,8 @@ def _first(cache, pattern):
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda c: _truncate(_first(c, "runs/*/checkpoint/*.f64")), id="param-blob"),
     pytest.param(lambda c: _first(c, "runs/*/checkpoint/index.json").unlink(), id="index-json"),
-    pytest.param(lambda c: _truncate(_first(c, "datasets/*/split.json")), id="split-json"),
-    pytest.param(lambda c: _truncate(_first(c, "datasets/*/x.bin")), id="x-bin"),
+    pytest.param(lambda c: _truncate(_first(c, "datasets/*/*.i64")), id="dataset-blob"),
+    pytest.param(lambda c: _first(c, "datasets/*/index.json").unlink(), id="dataset-index"),
     pytest.param(lambda c: _unpublish(_first(c, "runs/*/checkpoint")), id="temp-sibling"),
 ])
 def test_damaged_artifact_is_rebuilt(damage, corpus, warm_cache, tmp_path, caplog):
@@ -425,6 +519,55 @@ def test_damaged_artifact_is_rebuilt(damage, corpus, warm_cache, tmp_path, caplo
     caplog.clear()
     run_sweep(_sweep_config(corpus), cache)  # healed: nothing left to rebuild
     assert not caplog.records
+
+
+def test_legacy_dataset_layout_is_rebuilt_once(corpus, warm_cache, tmp_path, caplog):
+    cache = tmp_path / "cache"
+    shutil.copytree(warm_cache, cache)
+    dataset = _first(cache, "datasets/*")
+    shutil.rmtree(dataset)
+    dataset.mkdir()  # the layout of the JSON split and the RRAM matrix files
+    (dataset / "split.json").write_text(json.dumps({"users": [], "train": []}))
+    (dataset / "x.bin").write_bytes(b"RRAM" + bytes(28))
+    (dataset / "y.bin").write_bytes(b"RRAM" + bytes(28))
+    (dataset / "stats.json").write_text(json.dumps({"n_users": 0}))
+    with caplog.at_level("WARNING", logger="robustrec"):
+        out = run_sweep(_sweep_config(corpus), cache)
+    assert [r for r in caplog.records if str(dataset) in r.getMessage()]
+    assert out.read_bytes() == (warm_cache / "results.csv").read_bytes()
+    assert (dataset / "manifest.json").exists() and not (dataset / "split.json").exists()
+    caplog.clear()
+    run_sweep(_sweep_config(corpus), cache)
+    assert not caplog.records
+
+
+def test_attack_settings_leave_clean_rows_cached(corpus, warm_cache, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    shutil.copytree(warm_cache, cache)
+    evaluated, attacked = [], []
+
+    def spy(model, *args, **kwargs):
+        evaluated.append(model)
+        return evaluate(model, *args, **kwargs)
+
+    def tag(*args, **kwargs):
+        attacked.append(rob.attacked_copy(*args, **kwargs))
+        return attacked[-1]
+
+    monkeypatch.setattr(sweep, "evaluate", spy)
+    monkeypatch.setattr(sweep, "attacked_copy", tag)
+    cfg = _sweep_config(corpus)
+    apply_override(cfg, "attack.seed", "1")
+    run_sweep(cfg, cache)
+    # only the attacked row of each trained run is evaluated again
+    assert len(evaluated) == len(list((cache / "runs").iterdir())) == 2
+    assert all(a is b for a, b in zip(evaluated, attacked, strict=True))
+    with open(cache / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(warm_cache / "results.csv", newline="") as fh:
+        before = list(csv.DictReader(fh))
+    assert [r for r in rows if r["condition"] == "clean"] == \
+        [r for r in before if r["condition"] == "clean"]
 
 
 def test_write_report_aggregates_and_curves(tmp_path):

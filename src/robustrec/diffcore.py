@@ -42,9 +42,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every requires_grad leaf,
         then release the graph: each graph is backpropagated once."""
@@ -365,10 +362,6 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
 
     def step(self) -> None:
         self.t += 1

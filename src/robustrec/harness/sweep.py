@@ -4,17 +4,21 @@ Every cached stage goes through `artifact`: its path is a hash of every input
 the stage depends on, a complete artifact is reused, one that fails to load
 is rebuilt, and a new one is published with a single rename. Re-running a
 sweep is therefore idempotent, and two fresh runs of the same config produce
-byte-identical results.csv. Vanilla cells run first: their rankings define
-the per-(algo, seed) evaluation bed every condition is scored on.
+byte-identical results.csv. Processes may fill one cache at once: each
+writes its own temporary, and one that loses the rename loads the winner's.
+Vanilla cells run first: their rankings define the per-(algo, seed)
+evaluation bed every condition is scored on.
 """
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
 import logging
 import os
+import re
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,7 +62,8 @@ def artifact(path: Path, build: Callable[[], T], save: Callable[[Path, T], None]
     """The cache policy of every stage: `load(path)` when that succeeds,
     otherwise `build()`, saved through `publish`. An artifact that exists but
     fails to load (OSError, ValueError, KeyError) is logged, removed and
-    rebuilt, so a damaged cache heals instead of wedging."""
+    rebuilt, so a damaged cache heals instead of wedging. When another
+    process publishes the same artifact first, its copy is loaded."""
     try:
         return load(path)
     except (OSError, ValueError, KeyError) as err:
@@ -66,20 +71,55 @@ def artifact(path: Path, build: Callable[[], T], save: Callable[[Path, T], None]
             log.warning("rebuilding %s: %s", path, err)
             _remove(path)
     value = build()
-    publish(path, lambda tmp: save(tmp, value))
+    if not publish(path, lambda tmp: save(tmp, value)):
+        return load(path)
     return value
 
 
-def publish(path: Path, save: Callable[[Path], None]) -> None:
-    """`save` writes a temporary sibling that one os.replace moves into
-    place, so `path` is either absent or complete."""
-    tmp = path.with_name(path.name + ".partial")
-    if os.path.lexists(tmp):
-        log.warning("removing unfinished %s", tmp)
-        _remove(tmp)
+def publish(path: Path, save: Callable[[Path], None]) -> bool:
+    """`save` writes a temporary sibling named for this process,
+    `<name>.<pid>.partial`, that one os.replace moves into place, so `path`
+    is either absent or complete. Unfinished siblings left by processes that
+    are gone are removed first. Returns False, after removing this process's
+    temporary, when another process already published a directory at `path`."""
+    _remove_stale_partials(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.partial")
     path.parent.mkdir(parents=True, exist_ok=True)
     save(tmp)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError as err:
+        if err.errno not in (errno.ENOTEMPTY, errno.EEXIST) or not os.path.isdir(path):
+            raise
+        _remove(tmp)
+        return False
+    return True
+
+
+def _remove_stale_partials(path: Path) -> None:
+    """Remove `path`'s temporaries whose writer is no longer running: this
+    process (an earlier save that failed), a process that has exited, or no
+    process named at all."""
+    if not path.parent.is_dir():
+        return
+    pattern = re.compile(re.escape(path.name) + r"(?:\.(\d+))?\.partial")
+    for sibling in path.parent.iterdir():
+        match = pattern.fullmatch(sibling.name)
+        if match and not _running_elsewhere(match.group(1)):
+            log.warning("removing unfinished %s", sibling)
+            _remove(sibling)
+
+
+def _running_elsewhere(pid: str | None) -> bool:
+    if pid is None or int(pid) == os.getpid():
+        return False
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        pass
+    return True
 
 
 def _remove(path: Path) -> None:
@@ -194,8 +234,8 @@ def train_cell(cfg: dict, cell: SweepCell, data: Dataset,
                 "dims": {"n_users": split.n_users, "n_items": split.n_items,
                          "n_features": split.n_features, "n_rating": split.n_rating},
                 "epochs_trained": result.epochs_run, "best_epoch": result.best_epoch,
-                "val_history": result.history, "lr_used": result.lr_used,
-                "restarts": result.restarts}
+                "val_history": result.history, "train_loss": result.train_loss,
+                "lr_used": result.lr_used, "restarts": result.restarts}
 
     def load(path: Path) -> dict:
         manifest, params = load_checkpoint(path)

@@ -1,8 +1,11 @@
 """Shared recommender contract: batching, ranking, parameter plumbing.
 
-Both recommenders expose the same surface: a differentiable `loss` whose Y
-argument may be a gradient-tracked Tensor (the defense perturbs item aspect
-values), fast numpy `scores` for ranking, per-pair `explain`, and
+Both recommenders expose the same surface: `loss_grad`, the batch loss with
+its hand-derived parameter gradients (and optionally dL/dY, which the defense
+perturbs item aspect values along) in plain numpy, which training and the
+weight attack run on; `loss`, the same objective on the autodiff tape, whose
+Y argument may be a gradient-tracked Tensor and which serves as the gradient
+reference; fast numpy `scores` for ranking, per-pair `explain`, and
 `explain_pairs` for many pairs in one call.
 """
 from __future__ import annotations
@@ -137,8 +140,16 @@ class Recommender(ABC):
 
     @abstractmethod
     def loss(self, batch: PairBatch, X=None, Y=None) -> Tensor:
-        """Training loss on one batch. X/Y default to the attached matrices;
-        Y may be a Tensor to obtain gradients w.r.t. item aspect values."""
+        """Training loss on one batch on the tape, the reference `loss_grad`
+        is checked against. X/Y default to the attached matrices; Y may be a
+        Tensor to obtain gradients w.r.t. item aspect values."""
+
+    @abstractmethod
+    def loss_grad(self, batch: PairBatch, Y: np.ndarray | None = None, want_dy: bool = False
+                  ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
+        """(loss, dL/dTheta by parameter name, dL/dY or None) of `loss` on one
+        batch, in plain numpy: the training path. Y defaults to the attached
+        matrix; dL/dY has Y's full shape and is computed only if `want_dy`."""
 
     @abstractmethod
     def scores(self, u: int, items: np.ndarray) -> np.ndarray:

@@ -5,9 +5,11 @@ rows [X_u | Y_v]. Explanations answer "which aspects of v, weakened as
 little as possible, would push v out of u's top K" (Tan et al., CIKM 2021):
 a delta over Y_v is optimized to drop the score below the (K+1)-th
 candidate's, and the most negatively perturbed features form the
-explanation. Training runs on the autodiff tape; explanation runs in plain
-numpy, every pair of a call solved together as one [B, F] problem with a
-hand-derived gradient.
+explanation. Training and explanation both run in plain numpy on
+hand-derived gradients: `loss_grad` backpropagates the training loss through
+the same forward as scoring, and an explanation call solves every pair
+together as one [B, F] problem. The taped `loss` and `_forward` are the
+reference these gradients are tested against.
 """
 from __future__ import annotations
 
@@ -129,6 +131,36 @@ class CER(Recommender):
             h1 = 1.0 / (1.0 + np.exp(-pre1))
             h2 = 1.0 / (1.0 + np.exp(-(h1 @ p["W2"].data + p["b2"].data)))
         return h1, h2, (h2 @ p["W3"].data + p["b3"].data)[:, 0]
+
+    def loss_grad(self, batch: PairBatch, Y: np.ndarray | None = None, want_dy: bool = False
+                  ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
+        """`loss` and its gradients, with the BCE backpropagated by hand
+        through the two sigmoid layers of one `_activations` forward."""
+        Y = self._Y if Y is None else Y
+        p = {name: t.data for name, t in self.params.items()}
+        z = np.hstack([self._X[batch.users], Y[batch.items]])
+        h1, h2, s = self._activations(z @ p["W1"] + p["b1"])
+        logits, targets = s[:, None], batch.targets
+        softplus = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))
+        reg = 0.0
+        for P in p.values():
+            reg = reg + (P * P).sum()
+        loss = (softplus - logits * targets).mean() + self.config.lam_reg * reg
+
+        with np.errstate(over="ignore"):
+            g3 = (1.0 / (1.0 + np.exp(-logits)) - targets) / len(batch)
+        g2 = (g3 @ p["W3"].T) * h2 * (1.0 - h2)
+        g1 = (g2 @ p["W2"].T) * h1 * (1.0 - h1)
+        grads = {"W1": z.T @ g1, "b1": g1.sum(axis=0), "W2": h1.T @ g2, "b2": g2.sum(axis=0),
+                 "W3": h2.T @ g3, "b3": g3.sum(axis=0)}
+        grads = {name: g + (2.0 * self.config.lam_reg) * p[name] for name, g in grads.items()}
+
+        dy = None
+        if want_dy:
+            dy = np.zeros_like(Y)
+            # the full product, as on the tape: the sign of dL/dY steers FGSM
+            np.add.at(dy, batch.items, (g1 @ p["W1"].T)[:, self.n_features:])
+        return float(loss), grads, dy
 
     def scores(self, u: int, items: np.ndarray) -> np.ndarray:
         items = np.asarray(items, dtype=np.int64)

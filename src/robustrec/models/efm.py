@@ -105,6 +105,52 @@ class EFM(Recommender):
         return cfg.lam_x * term_x + cfg.lam_y * term_y + cfg.lam_a * term_a \
             + cfg.lam_reg * reg + cfg.lam_nn * neg
 
+    def loss_grad(self, batch: PairBatch, Y: np.ndarray | None = None, want_dy: bool = False
+                  ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
+        """`loss` and its gradients by hand. The residuals are formed as on
+        the tape, so the loss is the tape's to the last bit; the gradients
+        differ from the tape's only in the order of summation."""
+        cfg = self.config
+        Y = self._Y if Y is None else Y
+        U1, U2, V, H1, H2 = (self.params[n].data for n in ("U1", "U2", "V", "H1", "H2"))
+        users = np.unique(batch.users)
+        items = np.unique(batch.items)
+        vt = V.T.copy()  # the tape's layout, so the residuals are its bits too
+        x_res = (self._X[users] - U1[users] @ vt) * self._Xmask[users]
+        y_res = (Y[items] - U2[items] @ vt) * self._Ymask[items]
+        u1b, u2b = U1[batch.users], U2[batch.items]
+        h1b, h2b = H1[batch.users], H2[batch.items]
+        a_res = (u1b * u2b) @ self._ones_r + (h1b * h2b) @ self._ones_h - batch.targets
+
+        reg = neg = 0.0
+        grads = {}
+        for name, P in self.params.items():
+            P = P.data
+            below = np.minimum(P, 0.0)
+            reg = reg + (P * P).sum()
+            neg = neg + (below * below).sum()
+            # d/dP of lam_reg * P^2 + lam_nn * relu(-P)^2
+            grads[name] = 2.0 * (cfg.lam_reg * P + cfg.lam_nn * below)
+        loss = cfg.lam_x * (x_res * x_res).sum() + cfg.lam_y * (y_res * y_res).sum() \
+            + cfg.lam_a * (a_res * a_res).sum() + cfg.lam_reg * reg + cfg.lam_nn * neg
+
+        gx = (2.0 * cfg.lam_x) * x_res
+        gy = (2.0 * cfg.lam_y) * y_res
+        ga = (2.0 * cfg.lam_a) * a_res
+        grads["U1"][users] -= gx @ V
+        grads["U2"][items] -= gy @ V
+        grads["V"] -= gx.T @ U1[users] + gy.T @ U2[items]
+        np.add.at(grads["U1"], batch.users, ga * u2b)
+        np.add.at(grads["U2"], batch.items, ga * u1b)
+        np.add.at(grads["H1"], batch.users, ga * h2b)
+        np.add.at(grads["H2"], batch.items, ga * h1b)
+
+        dy = None
+        if want_dy:
+            dy = np.zeros_like(Y)
+            dy[items] = gy
+        return float(loss), grads, dy
+
     def _user_feature_scores(self, u: int) -> np.ndarray:
         return self.params["U1"].data[u] @ self.params["V"].data.T
 

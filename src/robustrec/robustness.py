@@ -6,8 +6,13 @@ Defense objective per minibatch:
     Y_adv   = clamp(Y + eps_d * sign(dL(X, Y | Theta)/dY), 0, N)
 
 The perturbation direction comes from the clean loss and is recomputed every
-minibatch as a stop-gradient constant. lambda = 0 or eps_d = 0 short-circuit
-to the clean loss object itself, so those reductions are exact to the bit.
+minibatch as a stop-gradient constant. Training and the attack both take
+this objective and its gradient from `defended_loss_grad`: one clean
+`Recommender.loss_grad` pass gives dL/dTheta and dL/dY, one adversarial pass
+on Y_adv follows, and the gradients mix with the same weights. lambda = 0 or
+eps_d = 0 run the clean pass alone, so those reductions are exact to the bit.
+`defense_loss` and `fgsm_delta_y` build the same objective on the autodiff
+tape, the reference the hand-derived gradients are tested against.
 
 Attack: a single-shot perturbation of the trained weights,
 Delta* = eps_a * Xi / ||Xi||_2, with Xi the full-training-set gradient of the
@@ -18,7 +23,7 @@ cheap rescaling of it (`scale_attack`); `attack_weights` is the two in a row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +55,7 @@ class TrainResult:
     epochs_run: int
     lr_used: float
     restarts: int
+    train_loss: list[float] = field(default_factory=list)  # mean batch loss per epoch run
 
 
 class AttackGradient(NamedTuple):
@@ -106,6 +112,25 @@ def defense_loss(model: Recommender, batch: PairBatch, cfg: DefenseConfig,
     return (1.0 - cfg.lam) * clean + cfg.lam * adv
 
 
+def defended_loss_grad(model: Recommender, batch: PairBatch, cfg: DefenseConfig,
+                       on_perturbation=None) -> tuple[float, dict[str, np.ndarray]]:
+    """`defense_loss` on one batch and its parameter gradients, from one
+    clean and one adversarial `loss_grad` pass (the clean pass alone when
+    lambda or eps_d is 0)."""
+    if cfg.lam == 0.0 or cfg.eps_d == 0.0:
+        loss, grads, _ = model.loss_grad(batch)
+        return loss, grads
+    clean, grads, dy = model.loss_grad(batch, want_dy=True)
+    delta_y = cfg.eps_d * np.sign(dy)
+    y_adv = clip_perturbed_y(model.Y, delta_y, model.n_rating)
+    if on_perturbation is not None:
+        on_perturbation(delta_y, y_adv)
+    adv, adv_grads, _ = model.loss_grad(batch, Y=y_adv)
+    lam = cfg.lam
+    return ((1.0 - lam) * clean + lam * adv,
+            {name: (1.0 - lam) * g + lam * adv_grads[name] for name, g in grads.items()})
+
+
 def _train_once(model: Recommender, split: DatasetSplit, defense: DefenseConfig,
                 training: TrainingConfig, lr: float, seed: int,
                 on_perturbation=None) -> TrainResult:
@@ -114,18 +139,23 @@ def _train_once(model: Recommender, split: DatasetSplit, defense: DefenseConfig,
     baseline = validation_ndcg(model, split, k=training.val_k)
     stopper.observe(baseline)
     history = [baseline]
+    train_loss: list[float] = []
     best_params = model.param_arrays()
     best_epoch = 0
     epoch = 0
     for epoch in range(1, training.max_epochs + 1):
         rng = SplitMix64(derive_seed(seed, "epoch", epoch))
+        total, n_batches = 0.0, 0
         for batch in model.epoch_batches(rng, training.batch_size):
-            loss = defense_loss(model, batch, defense, on_perturbation=on_perturbation)
-            if not np.isfinite(loss.data):
+            loss, grads = defended_loss_grad(model, batch, defense, on_perturbation)
+            if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch} (lr={lr:g})")
-            opt.zero_grad()
-            loss.backward()
+            for name, p in model.params.items():
+                p.grad = grads[name]
             opt.step()
+            total += loss
+            n_batches += 1
+        train_loss.append(total / n_batches)
         metric = validation_ndcg(model, split, k=training.val_k)
         history.append(metric)
         if stopper.observe(metric):
@@ -135,7 +165,7 @@ def _train_once(model: Recommender, split: DatasetSplit, defense: DefenseConfig,
             break
     model.set_param_arrays(best_params)
     return TrainResult(history=history, best_epoch=best_epoch, epochs_run=epoch,
-                       lr_used=lr, restarts=0)
+                       lr_used=lr, restarts=0, train_loss=train_loss)
 
 
 def train_defended(model: Recommender, split: DatasetSplit, defense: DefenseConfig,
@@ -164,22 +194,16 @@ def train_defended(model: Recommender, split: DatasetSplit, defense: DefenseConf
 
 def attack_gradient(model: Recommender, defense: DefenseConfig, seed: int,
                     batch_size: int) -> AttackGradient:
-    """Xi: dL_total/dTheta accumulated over one pass of the training set with
-    the model's own defense settings, and its norm. Gradients the model held
-    before are put back; a non-finite Xi raises FloatingPointError naming
-    the parameters it came from."""
-    params = model.params
-    saved = {name: p.grad for name, p in params.items()}
-    for p in params.values():
-        p.grad = None
+    """Xi: dL_total/dTheta of `defended_loss_grad` summed over one pass of
+    the training set with the model's own defense settings, and its norm.
+    The model's parameters and their .grad are left alone; a non-finite Xi
+    raises FloatingPointError naming the parameters it came from."""
+    xi = {name: np.zeros_like(p.data) for name, p in model.params.items()}
     rng = SplitMix64(derive_seed(seed, "attack"))
     for batch in model.epoch_batches(rng, batch_size):
-        loss = defense_loss(model, batch, defense)
-        loss.backward()
-    xi = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-          for name, p in params.items()}
-    for name, p in params.items():
-        p.grad = saved[name]
+        _, grads = defended_loss_grad(model, batch, defense)
+        for name, g in grads.items():
+            xi[name] += g
     grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in xi.values())))
     if not np.isfinite(grad_norm):
         bad = sorted(name for name, g in xi.items() if not np.isfinite(g).all())
@@ -189,9 +213,10 @@ def attack_gradient(model: Recommender, defense: DefenseConfig, seed: int,
 
 
 def scale_attack(gradient: AttackGradient, eps_a: float) -> AttackResult:
-    """Delta* = (eps_a / ||Xi||_2) * Xi. A gradient with norm below 1e-12 (or
-    eps_a = 0) yields the zero perturbation; a negative or non-finite eps_a
-    raises ValueError."""
+    """Delta* = (eps_a / ||Xi||_2) * Xi. Where rounding puts ||Delta*||_2 above
+    eps_a, the scale steps down an ulp at a time until it does not. A gradient
+    with norm below 1e-12 (or eps_a = 0) yields the zero perturbation; a
+    negative or non-finite eps_a raises ValueError."""
     if not (np.isfinite(eps_a) and eps_a >= 0.0):
         raise ValueError(f"attack budget eps_a must be finite and >= 0, got {eps_a!r}")
     xi, grad_norm = gradient
@@ -199,8 +224,12 @@ def scale_attack(gradient: AttackGradient, eps_a: float) -> AttackResult:
         delta = {name: np.zeros_like(g) for name, g in xi.items()}
         return AttackResult(delta=delta, grad_norm=grad_norm, delta_norm=0.0)
     scale = eps_a / grad_norm
-    delta = {name: scale * g for name, g in xi.items()}
-    delta_norm = float(np.sqrt(sum(float((d * d).sum()) for d in delta.values())))
+    while True:
+        delta = {name: scale * g for name, g in xi.items()}
+        delta_norm = float(np.sqrt(sum(float((d * d).sum()) for d in delta.values())))
+        if delta_norm <= eps_a:
+            break
+        scale = float(np.nextafter(scale, 0.0))
     return AttackResult(delta=delta, grad_norm=grad_norm, delta_norm=delta_norm)
 
 

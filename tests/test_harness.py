@@ -2,7 +2,11 @@
 import csv
 import inspect
 import json
+import multiprocessing
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -568,6 +572,88 @@ def test_attack_settings_leave_clean_rows_cached(corpus, warm_cache, tmp_path, m
         before = list(csv.DictReader(fh))
     assert [r for r in rows if r["condition"] == "clean"] == \
         [r for r in before if r["condition"] == "clean"]
+
+
+def test_checkpoint_manifest_records_training_loss(warm_cache):
+    manifests = [json.loads(p.read_text())
+                 for p in sorted(warm_cache.glob("runs/*/checkpoint/manifest.json"))]
+    assert len(manifests) == 2
+    for manifest in manifests:
+        losses = manifest["train_loss"]
+        assert len(losses) == manifest["epochs_trained"] > 0
+        assert all(isinstance(x, float) and np.isfinite(x) for x in losses)
+
+
+def test_publish_removes_only_partials_of_gone_writers(tmp_path, caplog):
+    gone = subprocess.Popen([sys.executable, "-c", "pass"])
+    gone.wait()
+    path = tmp_path / "eval_x.json"
+    stale = [tmp_path / "eval_x.json.partial",  # written before names carried a pid
+             tmp_path / f"eval_x.json.{gone.pid}.partial",
+             tmp_path / f"eval_x.json.{os.getpid()}.partial"]  # an earlier failed save
+    live = tmp_path / f"eval_x.json.{os.getppid()}.partial"
+    other = tmp_path / "eval_xy.json.partial"  # another artifact's temporary
+    for p in [*stale, live, other]:
+        p.write_text("unfinished")
+    with caplog.at_level("WARNING", logger="robustrec"):
+        assert sweep.publish(path, lambda tmp: tmp.write_text("done"))
+    assert path.read_text() == "done"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, live.name,
+                                                                 other.name])
+    assert sorted(r.getMessage() for r in caplog.records) == \
+        sorted(f"removing unfinished {p}" for p in stale)
+
+
+def _fill_artifact(path, barrier, results):
+    def save(tmp, value):
+        tmp.mkdir()
+        (tmp / "value.json").write_text(json.dumps(value))
+        barrier.wait(timeout=60)  # both temporaries exist before either is published
+
+    try:
+        results.put(sweep.artifact(path, lambda: {"writer": os.getpid()}, save,
+                                   lambda p: json.loads((p / "value.json").read_text())))
+    except Exception as err:  # reported to the test instead of hanging it
+        results.put(repr(err))
+
+
+def _sweep_into(cfg, cache, barrier, results):
+    try:
+        barrier.wait(timeout=60)
+        results.put(run_sweep(cfg, cache).read_bytes())
+    except Exception as err:
+        results.put(repr(err))
+
+
+def _two_processes(target, *args):
+    ctx = multiprocessing.get_context("spawn")
+    barrier, results = ctx.Barrier(2), ctx.Queue()
+    procs = [ctx.Process(target=target, args=(*args, barrier, results)) for _ in range(2)]
+    for proc in procs:
+        proc.start()
+    got = [results.get(timeout=300) for _ in procs]
+    for proc in procs:
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+    return got, {proc.pid for proc in procs}
+
+
+def test_two_processes_filling_one_artifact_both_get_the_winner(tmp_path):
+    path = tmp_path / "runs" / "x" / "checkpoint"
+    got, pids = _two_processes(_fill_artifact, path)
+    winner = json.loads((path / "value.json").read_text())
+    assert winner["writer"] in pids
+    assert got == [winner, winner]  # the loser loaded the published copy
+    assert [p.name for p in path.parent.iterdir()] == ["checkpoint"]
+
+
+def test_two_sweeps_fill_one_cache_at_once(corpus, warm_cache, tmp_path):
+    cache = tmp_path / "cache"
+    got, _ = _two_processes(_sweep_into, _sweep_config(corpus), cache)
+    expected = (warm_cache / "results.csv").read_bytes()
+    assert got == [expected, expected]
+    assert (cache / "results.csv").read_bytes() == expected
+    assert not list(cache.rglob("*.partial"))
 
 
 def test_write_report_aggregates_and_curves(tmp_path):

@@ -36,6 +36,24 @@ def test_loss_gradients_wrt_item_aspects(cer_tiny):
     gradcheck(lambda y: cer_tiny.loss(batch, Y=y), [cer_tiny.Y.copy()])
 
 
+def test_loss_grad_matches_tape(cer_tiny):
+    for seed in range(4):
+        batch = _batch(cer_tiny, seed=seed)
+        for p in cer_tiny.params.values():
+            p.grad = None
+        y_leaf = Tensor(cer_tiny.Y, requires_grad=True)
+        taped = cer_tiny.loss(batch, Y=y_leaf)
+        taped.backward()
+        loss, grads, dy = cer_tiny.loss_grad(batch, want_dy=True)
+        assert loss == pytest.approx(float(taped.data), rel=1e-12)
+        assert list(grads) == list(cer_tiny.params)
+        for name, p in cer_tiny.params.items():
+            assert grads[name].shape == p.data.shape
+            np.testing.assert_allclose(grads[name], p.grad, rtol=1e-10, atol=1e-15)
+        np.testing.assert_allclose(dy, y_leaf.grad, rtol=1e-10, atol=1e-15)
+        assert cer_tiny.loss_grad(batch)[2] is None
+
+
 def test_loss_at_zero_params_is_log_two(cer_tiny):
     # zero weights give logit 0 for every pair: softplus(0) - 0*y = ln 2
     # for both labels, and the L2 term vanishes

@@ -41,15 +41,34 @@ def test_loss_gradients_wrt_item_aspects(efm_tiny):
     gradcheck(lambda y: efm_tiny.loss(batch, Y=y), [efm_tiny.Y.copy()])
 
 
+def test_loss_grad_matches_tape(efm_tiny):
+    # include negative entries so the non-negativity penalty is active
+    efm_tiny.params["V"].data -= 0.3
+    for seed in range(4):
+        batch = _batch(efm_tiny, seed=seed)
+        for p in efm_tiny.params.values():
+            p.grad = None
+        y_leaf = Tensor(efm_tiny.Y, requires_grad=True)
+        taped = efm_tiny.loss(batch, Y=y_leaf)
+        taped.backward()
+        loss, grads, dy = efm_tiny.loss_grad(batch, want_dy=True)
+        assert loss == float(taped.data)  # the residuals are formed as on the tape
+        assert list(grads) == list(efm_tiny.params)
+        for name, p in efm_tiny.params.items():
+            np.testing.assert_allclose(grads[name], p.grad, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(dy, y_leaf.grad, rtol=1e-10, atol=0.0)
+        assert efm_tiny.loss_grad(batch)[2] is None
+
+
 def test_loss_decreases_under_training_steps(efm_tiny):
     from robustrec.diffcore import Adam
     opt = Adam(efm_tiny.params, lr=0.01)
     batch = _batch(efm_tiny, seed=2)
     first = float(efm_tiny.loss(batch).data)
     for _ in range(30):
-        loss = efm_tiny.loss(batch)
-        opt.zero_grad()
-        loss.backward()
+        _, grads, _ = efm_tiny.loss_grad(batch)
+        for name, p in efm_tiny.params.items():
+            p.grad = grads[name]
         opt.step()
     assert float(efm_tiny.loss(batch).data) < first
 

@@ -8,11 +8,15 @@ from robustrec.diffcore import Tensor
 from robustrec.harness.config import default_config
 from robustrec.harness.training import TrainingConfig
 from robustrec.models import EFM, EFMConfig
+from robustrec.aspects import split_matrices
+from robustrec.dataset import SplitConfig, build_split, ingest_reviews
+from robustrec.models import build_model
 from robustrec.robustness import (AttackResult, DefenseConfig, DivergenceError,
                                   apply_attack, attack_gradient, attack_weights,
-                                  attacked_copy, clip_perturbed_y, defense_loss,
-                                  fgsm_delta_y, scale_attack, train_defended)
-from robustrec.rng import SplitMix64
+                                  attacked_copy, clip_perturbed_y, defended_loss_grad,
+                                  defense_loss, fgsm_delta_y, scale_attack, train_defended)
+from robustrec.rng import SplitMix64, derive_seed
+from robustrec.synth import SynthConfig, synth_jsonl
 
 
 def _batch(model, seed=0, batch_size=6):
@@ -79,6 +83,87 @@ def test_defense_loss_mixes_clean_and_adversarial(efm_tiny):
     assert total != clean
 
 
+def _taped_defense_grad(model, batch, cfg):
+    for p in model.params.values():
+        p.grad = None
+    loss = defense_loss(model, batch, cfg)
+    loss.backward()
+    return float(loss.data), {name: p.grad for name, p in model.params.items()}
+
+
+@pytest.mark.parametrize("algo", ["efm", "cer"])
+@pytest.mark.parametrize("lam, eps_d", [(0.0, 0.0), (0.0, 0.25), (0.5, 0.0), (0.5, 0.25)])
+def test_defended_loss_grad_matches_tape(algo, lam, eps_d, efm_tiny, cer_tiny):
+    model = efm_tiny if algo == "efm" else cer_tiny
+    cfg = DefenseConfig(lam=lam, eps_d=eps_d)
+    for seed in range(3):
+        batch = _batch(model, seed=seed)
+        seen = []
+        loss, grads = defended_loss_grad(model, batch, cfg,
+                                         on_perturbation=lambda d, y: seen.append((d, y)))
+        want_loss, want = _taped_defense_grad(model, batch, cfg)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert list(grads) == list(model.params)
+        for name, g in want.items():
+            np.testing.assert_allclose(grads[name], g, rtol=1e-10, atol=1e-15)
+        if lam == 0.0 or eps_d == 0.0:
+            assert seen == []  # the clean pass alone
+            clean_loss, clean, _ = model.loss_grad(batch)
+            assert loss == clean_loss
+            for name, g in clean.items():
+                np.testing.assert_array_equal(grads[name], g)
+        else:
+            assert len(seen) == 1
+            delta_y, y_adv = seen[0]
+            np.testing.assert_array_equal(delta_y, fgsm_delta_y(model, batch, model.X,
+                                                                model.Y, eps_d))
+            np.testing.assert_array_equal(y_adv, clip_perturbed_y(model.Y, delta_y,
+                                                                  model.n_rating))
+
+
+@pytest.mark.parametrize("algo", ["efm", "cer"])
+def test_fgsm_sign_matches_tape_over_a_full_epoch(algo):
+    # a sign flip at a near-zero dL/dY is how the hand path could part from
+    # the tape; check every batch of one epoch on the default synthetic corpus
+    split = build_split(ingest_reviews(synth_jsonl(SynthConfig())), SplitConfig(seed=0))
+    X, Y = split_matrices(split)
+    model = build_model(algo, split, {})
+    model.attach(split, X, Y)
+    model.reinit(0)
+    eps_d, batches = 0.25, 0
+    for batch in model.epoch_batches(SplitMix64(derive_seed(0, "epoch", 1)), 32):
+        _, _, dy = model.loss_grad(batch, want_dy=True)
+        want = fgsm_delta_y(model, batch, X, Y, eps_d)
+        assert np.array_equal(eps_d * np.sign(dy), want), f"sign differs in batch {batches}"
+        batches += 1
+    assert batches == 119
+
+
+@pytest.mark.parametrize("algo", ["efm", "cer"])
+@pytest.mark.parametrize("lam, eps_d", [(0.0, 0.0), (0.5, 0.25)])
+def test_attack_gradient_matches_tape_accumulation(algo, lam, eps_d, efm_tiny, cer_tiny):
+    model = efm_tiny if algo == "efm" else cer_tiny
+    cfg = DefenseConfig(lam=lam, eps_d=eps_d)
+    for p in model.params.values():
+        p.grad = None
+    for batch in model.epoch_batches(SplitMix64(derive_seed(4, "attack")), 8):
+        defense_loss(model, batch, cfg).backward()  # accumulates into .grad
+    want = {name: p.grad for name, p in model.params.items()}
+    xi, grad_norm = attack_gradient(model, cfg, seed=4, batch_size=8)
+    assert list(xi) == list(model.params)
+    for name, g in want.items():
+        np.testing.assert_allclose(xi[name], g, rtol=1e-10, atol=1e-15)
+    want_norm = np.sqrt(sum(float((g * g).sum()) for g in want.values()))
+    assert grad_norm == pytest.approx(want_norm, rel=1e-12)
+
+
+def test_training_records_mean_loss_per_epoch(efm_tiny, tiny_split):
+    result = train_defended(efm_tiny, tiny_split, DefenseConfig(lam=0.5, eps_d=0.25),
+                            _small_training(), seed=0)
+    assert len(result.train_loss) == result.epochs_run == 5
+    assert all(np.isfinite(result.train_loss))
+
+
 def test_attack_norm_meets_budget(efm_tiny):
     for eps in (0.1, 1.0, 3.0):
         res = attack_weights(efm_tiny, DefenseConfig(), eps, seed=0)
@@ -89,6 +174,22 @@ def test_attack_norm_meets_budget(efm_tiny):
         assert set(res.delta) == set(efm_tiny.params)
         for name, d in res.delta.items():
             assert d.shape == efm_tiny.params[name].data.shape
+
+
+def test_scaled_attack_never_exceeds_budget_by_rounding():
+    rng = np.random.default_rng(0)
+    xi = {"a": rng.normal(size=(7, 5)), "b": rng.normal(size=11)}
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in xi.values())))
+    overshoots = 0
+    for eps in rng.uniform(0.01, 10.0, 300):
+        scale = eps / norm
+        naive = np.sqrt(sum(float(((scale * g) ** 2).sum()) for g in xi.values()))
+        overshoots += naive > eps
+        res = scale_attack(rob.AttackGradient(xi, norm), eps)
+        concat = np.sqrt(sum(float((d * d).sum()) for d in res.delta.values()))
+        assert res.delta_norm == concat
+        assert eps - 1e-12 <= concat <= eps
+    assert overshoots > 0  # the plain scaling would have broken the budget
 
 
 def test_attack_zero_budget_returns_exact_copies(efm_tiny):

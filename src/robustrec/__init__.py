@@ -5,7 +5,7 @@ neural recommenders train on them under an optional gradient-sign defense,
 trained weights face norm-bounded attacks, and the evaluation layer reports
 how ranking quality and explanation fidelity survive.
 """
-from .aspects import build_matrices, build_x, build_y, split_matrices
+from .aspects import build_matrices, build_x, build_y
 from .dataset import (DatasetSplit, IngestError, SplitConfig, SplitError,
                       build_split, dataset_stats, ingest_reviews)
 from .evalkit import EvalReport, evaluate, explanation_prf, ndcg_at
@@ -22,6 +22,5 @@ __all__ = [
     "TrainResult", "apply_attack", "attack_weights", "attacked_copy",
     "build_matrices", "build_model", "build_split", "build_x", "build_y",
     "clip_perturbed_y", "dataset_stats", "defense_loss", "evaluate",
-    "explanation_prf", "fgsm_delta_y", "ingest_reviews", "ndcg_at",
-    "split_matrices", "train_defended",
+    "explanation_prf", "fgsm_delta_y", "ingest_reviews", "ndcg_at", "train_defended",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DatasetSplit, Interaction
+from .dataset import TRAIN, DatasetSplit
 
 
 @dataclass
@@ -26,17 +26,16 @@ class MentionStats:
     item_sentiment: np.ndarray  # |V| x |F|, mean sentiment where counted, else 0
 
 
-def count_mentions(train: list[Interaction], n_users: int, n_items: int,
-                   n_features: int) -> MentionStats:
-    """Tally feature mentions and mean item sentiment over train interactions."""
-    user_counts = np.zeros((n_users, n_features))
-    item_counts = np.zeros((n_items, n_features))
-    sent_sum = np.zeros((n_items, n_features))
-    for it in train:
-        for f, s in it.mentions:
-            user_counts[it.user, f] += 1.0
-            item_counts[it.item, f] += 1.0
-            sent_sum[it.item, f] += float(s)
+def count_mentions(split: DatasetSplit) -> MentionStats:
+    """Tally feature mentions and mean item sentiment over train interactions.
+    Counts and sentiment sums are integers, so summation order cannot matter."""
+    users, items, feats, sents = split.mention_table(TRAIN)
+    user_counts = np.zeros((split.n_users, split.n_features))
+    item_counts = np.zeros((split.n_items, split.n_features))
+    sent_sum = np.zeros((split.n_items, split.n_features))
+    np.add.at(user_counts, (users, feats), 1.0)
+    np.add.at(item_counts, (items, feats), 1.0)
+    np.add.at(sent_sum, (items, feats), sents.astype(np.float64))
     with np.errstate(invalid="ignore"):
         item_sentiment = np.where(item_counts > 0, sent_sum / np.maximum(item_counts, 1.0), 0.0)
     return MentionStats(user_counts, item_counts, item_sentiment)
@@ -57,14 +56,8 @@ def build_y(item_counts: np.ndarray, item_sentiment: np.ndarray, n_rating: int) 
     return np.where(t > 0, val, 0.0)
 
 
-def build_matrices(train: list[Interaction], n_users: int, n_items: int,
-                   n_features: int, n_rating: int) -> tuple[np.ndarray, np.ndarray]:
-    stats = count_mentions(train, n_users, n_items, n_features)
-    return (build_x(stats.user_counts, n_rating),
-            build_y(stats.item_counts, stats.item_sentiment, n_rating))
-
-
-def split_matrices(split: "DatasetSplit") -> tuple[np.ndarray, np.ndarray]:
-    """Aspect matrices for a finished split (train interactions only)."""
-    return build_matrices(split.train, split.n_users, split.n_items,
-                          split.n_features, split.n_rating)
+def build_matrices(split: DatasetSplit) -> tuple[np.ndarray, np.ndarray]:
+    """Aspect matrices X, Y of a split, from its train interactions only."""
+    stats = count_mentions(split)
+    return (build_x(stats.user_counts, split.n_rating),
+            build_y(stats.item_counts, stats.item_sentiment, split.n_rating))

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,7 +26,11 @@ from .rng import SplitMix64, derive_seed
 log = logging.getLogger(__name__)
 
 MAX_RATING = 5  # the default rating scale N
-_COLUMNS = ("user", "item", "rating", "timestamp")  # Interaction fields as split arrays
+TRAIN, VAL, TEST = 0, 1, 2  # values of DatasetSplit.part
+_COLUMNS = ("user", "item", "rating", "timestamp")  # per-interaction columns besides part
+# the DatasetSplit fields the dataset artifact stores as arrays
+SPLIT_ARRAYS = (*_COLUMNS, "part", "mention_offsets", "mentions",
+                "val_users", "val_negatives", "test_users", "test_negatives")
 
 
 class IngestError(ValueError):
@@ -52,37 +57,56 @@ class ReviewRecord:
     triples: tuple[SentimentTriple, ...]
 
 
-@dataclass(frozen=True)
-class Interaction:
-    """One (user, item) pair after id interning; mentions are (feature, sentiment)."""
-    user: int
-    item: int
-    rating: float
-    timestamp: int
-    mentions: tuple[tuple[int, int], ...]
-
-
-@dataclass
-class ValidationEntry:
-    positive: Interaction
-    negatives: list[int]
-
-
-@dataclass
-class TestEntry:
-    positives: list[Interaction]
-    negatives: list[int]
-
-
-@dataclass
+@dataclass(eq=False)
 class DatasetSplit:
+    """The split as the arrays the dataset artifact stores.
+
+    One table holds every interaction: train in split order, then each
+    validation positive (in `val_users` order), then each test user's
+    positives, chronological (users in `test_users` order), told apart by
+    `part`. Row i's (feature, sentiment) mentions are
+    mentions[mention_offsets[i]:mention_offsets[i + 1]]. Validation and test
+    users, ascending, come with their negatives as [users, n_neg] matrices.
+    Arrays that disagree in length or order raise ValueError.
+    """
     users: list[str]
     items: list[str]
     features: list[str]
     n_rating: int
-    train: list[Interaction]
-    validation: dict[int, ValidationEntry] = field(default_factory=dict)
-    test: dict[int, TestEntry] = field(default_factory=dict)
+    user: np.ndarray             # int64 [N]
+    item: np.ndarray             # int64 [N]
+    rating: np.ndarray           # float64 [N]
+    timestamp: np.ndarray        # int64 [N]
+    part: np.ndarray             # int64 [N]: TRAIN, VAL or TEST
+    mention_offsets: np.ndarray  # int64 [N + 1]
+    mentions: np.ndarray         # int64 [M, 2]: feature, sentiment
+    val_users: np.ndarray        # int64 [U_val]
+    val_negatives: np.ndarray    # int64 [U_val, n_val_neg]
+    test_users: np.ndarray       # int64 [U_test]
+    test_negatives: np.ndarray   # int64 [U_test, n_test_neg]
+
+    def __post_init__(self) -> None:
+        n, offsets, part = len(self.part), self.mention_offsets, self.part
+        problems = [name for name in _COLUMNS if len(getattr(self, name)) != n]
+        if (len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != len(self.mentions)
+                or (np.diff(offsets) < 0).any() or self.mentions.shape[1:] != (2,)):
+            problems.append("mention_offsets")
+        if (np.diff(part) < 0).any() or ((part < TRAIN) | (part > TEST)).any():
+            problems.append("part")
+        if problems:
+            raise ValueError(f"split arrays disagree: {', '.join(problems)}")
+        # test rows come grouped by user, ascending: their users' first rows
+        # spell out test_users (np.unique is avoided: its first call keeps ~1 MB)
+        test_rows = self.user[part == TEST]
+        steps = np.diff(test_rows, prepend=-1)
+        if not (np.array_equal(self.user[part == VAL], self.val_users)
+                and self.val_negatives.ndim == 2
+                and len(self.val_negatives) == len(self.val_users)
+                and (steps >= 0).all()
+                and np.array_equal(test_rows[steps > 0], self.test_users)
+                and self.test_negatives.ndim == 2
+                and len(self.test_negatives) == len(self.test_users)):
+            raise ValueError("split arrays disagree: validation or test users")
 
     @property
     def n_users(self) -> int:
@@ -95,6 +119,45 @@ class DatasetSplit:
     @property
     def n_features(self) -> int:
         return len(self.features)
+
+    def mention_table(self, part: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(user, item, feature, sentiment) of every mention of `part`'s
+        interactions, in table order."""
+        row = np.repeat(np.arange(len(self.part)), np.diff(self.mention_offsets))
+        keep = self.part[row] == part
+        row = row[keep]
+        return self.user[row], self.item[row], self.mentions[keep, 0], self.mentions[keep, 1]
+
+    @cached_property
+    def positive_items(self) -> dict[int, set[int]]:
+        """All items each user interacted with in any part of the split."""
+        pos: dict[int, set[int]] = {u: set() for u in range(self.n_users)}
+        for u, v in zip(self.user.tolist(), self.item.tolist()):
+            pos[u].add(v)
+        return pos
+
+    @cached_property
+    def test_candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        """([U_test, C] candidate items, [U_test] positive counts). Row r holds
+        the user's n_pos[r] test positives, chronological, then its negatives,
+        then -1 up to the longest row: short users have fewer positives."""
+        rows = np.flatnonzero(self.part == TEST)
+        row_of = np.searchsorted(self.test_users, self.user[rows])
+        n_users, n_neg = self.test_negatives.shape
+        n_pos = np.bincount(row_of, minlength=n_users)
+        rank = np.arange(len(rows)) - (np.cumsum(n_pos) - n_pos)[row_of]  # within the user
+        cands = np.full((n_users, n_pos.max(initial=0) + n_neg), -1, dtype=np.int64)
+        cands[row_of, rank] = self.item[rows]
+        cands[np.arange(n_users)[:, None], n_pos[:, None] + np.arange(n_neg)] = self.test_negatives
+        return cands, n_pos
+
+    def test_lists(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """(user, positives, candidates) per test user, ascending; the
+        candidates are the positives followed by the negatives."""
+        cands, n_pos = self.test_candidates
+        n_neg = self.test_negatives.shape[1]
+        for u, row, k in zip(self.test_users.tolist(), cands, n_pos.tolist()):
+            yield u, row[:k], row[:k + n_neg]
 
 
 @dataclass(frozen=True)
@@ -220,106 +283,67 @@ def build_split(records: list[ReviewRecord], config: SplitConfig = SplitConfig()
     for (u, v), slot in merged.items():
         by_user.setdefault(u, []).append((v, slot))
 
-    split = DatasetSplit(users=users, items=items, features=features,
-                         n_rating=max_rating, train=[])
+    rows: dict[int, list[tuple[int, int, dict]]] = {TRAIN: [], VAL: [], TEST: []}
+    held_out: dict[str, tuple[list, list]] = {"test": ([], []), "val": ([], [])}
     n_items = len(items)
     for u in users:
         pairs = by_user.get(u, [])
         pairs.sort(key=lambda p: (p[1]["ts"], p[0]))  # time, then item id
-        inters = [Interaction(uidx[u], iidx[v], float(s["rating"]), s["ts"], tuple(s["mentions"]))
-                  for v, s in pairs]
-        n = len(inters)
+        n = len(pairs)
         n_test = min(config.n_test_pos, max(n - 2, 0))
         n_val = 1 if n - n_test >= 2 else 0
         if n_test < config.n_test_pos or n_val == 0:
             log.warning("user %s has only %d interactions; split reduced to "
                         "%d test / %d val", u, n, n_test, n_val)
-        test_pos = inters[n - n_test:] if n_test else []
-        rest = inters[:n - n_test] if n_test else inters
-        val_pos = rest[-1] if n_val else None
-        train_part = rest[:-1] if n_val else rest
-        split.train.extend(train_part)
+        inters = [(uidx[u], iidx[v], slot) for v, slot in pairs]
+        n_train = n - n_test - n_val
+        rows[TRAIN].extend(inters[:n_train])
+        rows[VAL].extend(inters[n_train:n_train + n_val])
+        rows[TEST].extend(inters[n_train + n_val:])
 
-        interacted = {it.item for it in inters}
+        interacted = {v for _, v, _ in inters}
         pool_size = n_items - len(interacted)
-        if test_pos:
-            if pool_size < config.n_test_neg:
-                raise SplitError(f"user {u}: need {config.n_test_neg} test negatives, "
+        for name, n_pos, n_neg in (("test", n_test, config.n_test_neg),
+                                   ("val", n_val, config.n_val_neg)):
+            if not n_pos:
+                continue
+            if pool_size < n_neg:
+                what = "test" if name == "test" else "validation"
+                raise SplitError(f"user {u}: need {n_neg} {what} negatives, "
                                  f"only {pool_size} never-interacted items available")
-            rng = SplitMix64(derive_seed(config.seed, "test-neg", u))
-            negs = rng.sample_range_excluding(n_items, interacted, config.n_test_neg)
-            split.test[uidx[u]] = TestEntry(positives=test_pos, negatives=negs)
-        if val_pos is not None:
-            if pool_size < config.n_val_neg:
-                raise SplitError(f"user {u}: need {config.n_val_neg} validation negatives, "
-                                 f"only {pool_size} never-interacted items available")
-            rng = SplitMix64(derive_seed(config.seed, "val-neg", u))
-            negs = rng.sample_range_excluding(n_items, interacted, config.n_val_neg)
-            split.validation[uidx[u]] = ValidationEntry(positive=val_pos, negatives=negs)
-    return split
+            rng = SplitMix64(derive_seed(config.seed, f"{name}-neg", u))
+            held_out[name][0].append(uidx[u])
+            held_out[name][1].append(rng.sample_range_excluding(n_items, interacted, n_neg))
 
-
-def user_positive_items(split: DatasetSplit) -> dict[int, set[int]]:
-    """All items each user interacted with in any part of the split."""
-    pos: dict[int, set[int]] = {u: set() for u in range(split.n_users)}
-    for it in split.train:
-        pos[it.user].add(it.item)
-    for u, entry in split.validation.items():
-        pos[u].add(entry.positive.item)
-    for u, entry in split.test.items():
-        for it in entry.positives:
-            pos[u].add(it.item)
-    return pos
+    table = rows[TRAIN] + rows[VAL] + rows[TEST]
+    arrays = {"user": np.array([u for u, _, _ in table], dtype=np.int64),
+              "item": np.array([v for _, v, _ in table], dtype=np.int64)}
+    arrays["rating"] = np.array([float(s["rating"]) for _, _, s in table], dtype=np.float64)
+    arrays["timestamp"] = np.array([s["ts"] for _, _, s in table], dtype=np.int64)
+    arrays["part"] = np.repeat(np.array([TRAIN, VAL, TEST], dtype=np.int64),
+                               [len(rows[TRAIN]), len(rows[VAL]), len(rows[TEST])])
+    arrays["mention_offsets"] = np.cumsum([0] + [len(s["mentions"]) for _, _, s in table],
+                                          dtype=np.int64)
+    arrays["mentions"] = np.array([m for _, _, s in table for m in s["mentions"]],
+                                  dtype=np.int64).reshape(-1, 2)
+    for name, (part_users, negatives) in held_out.items():
+        arrays[f"{name}_users"] = np.array(part_users, dtype=np.int64)
+        arrays[f"{name}_negatives"] = np.array(negatives, dtype=np.int64).reshape(
+            len(part_users), -1 if part_users else 0)
+    return DatasetSplit(users=users, items=items, features=features, n_rating=max_rating,
+                        **arrays)
 
 
 def split_arrays(split: DatasetSplit) -> dict[str, np.ndarray]:
-    """The split as int64/float64 arrays for `models.checkpoint`; its id lists
-    and n_rating go in the manifest instead.
-
-    One table holds every interaction, train in split order, then each
-    validation positive, then each user's test positives (users ascending),
-    told apart by `part` (0, 1, 2). Interaction i's (feature, sentiment) rows
-    are mentions[mention_offsets[i]:mention_offsets[i + 1]]. Validation and
-    test users come with their negatives as [users, n_neg] matrices.
-    """
-    val_users, test_users = sorted(split.validation), sorted(split.test)
-    rows = ([(0, it) for it in split.train]
-            + [(1, split.validation[u].positive) for u in val_users]
-            + [(2, it) for u in test_users for it in split.test[u].positives])
-    arrays = {name: np.array([getattr(it, name) for _, it in rows],
-                             dtype=np.float64 if name == "rating" else np.int64)
-              for name in _COLUMNS}
-    arrays["part"] = np.array([part for part, _ in rows], dtype=np.int64)
-    arrays["mention_offsets"] = np.cumsum([0] + [len(it.mentions) for _, it in rows],
-                                          dtype=np.int64)
-    arrays["mentions"] = np.array([m for _, it in rows for m in it.mentions],
-                                  dtype=np.int64).reshape(-1, 2)
-    for name, users, entries in (("val", val_users, split.validation),
-                                 ("test", test_users, split.test)):
-        arrays[f"{name}_users"] = np.array(users, dtype=np.int64)
-        negatives = np.array([entries[u].negatives for u in users], dtype=np.int64)
-        arrays[f"{name}_negatives"] = negatives.reshape(len(users), -1 if users else 0)
-    return arrays
+    """The split's arrays for `models.checkpoint`; its id lists and n_rating
+    go in the manifest instead."""
+    return {name: getattr(split, name) for name in SPLIT_ARRAYS}
 
 
 def split_from_arrays(manifest: dict, arrays: dict[str, np.ndarray]) -> DatasetSplit:
     """Inverse of `split_arrays`; `manifest` holds users, items, features and
-    n_rating. Arrays of mismatched lengths raise ValueError."""
-    offsets = arrays["mention_offsets"].tolist()
-    mentions = list(map(tuple, arrays["mentions"].tolist()))
-    parts: dict[int, list[Interaction]] = {0: [], 1: [], 2: []}
-    columns = [arrays[name].tolist() for name in ("part", *_COLUMNS)]
-    for part, u, v, rating, ts, lo, hi in zip(*columns, offsets[:-1], offsets[1:], strict=True):
-        parts[part].append(Interaction(u, v, rating, ts, tuple(mentions[lo:hi])))
-    test_pos: dict[int, list[Interaction]] = {u: [] for u in arrays["test_users"].tolist()}
-    for it in parts[2]:
-        test_pos[it.user].append(it)
-    return DatasetSplit(
-        users=list(manifest["users"]), items=list(manifest["items"]),
-        features=list(manifest["features"]), n_rating=int(manifest["n_rating"]),
-        train=parts[0],
-        validation={u: ValidationEntry(it, negs) for u, it, negs in zip(
-            arrays["val_users"].tolist(), parts[1], arrays["val_negatives"].tolist(), strict=True)},
-        test={u: TestEntry(test_pos[u], negs) for u, negs in zip(
-            test_pos, arrays["test_negatives"].tolist(), strict=True)},
-    )
+    n_rating. Arrays that disagree raise ValueError."""
+    return DatasetSplit(users=list(manifest["users"]), items=list(manifest["items"]),
+                        features=list(manifest["features"]),
+                        n_rating=int(manifest["n_rating"]),
+                        **{name: arrays[name] for name in SPLIT_ARRAYS})

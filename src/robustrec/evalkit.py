@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import DatasetSplit
+from .dataset import TEST, TRAIN, VAL, DatasetSplit
 from .models.base import Recommender, rank_items
 
 
@@ -39,27 +39,21 @@ def ndcg_at(ranked: Sequence[int], relevant: set[int], k: int) -> float:
 
 def validation_ndcg(model: Recommender, split: DatasetSplit, k: int = 10) -> float:
     """Mean NDCG@k over each user's 1-positive + sampled-negatives list."""
+    cands = np.column_stack([split.item[split.part == VAL], split.val_negatives])
     total = 0.0
-    n = 0
-    for u in sorted(split.validation):
-        entry = split.validation[u]
-        cands = np.asarray([entry.positive.item] + entry.negatives, dtype=np.int64)
-        ranked = rank_items(model.scores(u, cands), cands)
-        total += ndcg_at(ranked, {entry.positive.item}, k)
-        n += 1
-    return total / n if n else 0.0
+    for u, row in zip(split.val_users.tolist(), cands):
+        ranked = rank_items(model.scores(u, row), row)
+        total += ndcg_at(ranked, {int(row[0])}, k)
+    return total / len(cands) if len(cands) else 0.0
 
 
 def build_bed(model: Recommender, split: DatasetSplit, k_rec: int = 5) -> dict[int, list[int]]:
     """Per user, the test positives the given model ranks in its top `k_rec`
     of the user's candidate list. Evaluate every condition on the same bed."""
     bed: dict[int, list[int]] = {}
-    for u in sorted(split.test):
-        entry = split.test[u]
-        cands = np.asarray([it.item for it in entry.positives] + list(entry.negatives),
-                           dtype=np.int64)
+    for u, positives, cands in split.test_lists():
         top = set(rank_items(model.scores(u, cands), cands)[:k_rec])
-        hits = [it.item for it in entry.positives if it.item in top]
+        hits = [v for v in positives.tolist() if v in top]
         if hits:
             bed[u] = hits
     return bed
@@ -68,22 +62,21 @@ def build_bed(model: Recommender, split: DatasetSplit, k_rec: int = 5) -> dict[i
 def gold_explanations(split: DatasetSplit) -> dict[tuple[int, int], set[int]]:
     """Per test (u, v): features mentioned with positive sentiment in that
     pair's held-out review(s). Pairs with no positive mention are dropped."""
+    users, items, feats, sents = split.mention_table(TEST)
+    positive = sents == 1
     gold: dict[tuple[int, int], set[int]] = {}
-    for u, entry in split.test.items():
-        for it in entry.positives:
-            feats = {f for f, s in it.mentions if s == 1}
-            if feats:
-                gold[(u, it.item)] = feats
+    for u, v, f in zip(users[positive].tolist(), items[positive].tolist(),
+                       feats[positive].tolist()):
+        gold.setdefault((u, v), set()).add(f)
     return gold
 
 
 def train_feature_sets(split: DatasetSplit) -> dict[int, set[int]]:
     """Features each user mentioned (any sentiment) in train interactions."""
+    users, _, feats, _ = split.mention_table(TRAIN)
     out: dict[int, set[int]] = {}
-    for it in split.train:
-        if it.mentions:
-            feats = out.setdefault(it.user, set())
-            feats.update(f for f, _ in it.mentions)
+    for u, f in zip(users.tolist(), feats.tolist()):
+        out.setdefault(u, set()).add(f)
     return out
 
 
@@ -131,14 +124,11 @@ def evaluate(model: Recommender, split: DatasetSplit, bed: dict[int, list[int]],
     ndcg_total = 0.0
     n_users = 0
     n_skipped = 0
-    for u in sorted(split.test):
-        entry = split.test[u]
-        relevant = {it.item for it in entry.positives}
+    for u, positives, cands in split.test_lists():
+        relevant = set(positives.tolist())
         if not relevant:
             n_skipped += 1
             continue
-        cands = np.asarray([it.item for it in entry.positives] + list(entry.negatives),
-                           dtype=np.int64)
         ranked = rank_items(model.scores(u, cands), cands)
         ndcg_total += ndcg_at(ranked, relevant, k_ndcg)
         n_users += 1

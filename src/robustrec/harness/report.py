@@ -8,13 +8,16 @@ from ..robustness import fmt_eps
 
 
 def read_results(path: str | Path) -> list[dict]:
+    """results.csv rows with numeric columns parsed; an empty grad_norm
+    (clean rows) reads as None."""
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     for row in rows:
         for key in ("lambda", "eps_d", "eps_a", "ndcg", "expl_pr", "expl_re", "expl_f1"):
             row[key] = float(row[key])
-        for key in ("n_users", "n_pairs"):
+        for key in ("n_users", "n_pairs", "n_non_cf"):
             row[key] = int(row[key])
+        row["grad_norm"] = float(row["grad_norm"]) if row["grad_norm"] else None
     return rows
 
 
@@ -22,7 +25,9 @@ def write_report(results_path: str | Path, out_dir: str | Path,
                  curve_lambda: float = 0.5) -> list[Path]:
     """Write aggregate.csv plus curve_<algo>_<dataset>_<eps_d>.csv files
     (expl_f1 against eps_a, averaged over seeds, at `curve_lambda`). Vanilla
-    rows get their own curve_<algo>_<dataset>_vanilla.csv."""
+    rows get their own curve_<algo>_<dataset>_vanilla.csv. aggregate.csv's
+    non_cf_rate is sum(n_non_cf) / sum(n_pairs) over a group's runs, empty
+    when the group explained no pair."""
     rows = read_results(results_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -38,16 +43,19 @@ def write_report(results_path: str | Path, out_dir: str | Path,
     with open(agg_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algo", "dataset", "lambda", "eps_d", "eps_a", "condition",
-                         "ndcg", "expl_pr", "expl_re", "expl_f1", "n_runs"])
+                         "ndcg", "expl_pr", "expl_re", "expl_f1", "non_cf_rate", "n_runs"])
         for key in sorted(groups):
             bucket = groups[key]
             n = len(bucket)
             means = [sum(r[m] for r in bucket) / n
                      for m in ("ndcg", "expl_pr", "expl_re", "expl_f1")]
+            n_pairs = sum(r["n_pairs"] for r in bucket)
+            non_cf_rate = (f"{sum(r['n_non_cf'] for r in bucket) / n_pairs:.6f}"
+                           if n_pairs else "")
             algo, dataset, lam, eps_d, eps_a, condition = key
             writer.writerow([algo, dataset, fmt_eps(lam), fmt_eps(eps_d),
                              fmt_eps(eps_a), condition,
-                             *(f"{v:.6f}" for v in means), n])
+                             *(f"{v:.6f}" for v in means), non_cf_rate, n])
     written.append(agg_path)
 
     # one curve per (algo, dataset, eps_d) at the figure lambda, plus vanilla

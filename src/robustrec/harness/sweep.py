@@ -181,8 +181,7 @@ def load_dataset(cfg: dict, cache: Path) -> Dataset:
                                  max_rating=int(dcfg["max_rating"]))
         split = build_split(records, SplitConfig(seed=dcfg["seed"]),
                             max_rating=int(dcfg["max_rating"]))
-        X, Y = build_matrices(split.train, split.n_users, split.n_items,
-                              split.n_features, split.n_rating)
+        X, Y = build_matrices(split)
         return Dataset(split, X, Y, {**dataset_stats(records), "sha256": sha256})
 
     def save(path: Path, data: Dataset) -> None:

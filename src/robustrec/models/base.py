@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..dataset import MAX_RATING, DatasetSplit, Interaction, user_positive_items
+from ..dataset import MAX_RATING, TRAIN, DatasetSplit
 from ..diffcore import Tensor
 from ..rng import SplitMix64
 
@@ -52,8 +52,7 @@ def rank_items(scores: np.ndarray, item_ids: np.ndarray) -> list[int]:
         first = int(np.argmin(finite))
         raise FloatingPointError(f"ranking: item {int(item_ids[first])} has "
                                  f"non-finite score {scores[first]}")
-    order = np.lexsort((item_ids, -scores))
-    return [int(item_ids[i]) for i in order]
+    return item_ids[np.lexsort((item_ids, -scores))].tolist()
 
 
 class Recommender(ABC):
@@ -66,22 +65,15 @@ class Recommender(ABC):
         self.params: dict[str, Tensor] = {}
         self._X: np.ndarray | None = None
         self._Y: np.ndarray | None = None
-        self._train: list[Interaction] = []
-        self._user_pos: dict[int, set[int]] = {}
-        self._candidates: dict[int, np.ndarray] = {}
+        self._split: DatasetSplit | None = None
         self.n_rating: int = MAX_RATING
 
     def attach(self, split: DatasetSplit, X: np.ndarray, Y: np.ndarray) -> None:
         """Bind the training data this model learns from and is scored on."""
         self._X = np.asarray(X, dtype=np.float64)
         self._Y = np.asarray(Y, dtype=np.float64)
-        self._train = list(split.train)
-        self._user_pos = user_positive_items(split)
+        self._split = split
         self.n_rating = split.n_rating
-        self._candidates = {}
-        for u, entry in split.test.items():
-            cand = [it.item for it in entry.positives] + list(entry.negatives)
-            self._candidates[u] = np.asarray(cand, dtype=np.int64)
         self._on_attach(split)
 
     def _on_attach(self, split: DatasetSplit) -> None:
@@ -96,10 +88,13 @@ class Recommender(ABC):
         return self._Y
 
     def candidate_items(self, u: int) -> np.ndarray:
-        try:
-            return self._candidates[u]
-        except KeyError:
-            raise KeyError(f"user {u} has no held-out candidate list") from None
+        """Test user u's candidate items: its positives, then its negatives."""
+        split = self._split
+        r = int(np.searchsorted(split.test_users, u))
+        if r == len(split.test_users) or split.test_users[r] != u:
+            raise KeyError(f"user {u} has no held-out candidate list")
+        cands, n_pos = split.test_candidates
+        return cands[r, :n_pos[r] + split.test_negatives.shape[1]]
 
     def epoch_batches(self, rng: SplitMix64, batch_size: int) -> Iterator[PairBatch]:
         """Shuffled minibatches of train interactions plus 1:1 sampled negatives.
@@ -107,32 +102,35 @@ class Recommender(ABC):
         `batch_size` counts positives; each batch carries as many zero-target
         negatives drawn from items the user never interacted with.
         """
-        if not self._train:
+        split = self._split
+        if split is None:
             raise RuntimeError("epoch_batches() before attach()")
         n_items = self._Y.shape[0]
-        order = list(range(len(self._train)))
+        train = np.flatnonzero(split.part == TRAIN)
+        order = list(range(len(train)))
         rng.shuffle(order)
-        target_of = (lambda it: 1.0) if self.binary_targets else (lambda it: it.rating)
-        for lo in range(0, len(order), batch_size):
-            chunk = [self._train[i] for i in order[lo:lo + batch_size]]
-            users = [it.user for it in chunk]
-            items = [it.item for it in chunk]
-            targets = [target_of(it) for it in chunk]
-            for it in chunk:
-                pos = self._user_pos[it.user]
+        rows = train[order]
+        users, items = split.user[rows], split.item[rows]
+        targets = np.ones(len(rows)) if self.binary_targets else split.rating[rows]
+        user_list = users.tolist()
+        positive_items = split.positive_items
+        for lo in range(0, len(rows), batch_size):
+            hi = lo + batch_size
+            negatives = []
+            for u in user_list[lo:hi]:
+                pos = positive_items[u]
                 if len(pos) >= n_items:
-                    raise RuntimeError(f"user {it.user} interacted with every item; "
+                    raise RuntimeError(f"user {u} interacted with every item; "
                                        "cannot sample a negative")
                 while True:
                     j = rng.randrange(n_items)
                     if j not in pos:
                         break
-                users.append(it.user)
-                items.append(j)
-                targets.append(0.0)
-            yield PairBatch(np.asarray(users, dtype=np.int64),
-                            np.asarray(items, dtype=np.int64),
-                            np.asarray(targets, dtype=np.float64).reshape(-1, 1))
+                negatives.append(j)
+            batch_targets = np.concatenate([targets[lo:hi], np.zeros(len(negatives))])
+            yield PairBatch(np.concatenate([users[lo:hi], users[lo:hi]]),
+                            np.concatenate([items[lo:hi], np.array(negatives, dtype=np.int64)]),
+                            batch_targets.reshape(-1, 1))
 
     @abstractmethod
     def reinit(self, seed: int) -> None:

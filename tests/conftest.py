@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from robustrec.aspects import split_matrices
+from robustrec.aspects import build_matrices
 from robustrec.dataset import SplitConfig, build_split, ingest_reviews
 from robustrec.models import CER, EFM, CERConfig, EFMConfig
 from robustrec.synth import SynthConfig, synth_jsonl
@@ -23,7 +23,7 @@ def tiny_split():
 
 @pytest.fixture(scope="session")
 def tiny_matrices(tiny_split):
-    return split_matrices(tiny_split)
+    return build_matrices(tiny_split)
 
 
 @pytest.fixture()

@@ -14,7 +14,7 @@ from mpmath import mp, mpf
 import robustrec.models.cer as cer_mod
 from gradcheck import gradcheck
 from robustrec import diffcore
-from robustrec.aspects import build_x, build_y, split_matrices
+from robustrec.aspects import build_matrices, build_x, build_y
 from robustrec.dataset import SplitConfig, build_split, ingest_reviews
 from robustrec.diffcore import Tensor
 from robustrec.evalkit import (build_bed, evaluate, explanation_prf,
@@ -190,7 +190,7 @@ def test_criterion_2_gradient_suite(report):
                       reviews_per_user=8, n_item_features=3, seed=5)
     split = build_split(ingest_reviews(synth_jsonl(cfg)),
                         SplitConfig(seed=5, n_test_pos=2, n_test_neg=4, n_val_neg=2))
-    X, Y = split_matrices(split)
+    X, Y = build_matrices(split)
     for kind in ("efm", "cer"):
         for seed in range(50):
             if kind == "efm":
@@ -229,7 +229,7 @@ def test_criterion_2_gradient_suite(report):
 def test_criterion_3_reduction_identities(report):
     start = time.perf_counter()
     split = _tiny_dataset()
-    X, Y = split_matrices(split)
+    X, Y = build_matrices(split)
     five = TrainingConfig(batch_size=8, lr=0.01, max_epochs=5, patience=99)
 
     # (a) lambda = 0 (or eps_d = 0) training is bit-identical to vanilla
@@ -289,7 +289,7 @@ def test_criterion_4_budget_invariants(report):
                       reviews_per_user=14, n_item_features=3, seed=11)
     split = build_split(ingest_reviews(synth_jsonl(cfg)),
                         SplitConfig(seed=11, n_test_pos=3, n_test_neg=40, n_val_neg=8))
-    X, Y = split_matrices(split)
+    X, Y = build_matrices(split)
     eps_d = 0.25
     violations = 0
     steps = 0
@@ -310,7 +310,7 @@ def test_criterion_4_budget_invariants(report):
                    seed=0, on_perturbation=watch)
 
     tsplit = _tiny_dataset()
-    tX, tY = split_matrices(tsplit)
+    tX, tY = build_matrices(tsplit)
     targets = [model, _tiny_cer(tsplit, tX, tY)]
     attack_checks = 0
     for target in targets:
@@ -337,7 +337,7 @@ def test_criterion_5_attack_is_ascent(report):
     total = 0
     for ds_seed in (5, 6, 7, 8):
         split = _tiny_dataset(seed=ds_seed)
-        X, Y = split_matrices(split)
+        X, Y = build_matrices(split)
         for model_seed in range(25):
             model = _tiny_efm(split, X, Y)
             train_defended(model, split, DefenseConfig(), TrainingConfig(
@@ -424,7 +424,7 @@ def _trend_counts(make_model, training):
         data = SynthConfig(seed=s, n_item_features=3, p_good=0.75,
                            p_sentiment_flip=0.15)
         split = build_split(ingest_reviews(synth_jsonl(data)), SplitConfig(seed=s))
-        X, Y = split_matrices(split)
+        X, Y = build_matrices(split)
         gold = gold_explanations(split)
         feats = train_feature_sets(split)
         bed = None
@@ -467,7 +467,7 @@ def test_criterion_7_robustness_trend(report):
 
 def test_criterion_8_counterfactual_validity(report, monkeypatch):
     split = _tiny_dataset()
-    X, Y = split_matrices(split)
+    X, Y = build_matrices(split)
     model = _tiny_cer(split, X, Y, cf_steps=150)
     train_defended(model, split, DefenseConfig(), TrainingConfig(
         batch_size=8, lr=0.01, max_epochs=3, patience=99), seed=0)
@@ -488,7 +488,7 @@ def test_criterion_8_counterfactual_validity(report, monkeypatch):
         return deltas, converged, finals
 
     monkeypatch.setattr(cer_mod, "counterfactual_deltas", spy)
-    model.explain_pairs([(u, int(v)) for u in sorted(split.test)
+    model.explain_pairs([(u, int(v)) for u in split.test_users.tolist()
                          for v in model.candidate_items(u)[:3]], require_recommended=False)
 
     converged = [(t, m, f) for t, m, c, f in calls if c]

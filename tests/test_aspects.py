@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustrec.aspects import build_matrices, build_x, build_y, count_mentions
-from robustrec.dataset import Interaction
+from robustrec.dataset import TEST, TRAIN, VAL
+from splits import split_of
 
 
 def oracle_x(t, n):
@@ -77,11 +78,9 @@ def test_y_range_and_neutral_midpoint(t, w, n):
 
 
 def test_count_mentions_multiplicity_and_mean_sentiment():
-    train = [
-        Interaction(0, 0, 4.0, 1, ((2, 1), (2, 1), (0, -1))),  # feature 2 twice
-        Interaction(1, 0, 2.0, 2, ((2, -1),)),
-    ]
-    stats = count_mentions(train, n_users=2, n_items=1, n_features=3)
+    split = split_of([(TRAIN, 0, 0, [(2, 1), (2, 1), (0, -1)]),  # feature 2 twice
+                      (TRAIN, 1, 0, [(2, -1)])], n_users=2, n_items=1, n_features=3)
+    stats = count_mentions(split)
     assert stats.user_counts[0, 2] == 2.0 and stats.user_counts[0, 0] == 1.0
     assert stats.item_counts[0, 2] == 3.0
     assert stats.item_sentiment[0, 2] == pytest.approx((1 + 1 - 1) / 3.0)
@@ -89,8 +88,9 @@ def test_count_mentions_multiplicity_and_mean_sentiment():
 
 
 def test_build_matrices_only_sees_train():
-    train = [Interaction(0, 1, 5.0, 1, ((0, 1),))]
-    X, Y = build_matrices(train, n_users=2, n_items=3, n_features=2, n_rating=5)
+    split = split_of([(TRAIN, 0, 1, [(0, 1)]), (VAL, 1, 0, [(1, 1)]), (TEST, 1, 2, [(1, -1)])],
+                     n_users=2, n_items=3, n_features=2)
+    X, Y = build_matrices(split)
     assert X.shape == (2, 2) and Y.shape == (3, 2)
     assert X[1].sum() == 0.0 and Y[0].sum() == 0.0 and Y[2].sum() == 0.0
     assert X[0, 0] > 1.0 and Y[1, 0] > 1.0

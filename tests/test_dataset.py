@@ -1,14 +1,22 @@
 """Ingestion validation, the temporal split, negative sampling, the dataset artifact."""
+import hashlib
 import json
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robustrec.dataset import (IngestError, SplitConfig, SplitError, build_split,
-                               dataset_stats, ingest_reviews, user_positive_items)
+from robustrec.aspects import count_mentions
+from robustrec.dataset import (SPLIT_ARRAYS, TEST, TRAIN, VAL, IngestError, SplitConfig,
+                               SplitError, build_split, dataset_stats, ingest_reviews,
+                               split_arrays, split_from_arrays)
+from robustrec.evalkit import gold_explanations, train_feature_sets
 from robustrec.harness.config import default_config
 from robustrec.harness.sweep import load_dataset
+from robustrec.synth import SynthConfig, synth_jsonl
+from splits import interactions
 
 
 def _line(user, item, rating, ts, triples=()):
@@ -33,10 +41,10 @@ def test_ten_review_user_worked_split():
     lines += _filler_lines()
     split = build_split(ingest_reviews(lines), SplitConfig(seed=0))
     u = split.users.index("alice")
-    test_items = [split.items[it.item] for it in split.test[u].positives]
+    test_items = [split.items[it.item] for it in interactions(split, TEST, u)]
     assert test_items == [f"i{t:02d}" for t in range(5, 11)]
-    assert split.items[split.validation[u].positive.item] == "i04"
-    train_items = sorted(split.items[it.item] for it in split.train if it.user == u)
+    assert [split.items[it.item] for it in interactions(split, VAL, u)] == ["i04"]
+    train_items = sorted(split.items[it.item] for it in interactions(split, TRAIN, u))
     assert train_items == ["i01", "i02", "i03"]
 
 
@@ -48,9 +56,9 @@ def test_timestamp_ties_break_by_item_id():
     lines += [_line("bob", "e", 4, 6)] + _filler_lines()
     split = build_split(ingest_reviews(lines), SplitConfig(seed=0))
     u = split.users.index("bob")
-    assert [split.items[it.item] for it in split.test[u].positives] == ["b", "c", "d"]
-    assert split.items[split.validation[u].positive.item] == "a"
-    assert [split.items[it.item] for it in split.train if it.user == u] == ["e"]
+    assert [split.items[it.item] for it in interactions(split, TEST, u)] == ["b", "c", "d"]
+    assert [split.items[it.item] for it in interactions(split, VAL, u)] == ["a"]
+    assert [split.items[it.item] for it in interactions(split, TRAIN, u)] == ["e"]
 
 
 def test_short_user_rules(caplog):
@@ -61,14 +69,14 @@ def test_short_user_rules(caplog):
         split = build_split(ingest_reviews(list(lines) + _filler_lines()), SplitConfig(seed=0))
     assert "split reduced" in caplog.text
     u3 = split.users.index("u3")   # 3 interactions: 1 test, 1 val, 1 train
-    assert len(split.test[u3].positives) == 1
-    assert u3 in split.validation
+    assert len(interactions(split, TEST, u3)) == 1
+    assert u3 in split.val_users
     u2 = split.users.index("u2")   # 2 interactions: 0 test, 1 val, 1 train
-    assert u2 not in split.test
-    assert u2 in split.validation
+    assert u2 not in split.test_users
+    assert u2 in split.val_users
     u1 = split.users.index("u1")   # 1 interaction: train only
-    assert u1 not in split.test and u1 not in split.validation
-    assert sum(1 for it in split.train if it.user == u1) == 1
+    assert u1 not in split.test_users and u1 not in split.val_users
+    assert len(interactions(split, TRAIN, u1)) == 1
 
 
 def test_duplicate_pair_merges_latest_rating_all_mentions():
@@ -78,7 +86,7 @@ def test_duplicate_pair_merges_latest_rating_all_mentions():
     lines += _filler_lines()
     split = build_split(ingest_reviews(lines), SplitConfig(seed=0))
     u = split.users.index("carol")
-    merged = [it for it in split.test[u].positives if split.items[it.item] == "p"]
+    merged = [it for it in interactions(split, TEST, u) if split.items[it.item] == "p"]
     assert len(merged) == 1
     it = merged[0]
     assert it.rating == 5.0 and it.timestamp == 9
@@ -92,18 +100,17 @@ def test_negative_sampling_contract():
     lines = [_line("dave", f"i{t}", 4, t) for t in range(1, 11)] + _filler_lines()
     split = build_split(ingest_reviews(lines), SplitConfig(seed=3))
     u = split.users.index("dave")
-    entry = split.test[u]
-    assert len(entry.negatives) == 100 and len(set(entry.negatives)) == 100
-    interacted = {it.item for it in split.train if it.user == u}
-    interacted |= {it.item for it in entry.positives}
-    interacted.add(split.validation[u].positive.item)
-    assert not set(entry.negatives) & interacted
-    assert len(split.validation[u].negatives) == 10
+    negatives = split.test_negatives[split.test_users.tolist().index(u)].tolist()
+    assert len(negatives) == 100 and len(set(negatives)) == 100
+    interacted = {it.item for it in interactions(split, user=u)}
+    assert len(interacted) == 10
+    assert not set(negatives) & interacted
+    assert len(split.val_negatives[split.val_users.tolist().index(u)]) == 10
     # same seed reproduces, different seed changes the draw
     again = build_split(ingest_reviews(lines), SplitConfig(seed=3))
-    assert again.test[u].negatives == entry.negatives
+    assert again.test_negatives[again.test_users.tolist().index(u)].tolist() == negatives
     other = build_split(ingest_reviews(lines), SplitConfig(seed=4))
-    assert other.test[u].negatives != entry.negatives
+    assert other.test_negatives[other.test_users.tolist().index(u)].tolist() != negatives
 
 
 def test_insufficient_negative_pool_names_user():
@@ -179,16 +186,115 @@ def test_dataset_artifact_round_trip(tmp_path, caplog):
     loaded = load_dataset(cfg, tmp_path / "cache")  # read back from the artifact
     split, again = built.split, loaded.split
     users = {name: split.users.index(name) for name in ("alice", "bob", "carol")}
-    assert users["bob"] in split.validation and users["bob"] not in split.test
-    assert users["carol"] not in split.validation and users["carol"] not in split.test
-    assert max(it.timestamp for it in split.test[users["alice"]].positives) == 2**62
+    assert users["bob"] in split.val_users and users["bob"] not in split.test_users
+    assert users["carol"] not in split.val_users and users["carol"] not in split.test_users
+    assert max(it.timestamp for it in interactions(split, TEST, users["alice"])) == 2**62
 
     assert again.users == split.users and again.items == split.items
     assert again.features == split.features and again.n_rating == split.n_rating
-    assert again.train == split.train
-    assert again.validation == split.validation and again.test == split.test
-    assert user_positive_items(again) == user_positive_items(split)
+    for name in SPLIT_ARRAYS:
+        old, new = getattr(split, name), getattr(again, name)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert np.array_equal(new, old), name
+    assert interactions(again) == interactions(split)
+    assert again.positive_items == split.positive_items
     for name in ("X", "Y"):
         old, new = getattr(built, name), getattr(loaded, name)
         assert new.dtype == np.float64 and new.tobytes() == old.tobytes()
     assert loaded.stats == built.stats and "sha256" in loaded.stats
+
+
+def _manifest(split):
+    return {"users": split.users, "items": split.items, "features": split.features,
+            "n_rating": split.n_rating}
+
+
+# user, item, rating, timestamp, (feature, sentiment) mentions of one review
+_REVIEW = st.tuples(st.integers(0, 3), st.integers(0, 5), st.integers(1, 5), st.integers(0, 9),
+                    st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1])), max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_REVIEW, min_size=1, max_size=24))
+def test_array_readers_match_per_interaction_loops(reviews):
+    # repeated (user, item) pairs, timestamp ties and short users all occur;
+    # two filler users, each on 3 items nobody else touches, keep every
+    # negative pool drawable
+    lines = [_line(f"u{u}", f"i{v}", r, t, [(f"f{f}", "ok", s) for f, s in mentions])
+             for u, v, r, t, mentions in reviews]
+    lines += [_line(f"z{k}", f"x{k}{j}", 3, j) for k in range(2) for j in range(3)]
+    split = build_split(ingest_reviews(lines),
+                        SplitConfig(seed=0, n_test_pos=2, n_test_neg=2, n_val_neg=1))
+    rows = interactions(split)
+
+    user_counts = np.zeros((split.n_users, split.n_features))
+    item_counts = np.zeros((split.n_items, split.n_features))
+    sent_sum = np.zeros((split.n_items, split.n_features))
+    features, gold = {}, {}
+    positive_items = {u: set() for u in range(split.n_users)}
+    for it in rows:
+        positive_items[it.user].add(it.item)
+        for f, s in it.mentions:
+            if it.part == TRAIN:
+                user_counts[it.user, f] += 1.0
+                item_counts[it.item, f] += 1.0
+                sent_sum[it.item, f] += s
+                features.setdefault(it.user, set()).add(f)
+            if it.part == TEST and s == 1:
+                gold.setdefault((it.user, it.item), set()).add(f)
+    stats = count_mentions(split)
+    assert np.array_equal(stats.user_counts, user_counts)
+    assert np.array_equal(stats.item_counts, item_counts)
+    for v, f in np.ndindex(*item_counts.shape):
+        want = sent_sum[v, f] / item_counts[v, f] if item_counts[v, f] else 0.0
+        assert stats.item_sentiment[v, f] == want
+    assert train_feature_sets(split) == features
+    assert gold_explanations(split) == gold
+    assert split.positive_items == positive_items
+
+    assert split.val_users.tolist() == [it.user for it in rows if it.part == VAL]
+    assert split.test_users.tolist() == sorted({it.user for it in rows if it.part == TEST})
+    for row, (u, positives, cands) in enumerate(split.test_lists()):
+        want = [it.item for it in interactions(split, TEST, u)]
+        assert positives.tolist() == want
+        assert cands.tolist() == want + split.test_negatives[row].tolist()
+
+    again = split_from_arrays(_manifest(split), split_arrays(split))
+    assert interactions(again) == rows
+
+
+def test_split_arrays_that_disagree_raise(tiny_split):
+    arrays = split_arrays(tiny_split)
+    bad = {"rating": arrays["rating"][:-1],
+           "mention_offsets": arrays["mention_offsets"][:-1],
+           "mentions": arrays["mentions"][:-1],
+           "part": arrays["part"][::-1],
+           "val_users": arrays["val_users"][1:],
+           "test_users": arrays["test_users"][::-1],
+           "test_negatives": arrays["test_negatives"][1:],
+           "val_negatives": arrays["val_negatives"][:, 0]}
+    for name, value in bad.items():
+        with pytest.raises(ValueError, match="split arrays disagree"):
+            split_from_arrays(_manifest(tiny_split), {**arrays, name: value})
+
+
+# sha256 of the split arrays (name, dtype, shape, bytes; names sorted), as the
+# dataset artifact stores them, recorded when the split was still built from
+# per-interaction objects: caches filled then load without a rebuild
+ARTIFACT_DIGESTS = [
+    ({"n_users": 8, "n_items": 40, "n_features": 10, "reviews_per_user": 10,
+      "n_item_features": 3, "seed": 5},
+     {"seed": 5, "n_test_pos": 2, "n_test_neg": 8, "n_val_neg": 4},
+     "f6f15882db8c7b240072ea2b205fbc5c733509f4048f7850e5f243705d387592"),
+    ({}, {"seed": 0}, "789cfd4f16eb598562b3df5bf025376bbe6b35544fe441f7a0b4bb76fda4cae4"),
+]
+
+
+@pytest.mark.parametrize("synth, config, digest", ARTIFACT_DIGESTS)
+def test_split_arrays_are_pinned(synth, config, digest):
+    split = build_split(ingest_reviews(synth_jsonl(SynthConfig(**synth))), SplitConfig(**config))
+    h = hashlib.sha256()
+    for name, arr in sorted(split_arrays(split).items()):
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest

@@ -6,9 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from robustrec.dataset import TEST, TRAIN, VAL
 from robustrec.evalkit import (build_bed, evaluate, explanation_prf, gold_explanations,
                                mask_explanation, ndcg_at, train_feature_sets,
                                validation_ndcg)
+from splits import interactions, split_of
 
 
 def _brute_ndcg(ranked, relevant, k):
@@ -97,20 +99,18 @@ def test_mask_keeps_rank_order():
 
 
 def test_gold_explanations_positive_sentiment_only():
-    pos_a = SimpleNamespace(item=11, mentions=[(1, 1), (2, -1), (1, 1)])
-    pos_b = SimpleNamespace(item=12, mentions=[(3, -1)])
-    pos_c = SimpleNamespace(item=13, mentions=[])
-    split = SimpleNamespace(test={7: SimpleNamespace(positives=[pos_a, pos_b, pos_c])})
+    split = split_of([(TEST, 7, 11, [(1, 1), (2, -1), (1, 1)]), (TEST, 7, 12, [(3, -1)]),
+                      (TEST, 7, 13, []), (TRAIN, 7, 14, [(0, 1)]), (VAL, 7, 15, [(4, 1)])],
+                     n_users=8, n_items=16, n_features=5)
     gold = gold_explanations(split)
     assert gold == {(7, 11): {1}}
 
 
 def test_train_feature_sets_any_sentiment():
-    train = [SimpleNamespace(user=0, mentions=[(1, 1), (2, -1)]),
-             SimpleNamespace(user=0, mentions=[(3, 1)]),
-             SimpleNamespace(user=1, mentions=[]),
-             SimpleNamespace(user=2, mentions=[(2, -1)])]
-    out = train_feature_sets(SimpleNamespace(train=train))
+    split = split_of([(TRAIN, 0, 0, [(1, 1), (2, -1)]), (TRAIN, 0, 1, [(3, 1)]),
+                      (TRAIN, 1, 0, []), (TRAIN, 2, 0, [(2, -1)]), (TEST, 1, 2, [(4, 1)])],
+                     n_users=3, n_items=3, n_features=5)
+    out = train_feature_sets(split)
     assert out == {0: {1, 2, 3}, 2: {2}}
 
 
@@ -139,11 +139,11 @@ class _ScriptedModel:
 
 
 def test_build_bed_keeps_only_top_ranked_positives(tiny_split):
-    users = sorted(tiny_split.test)
+    users = tiny_split.test_users.tolist()
     blocked = users[0]
 
     def score(u, v):
-        positives = [it.item for it in tiny_split.test[u].positives]
+        positives = [it.item for it in interactions(tiny_split, TEST, u)]
         if u == blocked:
             return -1.0 if v in positives else 1.0 + v
         return 100.0 - v if v in positives else -float(v)
@@ -151,32 +151,35 @@ def test_build_bed_keeps_only_top_ranked_positives(tiny_split):
     bed = build_bed(_ScriptedModel(score), tiny_split, k_rec=5)
     assert blocked not in bed
     for u in users[1:]:
-        want = [it.item for it in tiny_split.test[u].positives]
+        want = [it.item for it in interactions(tiny_split, TEST, u)]
         assert bed[u] == want  # bed preserves the split's positive order
 
 
 def test_validation_ndcg_scripted_ranks(tiny_split):
+    def val_positive(u):
+        [it] = interactions(tiny_split, VAL, u)
+        return it.item
+
     def top(u, v):
-        return 10.0 if v == tiny_split.validation[u].positive.item else -float(v)
+        return 10.0 if v == val_positive(u) else -float(v)
 
     assert validation_ndcg(_ScriptedModel(top), tiny_split, k=10) == 1.0
 
     def second(u, v):
-        entry = tiny_split.validation[u]
-        if v == entry.positive.item:
+        if v == val_positive(u):
             return 5.0
-        return 9.0 if v == entry.negatives[0] else -float(v)
+        first_negative = tiny_split.val_negatives[tiny_split.val_users.tolist().index(u), 0]
+        return 9.0 if v == first_negative else -float(v)
 
     want = 1.0 / math.log2(3.0)
     assert validation_ndcg(_ScriptedModel(second), tiny_split, k=10) == pytest.approx(want)
 
 
 def test_evaluate_macro_averages_and_masks(tiny_split):
-    users = sorted(tiny_split.test)
+    users = tiny_split.test_users.tolist()
     u1, u2 = users[0], users[1]
-    v1 = tiny_split.test[u1].positives[0].item
-    v2a = tiny_split.test[u2].positives[0].item
-    v2b = tiny_split.test[u2].positives[1].item
+    v1 = interactions(tiny_split, TEST, u1)[0].item
+    v2a, v2b = (it.item for it in interactions(tiny_split, TEST, u2)[:2])
     bed = {u1: [v1], u2: [v2a, v2b]}
     gold = {(u1, v1): {3}, (u2, v2a): {1, 2}}  # (u2, v2b) has no gold: skipped
     expl = {(u1, v1): [3, 9], (u2, v2a): [1]}
@@ -204,16 +207,16 @@ def test_evaluate_macro_averages_and_masks(tiny_split):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_scores_stop_every_ranking(tiny_split, bad):
-    u = sorted(tiny_split.test)[0]
-    v = tiny_split.test[u].negatives[3]
+    u = int(tiny_split.test_users[0])
+    v = int(tiny_split.test_negatives[0, 3])
     model = _ScriptedModel(lambda user, item: bad if (user, item) == (u, v) else -float(item))
     pattern = f"item {v} has non-finite score {bad}"
     with pytest.raises(FloatingPointError, match=pattern):
         build_bed(model, tiny_split)
     with pytest.raises(FloatingPointError, match=pattern):
         evaluate(model, tiny_split, {}, {})
-    w = sorted(tiny_split.validation)[0]
-    y = tiny_split.validation[w].negatives[1]
+    w = int(tiny_split.val_users[0])
+    y = int(tiny_split.val_negatives[0, 1])
     model = _ScriptedModel(lambda user, item: bad if (user, item) == (w, y) else 0.0)
     with pytest.raises(FloatingPointError, match=f"item {y} has non-finite"):
         validation_ndcg(model, tiny_split)

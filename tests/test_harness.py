@@ -23,7 +23,7 @@ from robustrec.harness.cli import parse_override_tokens
 from robustrec.harness.config import (ConfigError, DEFAULTS, apply_override,
                                       config_hash, default_config, load_config,
                                       training_config)
-from robustrec.harness.report import write_report
+from robustrec.harness.report import read_results, write_report
 from robustrec.harness.sweep import (CACHE_ENV, RESULT_COLUMNS, SweepCell,
                                      enumerate_cells, resolve_cache, run_sweep,
                                      write_results)
@@ -657,19 +657,25 @@ def test_two_sweeps_fill_one_cache_at_once(corpus, warm_cache, tmp_path):
 
 
 def test_write_report_aggregates_and_curves(tmp_path):
-    def row(lam, eps_d, eps_a, f1, run):
+    def row(lam, eps_d, eps_a, f1, run, n_pairs=6, n_non_cf=0):
         return {"run_id": run, "algo": "efm", "dataset": "d", "lambda": lam,
                 "eps_d": eps_d, "eps_a": eps_a,
                 "condition": "clean" if eps_a == 0.0 else "attacked",
                 "ndcg": 0.5, "expl_pr": f1, "expl_re": f1, "expl_f1": f1,
-                "n_users": 4, "n_pairs": 6, "n_non_cf": 0}
+                "n_users": 4, "n_pairs": n_pairs, "n_non_cf": n_non_cf,
+                "grad_norm": None if eps_a == 0.0 else 2.5}
 
-    rows = [row(0.0, 0.0, 0.0, 0.40, "a"), row(0.0, 0.0, 1.0, 0.10, "a"),
-            row(0.0, 0.0, 0.0, 0.60, "b"), row(0.0, 0.0, 1.0, 0.30, "b"),
-            row(0.5, 0.25, 0.0, 0.38, "c"), row(0.5, 0.25, 1.0, 0.30, "c"),
-            row(0.5, 0.25, 0.0, 0.42, "d"), row(0.5, 0.25, 1.0, 0.40, "d")]
+    rows = [row(0.0, 0.0, 0.0, 0.40, "a", n_non_cf=1), row(0.0, 0.0, 1.0, 0.10, "a"),
+            row(0.0, 0.0, 0.0, 0.60, "b", n_pairs=2, n_non_cf=2),
+            row(0.0, 0.0, 1.0, 0.30, "b", n_pairs=0),
+            row(0.5, 0.25, 0.0, 0.38, "c"), row(0.5, 0.25, 1.0, 0.30, "c", n_pairs=0),
+            row(0.5, 0.25, 0.0, 0.42, "d"), row(0.5, 0.25, 1.0, 0.40, "d", n_pairs=0)]
     results = tmp_path / "results.csv"
     write_results(results, rows)
+    parsed = read_results(results)
+    assert sorted((r["run_id"], r["eps_a"], r["n_non_cf"], r["grad_norm"]) for r in parsed) == \
+        sorted((r["run_id"], r["eps_a"], r["n_non_cf"], r["grad_norm"]) for r in rows)
+    assert all(type(r["n_non_cf"]) is int for r in parsed)
     written = write_report(results, tmp_path / "rep", curve_lambda=0.5)
     names = {p.name for p in written}
     assert names == {"aggregate.csv", "curve_efm_d_vanilla.csv", "curve_efm_d_0.25.csv"}
@@ -681,6 +687,10 @@ def test_write_report_aggregates_and_curves(tmp_path):
     assert agg[("0", "1", "attacked")]["expl_f1"] == "0.200000"
     assert agg[("0.5", "1", "attacked")]["expl_f1"] == "0.350000"
     assert all(r["n_runs"] == "2" for r in agg.values())
+    # pooled over runs, not a mean of per-run rates: (1 + 2) / (6 + 2)
+    assert agg[("0", "0", "clean")]["non_cf_rate"] == "0.375000"
+    assert agg[("0", "1", "attacked")]["non_cf_rate"] == "0.000000"    # 0 / (6 + 0)
+    assert agg[("0.5", "1", "attacked")]["non_cf_rate"] == ""    # no pair explained
 
     with open(tmp_path / "rep" / "curve_efm_d_0.25.csv", newline="") as fh:
         curve = list(csv.DictReader(fh))

@@ -6,11 +6,13 @@ import pytest
 
 import robustrec.models.cer as cer_mod
 from gradcheck import gradcheck
+from robustrec.dataset import TEST
 from robustrec.diffcore import Tensor, tsum
 from robustrec.models import CER, CERConfig, build_model
 from robustrec.models.base import Explanation
 from robustrec.models.cer import NotRecommendedError, counterfactual_deltas
 from robustrec.rng import SplitMix64
+from splits import interactions
 
 
 def _batch(model, seed=0, batch_size=6):
@@ -72,8 +74,17 @@ def test_epoch_batches_binary_targets(cer_tiny):
         assert np.all(batch.targets[half:] == 0.0)
 
 
+def test_candidate_items_are_positives_then_negatives(cer_tiny, tiny_split):
+    for row, u in enumerate(tiny_split.test_users.tolist()):
+        want = [it.item for it in interactions(tiny_split, TEST, u)]
+        want += tiny_split.test_negatives[row].tolist()
+        assert cer_tiny.candidate_items(u).tolist() == want
+    with pytest.raises(KeyError, match=f"user {tiny_split.n_users} has no held-out"):
+        cer_tiny.candidate_items(tiny_split.n_users)
+
+
 def _bed_like_pairs(model, n_users=4, per_user=3):
-    users = sorted(u for u in model._candidates)[:n_users]
+    users = model._split.test_users.tolist()[:n_users]
     return [(u, int(v)) for u in users for v in model.candidate_items(u)[:per_user]]
 
 
@@ -175,13 +186,8 @@ def test_batched_solve_matches_pairs_solved_alone(cer_tiny, monkeypatch):
     assert len(solves) == 1 + len(pairs)
 
 
-def _first_test_user(model):
-    return sorted(u for u in range(model.n_users)
-                  if model.candidate_items(u) is not None)[0]
-
-
 def test_explain_threshold_is_next_candidate_score(cer_tiny, tiny_split, monkeypatch):
-    u = sorted(tiny_split.test)[0]
+    u = int(tiny_split.test_users[0])
     cands = cer_tiny.candidate_items(u)
     scores = cer_tiny.scores(u, cands)
     from robustrec.models.base import rank_items
@@ -203,7 +209,7 @@ def test_explain_threshold_is_next_candidate_score(cer_tiny, tiny_split, monkeyp
 
 
 def test_explain_orders_by_magnitude_negatives_first(cer_tiny, tiny_split, monkeypatch):
-    u = sorted(tiny_split.test)[0]
+    u = int(tiny_split.test_users[0])
     v = int(cer_tiny.candidate_items(u)[0])
     delta = np.zeros(cer_tiny.n_features)
     delta[0], delta[1], delta[2], delta[6] = 0.5, -0.5, -0.2, 0.1
@@ -222,7 +228,7 @@ def test_explain_orders_by_magnitude_negatives_first(cer_tiny, tiny_split, monke
 
 def test_explain_falls_back_to_magnitude_without_negatives(cer_tiny, tiny_split,
                                                            monkeypatch):
-    u = sorted(tiny_split.test)[0]
+    u = int(tiny_split.test_users[0])
     v = int(cer_tiny.candidate_items(u)[0])
     delta = np.zeros(cer_tiny.n_features)
     delta[0], delta[1] = 0.3, 0.7
@@ -235,14 +241,14 @@ def test_explain_falls_back_to_magnitude_without_negatives(cer_tiny, tiny_split,
 
 
 def test_explain_rejects_unknown_candidate(cer_tiny, tiny_split):
-    u = sorted(tiny_split.test)[0]
+    u = int(tiny_split.test_users[0])
     outside = max(int(i) for i in cer_tiny.candidate_items(u)) + 1
     with pytest.raises(NotRecommendedError, match="not among"):
         cer_tiny.explain(u, outside)
 
 
 def test_explain_pairs_checks_every_pair_before_solving(cer_tiny, tiny_split, monkeypatch):
-    u = sorted(tiny_split.test)[0]
+    u = int(tiny_split.test_users[0])
     inside = int(cer_tiny.candidate_items(u)[0])
     outside = max(int(i) for i in cer_tiny.candidate_items(u)) + 1
     solves = []
@@ -259,7 +265,7 @@ def test_explain_requires_a_threshold_candidate(tiny_split, tiny_matrices):
                 CERConfig(hidden=(8, 4), top_k=10, cf_steps=5))
     model.attach(tiny_split, X, Y)
     model.reinit(0)
-    u = sorted(tiny_split.test)[0]
+    u = int(tiny_split.test_users[0])
     v = int(model.candidate_items(u)[0])
     with pytest.raises(NotRecommendedError, match="candidates"):
         model.explain(u, v, require_recommended=False)
@@ -271,7 +277,7 @@ def test_explain_top_k_gate_and_relaxation(tiny_split, tiny_matrices):
                 CERConfig(hidden=(8, 4), top_k=3, cf_steps=5))
     model.attach(tiny_split, X, Y)
     model.reinit(0)
-    u = sorted(tiny_split.test)[0]
+    u = int(tiny_split.test_users[0])
     from robustrec.models.base import rank_items
     cands = model.candidate_items(u)
     worst = rank_items(model.scores(u, cands), cands)[-1]

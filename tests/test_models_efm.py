@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 
 from gradcheck import gradcheck
+from robustrec.dataset import TRAIN
 from robustrec.diffcore import Tensor
 from robustrec.models import EFM, EFMConfig, rank_items
 from robustrec.models.base import PairBatch
 from robustrec.rng import SplitMix64
+from splits import interactions
 
 
 def _batch(model, seed=0, batch_size=6):
@@ -145,7 +147,7 @@ def test_reinit_requires_attach(tiny_split):
         model.reinit(0)
 
 
-def test_epoch_batches_pair_negatives_and_targets(efm_tiny):
+def test_epoch_batches_pair_negatives_and_targets(efm_tiny, tiny_split):
     rng = SplitMix64(9)
     total_pos = 0
     for batch in efm_tiny.epoch_batches(rng, 4):
@@ -156,14 +158,52 @@ def test_epoch_batches_pair_negatives_and_targets(efm_tiny):
         # the second half are sampled negatives with zero targets
         assert all(t == 0.0 for t in batch.targets[n:, 0])
         for u, v in zip(batch.users[n:], batch.items[n:]):
-            assert int(v) not in efm_tiny._user_pos[int(u)]
-    assert total_pos == len(efm_tiny._train)
+            assert int(v) not in {it.item for it in interactions(tiny_split, user=int(u))}
+    assert total_pos == len(interactions(tiny_split, TRAIN))
+
+
+# recorded from the per-interaction implementation this one replaced: per
+# batch, the positives' users, all items (positives, then sampled negatives)
+# and the positives' rating targets
+GOLDEN_BATCHES = [
+    ([2, 4, 5, 5, 7, 3, 1, 5, 5, 7, 5, 4, 4, 2, 7, 1],
+     [15, 19, 24, 5, 11, 9, 11, 14, 29, 18, 13, 12, 10, 8, 22, 15,
+      17, 6, 20, 11, 21, 3, 7, 16, 18, 24, 25, 22, 11, 32, 17, 22],
+     [2, 4, 2, 2, 4, 2, 2, 5, 3, 3, 3, 2, 2, 1, 3, 2]),
+    ([1, 2, 1, 3, 0, 7, 0, 6, 6, 5, 2, 0, 3, 4, 4, 7],
+     [24, 25, 26, 11, 32, 0, 24, 25, 18, 23, 5, 1, 26, 3, 17, 20,
+      30, 1, 21, 4, 20, 30, 30, 23, 4, 15, 4, 20, 5, 24, 16, 15],
+     [4, 3, 2, 3, 3, 3, 5, 3, 4, 3, 4, 3, 3, 2, 3, 3]),
+    ([1, 4, 5, 0, 4, 7, 2, 3, 6, 0, 3, 3, 0, 6, 2, 2],
+     [27, 21, 6, 19, 7, 3, 14, 29, 6, 6, 31, 8, 28, 30, 12, 31,
+      12, 2, 4, 10, 20, 19, 16, 28, 26, 29, 7, 15, 4, 14, 0, 26],
+     [2, 5, 3, 3, 2, 3, 3, 4, 4, 3, 3, 3, 2, 3, 3, 4]),
+    ([6, 0, 1, 6, 1, 3, 7, 6],
+     [28, 7, 16, 24, 9, 13, 5, 1, 5, 8, 17, 9, 10, 10, 19, 32],
+     [2, 4, 2, 4, 4, 2, 2, 4]),
+]
+
+
+@pytest.mark.parametrize("algo", ["efm", "cer"])
+def test_epoch_batches_match_golden_stream(algo, efm_tiny, cer_tiny):
+    # the shuffle and the rejection-sampled negatives draw from one SplitMix64
+    # stream; any change to the draw order or the membership tests moves these
+    model = efm_tiny if algo == "efm" else cer_tiny
+    batches = list(model.epoch_batches(SplitMix64(2024), 16))
+    assert len(batches) == len(GOLDEN_BATCHES)
+    for batch, (users, items, ratings) in zip(batches, GOLDEN_BATCHES):
+        positives = [1.0] * len(ratings) if algo == "cer" else [float(r) for r in ratings]
+        assert batch.users.dtype == np.int64 and batch.items.dtype == np.int64
+        assert batch.users.tolist() == users + users
+        assert batch.items.tolist() == items
+        assert batch.targets.shape == (len(items), 1)
+        assert batch.targets[:, 0].tolist() == positives + [0.0] * len(ratings)
 
 
 def test_with_params_shares_attachment_with_fresh_tensors(efm_tiny):
     arrays = efm_tiny.param_arrays()
     clone = efm_tiny.with_params(arrays)
-    assert clone.X is efm_tiny.X and clone._train is efm_tiny._train
+    assert clone.X is efm_tiny.X and clone._split is efm_tiny._split
     assert clone.params["V"] is not efm_tiny.params["V"]
     clone.params["V"].data += 1.0
     assert not np.array_equal(clone.params["V"].data, efm_tiny.params["V"].data)

@@ -8,7 +8,7 @@ from robustrec.diffcore import Tensor
 from robustrec.harness.config import default_config
 from robustrec.harness.training import TrainingConfig
 from robustrec.models import EFM, EFMConfig
-from robustrec.aspects import split_matrices
+from robustrec.aspects import build_matrices
 from robustrec.dataset import SplitConfig, build_split, ingest_reviews
 from robustrec.models import build_model
 from robustrec.robustness import (AttackResult, DefenseConfig, DivergenceError,
@@ -126,7 +126,7 @@ def test_fgsm_sign_matches_tape_over_a_full_epoch(algo):
     # a sign flip at a near-zero dL/dY is how the hand path could part from
     # the tape; check every batch of one epoch on the default synthetic corpus
     split = build_split(ingest_reviews(synth_jsonl(SynthConfig())), SplitConfig(seed=0))
-    X, Y = split_matrices(split)
+    X, Y = build_matrices(split)
     model = build_model(algo, split, {})
     model.attach(split, X, Y)
     model.reinit(0)

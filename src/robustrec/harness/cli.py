@@ -17,8 +17,9 @@ from ..evalkit import gold_explanations, train_feature_sets
 from ..robustness import DefenseConfig, fmt_eps, scale_attack
 from .config import ConfigError, apply_overrides, load_config, training_config
 from .report import write_report
-from .sweep import (SweepCell, ensure_attack, ensure_bed, ensure_eval, ensure_trained,
-                    load_dataset, new_model, resolve_cache, run_sweep, train_cell)
+from .sweep import (SweepCell, cell_keys, ensure_attack, ensure_bed, ensure_eval,
+                    ensure_trained, load_dataset, new_model, resolve_cache, run_sweep,
+                    train_cell)
 from .training import hyperparameter_search
 
 
@@ -82,7 +83,8 @@ def cmd_attack(cfg: dict, cache: Path, args) -> None:
     model, run_dir, run_id = ensure_trained(cfg, cell, data, cache)
     grid = [args.eps_a] if args.eps_a is not None else \
         [e for e in cfg["attack"]["eps_a_grid"] if e != 0.0]
-    gradient, path = ensure_attack(cfg, cell, model, run_dir, run_id)
+    gradient, path = ensure_attack(cfg, cell, model, run_dir,
+                                   cell_keys(cfg, cell, data, run_id).attack)
     print(json.dumps({
         "run_id": run_id, "grad_norm": gradient.grad_norm, "artifact": str(path),
         "delta_norm": {fmt_eps(e): scale_attack(gradient, float(e)).delta_norm for e in grid},
@@ -93,9 +95,10 @@ def cmd_evaluate(cfg: dict, cache: Path, args) -> None:
     data = load_dataset(cfg, cache)
     cell = _cell_from_config(cfg)
     model, run_dir, run_id = ensure_trained(cfg, cell, data, cache)
-    bed = ensure_bed(cfg, cell, data, cache)
+    keys = cell_keys(cfg, cell, data, run_id)
+    bed = ensure_bed(cfg, cell, data, cache, keys)
     row = ensure_eval(cfg, cell, model, run_dir, run_id, float(args.eps_a), data,
-                      bed, gold_explanations(data.split), train_feature_sets(data.split))
+                      bed, gold_explanations(data.split), train_feature_sets(data.split), keys)
     print(json.dumps(row, indent=2, sort_keys=True))
 
 

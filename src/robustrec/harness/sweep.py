@@ -238,7 +238,6 @@ def train_cell(cfg: dict, cell: SweepCell, data: Dataset,
 
     def load(path: Path) -> dict:
         manifest, params = load_checkpoint(path)
-        model.reinit(cell.seed)
         model.set_param_arrays(params)
         return manifest
 
@@ -254,15 +253,27 @@ def ensure_trained(cfg: dict, cell: SweepCell, data: Dataset,
     return model, run_dir, run_dir.name
 
 
-def _bed_key(cfg: dict, cell: SweepCell, data: Dataset) -> tuple[str, str]:
-    """The vanilla run of (algo, seed), whose directory keeps the bed, and
-    the bed's key: that run and k_rec."""
+class CellKeys(NamedTuple):
+    """The cache keys a trained cell's bed, attack and results rows are
+    stored under, hashed once per cell."""
+    vanilla_id: str  # the vanilla run of (algo, seed), whose directory keeps the bed
+    bed: str         # that run and k_rec
+    attack: str      # this cell's run and the attack settings
+
+
+def cell_keys(cfg: dict, cell: SweepCell, data: Dataset, run_id: str) -> CellKeys:
+    """The keys of the cell whose run id is `run_id`."""
     vanilla = SweepCell(cell.algo, 0.0, 0.0, cell.seed)
     vanilla_id = config_hash(cell_run_config(cfg, vanilla, data))
-    return vanilla_id, config_hash({"run": vanilla_id, "k_rec": int(cfg["eval"]["k_rec"])})
+    a = cfg["attack"]
+    return CellKeys(vanilla_id,
+                    config_hash({"run": vanilla_id, "k_rec": int(cfg["eval"]["k_rec"])}),
+                    config_hash({"run": run_id, "seed": int(a["seed"]),
+                                 "batch_size": int(a["batch_size"])}))
 
 
-def ensure_bed(cfg: dict, cell: SweepCell, data: Dataset, cache: Path) -> dict[int, list[int]]:
+def ensure_bed(cfg: dict, cell: SweepCell, data: Dataset, cache: Path,
+               keys: CellKeys) -> dict[int, list[int]]:
     """The evaluation bed for (algo, seed): the vanilla model's top-k hits.
     Trains the vanilla cell on demand when the sweep doesn't include it."""
     def build() -> dict[int, list[int]]:
@@ -277,21 +288,15 @@ def ensure_bed(cfg: dict, cell: SweepCell, data: Dataset, cache: Path) -> dict[i
         doc = json.loads(path.read_text())
         return {int(u): [int(v) for v in items] for u, items in doc.items()}
 
-    vanilla_id, key = _bed_key(cfg, cell, data)
-    return artifact(cache / "runs" / vanilla_id / f"bed_{key}.json", build, save, load)
-
-
-def _attack_key(cfg: dict, run_id: str) -> str:
-    a = cfg["attack"]
-    return config_hash({"run": run_id, "seed": int(a["seed"]),
-                        "batch_size": int(a["batch_size"])})
+    return artifact(cache / "runs" / keys.vanilla_id / f"bed_{keys.bed}.json", build, save, load)
 
 
 def ensure_attack(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
-                  run_id: str) -> tuple[AttackGradient, Path]:
+                  key: str) -> tuple[AttackGradient, Path]:
     """The attack gradient Xi of a trained run, shared by every eps_a, and its
     path: a checkpoint-format directory holding Xi, with ||Xi||_2 in the
-    manifest. `scale_attack` turns it into the delta for one budget."""
+    manifest, named by the cell's attack `key`. `scale_attack` turns it into
+    the delta for one budget."""
     def build() -> AttackGradient:
         return attack_gradient(model, DefenseConfig(lam=cell.lam, eps_d=cell.eps_d),
                                seed=int(cfg["attack"]["seed"]),
@@ -306,25 +311,25 @@ def ensure_attack(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
         # in the model's parameter order, which the norms of a delta are summed in
         return AttackGradient({name: xi[name] for name in model.params}, manifest["grad_norm"])
 
-    path = run_dir / f"attack_{_attack_key(cfg, run_id)}"
+    path = run_dir / f"attack_{key}"
     return artifact(path, build, save, load), path
 
 
 def ensure_eval(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
                 run_id: str, eps_a: float, data: Dataset,
-                bed: dict[int, list[int]], gold, user_features) -> dict:
+                bed: dict[int, list[int]], gold, user_features, keys: CellKeys) -> dict:
     """One results row: clean when eps_a = 0, otherwise attack then evaluate.
     A cached row is reused without loading the attack gradient behind it; a
     clean row's key leaves the attack settings out, as its value does."""
     top_n, k_ndcg = int(cfg["eval"]["top_n"]), int(cfg["eval"]["k_ndcg"])
-    source = {"run": run_id} if eps_a == 0.0 else {"attack": _attack_key(cfg, run_id)}
-    key = config_hash({**source, "eps_a": eps_a, "bed": _bed_key(cfg, cell, data)[1],
+    source = {"run": run_id} if eps_a == 0.0 else {"attack": keys.attack}
+    key = config_hash({**source, "eps_a": eps_a, "bed": keys.bed,
                        "top_n": top_n, "k_ndcg": k_ndcg, "dataset": cfg["dataset"]["name"]})
 
     def build() -> dict:
         target, grad_norm = model, None
         if eps_a != 0.0:
-            gradient, _ = ensure_attack(cfg, cell, model, run_dir, run_id)
+            gradient, _ = ensure_attack(cfg, cell, model, run_dir, keys.attack)
             target = attacked_copy(model, scale_attack(gradient, eps_a).delta)
             grad_norm = gradient.grad_norm
         report = evaluate(target, data.split, bed, gold, user_features,
@@ -382,10 +387,11 @@ def run_sweep(cfg: dict, cache: Path | None = None) -> Path:
     rows: list[dict] = []
     for cell in cells:
         model, run_dir, run_id = ensure_trained(cfg, cell, data, cache)
-        bed = ensure_bed(cfg, cell, data, cache)
+        keys = cell_keys(cfg, cell, data, run_id)
+        bed = ensure_bed(cfg, cell, data, cache, keys)
         for eps_a in cfg["attack"]["eps_a_grid"]:
             rows.append(ensure_eval(cfg, cell, model, run_dir, run_id, float(eps_a),
-                                    data, bed, gold, user_features))
+                                    data, bed, gold, user_features, keys))
     out = cache / "results.csv"
     write_results(out, rows)
     return out

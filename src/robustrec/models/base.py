@@ -3,7 +3,9 @@
 Both recommenders expose the same surface: `loss_grad`, the batch loss with
 its hand-derived parameter gradients (and optionally dL/dY, which the defense
 perturbs item aspect values along) in plain numpy, which training and the
-weight attack run on; `loss`, the same objective on the autodiff tape, whose
+weight attack run on; `penalty_grad`, the part of that objective that depends
+on the parameters alone, computed once per parameter set and shared by every
+`loss_grad` pass on it; `loss`, the same objective on the autodiff tape, whose
 Y argument may be a gradient-tracked Tensor and which serves as the gradient
 reference; fast numpy `scores` for ranking, per-pair `explain`, and
 `explain_pairs` for many pairs in one call.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +42,12 @@ class PairBatch:
 
     def __len__(self) -> int:
         return len(self.users)
+
+
+class Penalty(NamedTuple):
+    """The parameter-only part of a model's training objective."""
+    terms: tuple[float, ...]      # its sums, in the order the model's loss adds them
+    grads: dict[str, np.ndarray]  # its gradient by parameter name
 
 
 def rank_items(scores: np.ndarray, item_ids: np.ndarray) -> list[int]:
@@ -133,6 +141,10 @@ class Recommender(ABC):
                             batch_targets.reshape(-1, 1))
 
     @abstractmethod
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every parameter's name and shape, in the model's parameter order."""
+
+    @abstractmethod
     def reinit(self, seed: int) -> None:
         """(Re)draw initial parameters; requires attach() first."""
 
@@ -143,10 +155,19 @@ class Recommender(ABC):
         Tensor to obtain gradients w.r.t. item aspect values."""
 
     @abstractmethod
-    def loss_grad(self, batch: PairBatch, Y: np.ndarray | None = None, want_dy: bool = False
+    def penalty_grad(self) -> Penalty:
+        """The regularisation terms of `loss` and their gradient at the
+        current parameters. They do not depend on the batch or on Y, so one
+        `Penalty` serves every `loss_grad` pass until the parameters change."""
+
+    @abstractmethod
+    def loss_grad(self, batch: PairBatch, penalty: Penalty, Y: np.ndarray | None = None,
+                  want_dy: bool = False
                   ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
         """(loss, dL/dTheta by parameter name, dL/dY or None) of `loss` on one
-        batch, in plain numpy: the training path. Y defaults to the attached
+        batch, in plain numpy: the training path. `penalty` is
+        `penalty_grad()` at the current parameters and is not modified; the
+        gradients returned are fresh arrays. Y defaults to the attached
         matrix; dL/dY has Y's full shape and is computed only if `want_dy`."""
 
     @abstractmethod
@@ -172,18 +193,18 @@ class Recommender(ABC):
         """A shallow copy carrying the given parameters; attachment is shared
         (all of it is read-only during scoring and explanation)."""
         import copy
-        if self.params and set(arrays) != set(self.params):
-            raise ValueError(f"parameter names {sorted(arrays)} != expected {sorted(self.params)}")
         clone = copy.copy(self)
-        clone.params = {name: Tensor(np.array(arr, dtype=np.float64), requires_grad=True)
-                        for name, arr in arrays.items()}
+        clone.set_param_arrays(arrays)
         return clone
 
     def set_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self.params):
-            raise ValueError(f"parameter names {sorted(arrays)} != expected {sorted(self.params)}")
-        for name, arr in arrays.items():
-            current = self.params[name]
-            if current.data.shape != arr.shape:
-                raise ValueError(f"parameter {name}: shape {arr.shape} != expected {current.data.shape}")
-            current.data = np.array(arr, dtype=np.float64)
+        """Take copies of `arrays` as the parameters, in `param_shapes` order;
+        a missing, extra or misshapen array raises ValueError."""
+        shapes = self.param_shapes()
+        if set(arrays) != set(shapes):
+            raise ValueError(f"parameter names {sorted(arrays)} != expected {sorted(shapes)}")
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise ValueError(f"parameter {name}: shape {arrays[name].shape} != expected {shape}")
+        self.params = {name: Tensor(np.array(arrays[name], dtype=np.float64), requires_grad=True)
+                       for name in shapes}

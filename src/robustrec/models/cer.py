@@ -21,7 +21,7 @@ import numpy as np
 from ..diffcore import (Adam, Tensor, add, concat_cols, gather_rows, matmul, mul, sigmoid,
                         softplus, square, sub, tmean, tsum)
 from ..rng import derive_seed
-from .base import Explanation, PairBatch, Recommender, rank_items
+from .base import Explanation, PairBatch, Penalty, Recommender, rank_items
 
 
 class NotRecommendedError(ValueError):
@@ -89,18 +89,19 @@ class CER(Recommender):
         self.n_items = n_items
         self.n_features = n_features
 
-    def reinit(self, seed: int) -> None:
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "cer-init")))
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
         h1, h2 = self.config.hidden
         d_in = 2 * self.n_features
+        return {"W1": (d_in, h1), "b1": (h1,), "W2": (h1, h2), "b2": (h2,),
+                "W3": (h2, 1), "b3": (1,)}
+
+    def reinit(self, seed: int) -> None:
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "cer-init")))
+        # weights drawn in parameter order, scaled by their fan-in; biases start at 0
         self.params = {
-            "W1": Tensor(rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_in, h1)), requires_grad=True),
-            "b1": Tensor(np.zeros(h1), requires_grad=True),
-            "W2": Tensor(rng.normal(0.0, 1.0 / np.sqrt(h1), (h1, h2)), requires_grad=True),
-            "b2": Tensor(np.zeros(h2), requires_grad=True),
-            "W3": Tensor(rng.normal(0.0, 1.0 / np.sqrt(h2), (h2, 1)), requires_grad=True),
-            "b3": Tensor(np.zeros(1), requires_grad=True),
-        }
+            name: Tensor(np.zeros(shape) if name.startswith("b")
+                         else rng.normal(0.0, 1.0 / np.sqrt(shape[0]), shape), requires_grad=True)
+            for name, shape in self.param_shapes().items()}
 
     def _forward(self, x_rows, y_rows, params: dict) -> Tensor:
         z = concat_cols(x_rows, y_rows)
@@ -132,7 +133,18 @@ class CER(Recommender):
             h2 = 1.0 / (1.0 + np.exp(-(h1 @ p["W2"].data + p["b2"].data)))
         return h1, h2, (h2 @ p["W3"].data + p["b3"].data)[:, 0]
 
-    def loss_grad(self, batch: PairBatch, Y: np.ndarray | None = None, want_dy: bool = False
+    def penalty_grad(self) -> Penalty:
+        """The L2 sum `reg` over every parameter and the gradient of lam_reg * reg."""
+        reg = 0.0
+        grads = {}
+        for name, P in self.params.items():
+            P = P.data
+            reg = reg + (P * P).sum()
+            grads[name] = (2.0 * self.config.lam_reg) * P
+        return Penalty((reg,), grads)
+
+    def loss_grad(self, batch: PairBatch, penalty: Penalty, Y: np.ndarray | None = None,
+                  want_dy: bool = False
                   ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
         """`loss` and its gradients, with the BCE backpropagated by hand
         through the two sigmoid layers of one `_activations` forward."""
@@ -142,9 +154,7 @@ class CER(Recommender):
         h1, h2, s = self._activations(z @ p["W1"] + p["b1"])
         logits, targets = s[:, None], batch.targets
         softplus = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))
-        reg = 0.0
-        for P in p.values():
-            reg = reg + (P * P).sum()
+        (reg,) = penalty.terms
         loss = (softplus - logits * targets).mean() + self.config.lam_reg * reg
 
         with np.errstate(over="ignore"):
@@ -153,7 +163,8 @@ class CER(Recommender):
         g1 = (g2 @ p["W2"].T) * h1 * (1.0 - h1)
         grads = {"W1": z.T @ g1, "b1": g1.sum(axis=0), "W2": h1.T @ g2, "b2": g2.sum(axis=0),
                  "W3": h2.T @ g3, "b3": g3.sum(axis=0)}
-        grads = {name: g + (2.0 * self.config.lam_reg) * p[name] for name, g in grads.items()}
+        for name, g in grads.items():
+            g += penalty.grads[name]
 
         dy = None
         if want_dy:

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..diffcore import Tensor, gather_rows, matmul, mul, relu, square, sub, transpose, tsum
 from ..rng import derive_seed
-from .base import Explanation, PairBatch, Recommender
+from .base import Explanation, PairBatch, Penalty, Recommender
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,11 @@ class EFM(Recommender):
         self._Xmask = (self._X != 0.0).astype(np.float64)
         self._Ymask = (self._Y != 0.0).astype(np.float64)
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        r, h = self.config.n_factors, self.config.n_hidden
+        return {"U1": (self.n_users, r), "U2": (self.n_items, r), "V": (self.n_features, r),
+                "H1": (self.n_users, h), "H2": (self.n_items, h)}
+
     def reinit(self, seed: int) -> None:
         if self._X is None:
             raise RuntimeError("reinit() before attach()")
@@ -60,13 +65,11 @@ class EFM(Recommender):
         mean_nz = float(nz.mean()) if nz.size else 1.0
         s = np.sqrt(mean_nz / cfg.n_factors)
         sh = 0.1 / np.sqrt(cfg.n_hidden)
+        # drawn in parameter order; the free rating factors H1, H2 start small
         self.params = {
-            "U1": Tensor(rng.uniform(0.0, 2.0 * s, (self.n_users, cfg.n_factors)), requires_grad=True),
-            "U2": Tensor(rng.uniform(0.0, 2.0 * s, (self.n_items, cfg.n_factors)), requires_grad=True),
-            "V": Tensor(rng.uniform(0.0, 2.0 * s, (self.n_features, cfg.n_factors)), requires_grad=True),
-            "H1": Tensor(rng.uniform(0.0, 2.0 * sh, (self.n_users, cfg.n_hidden)), requires_grad=True),
-            "H2": Tensor(rng.uniform(0.0, 2.0 * sh, (self.n_items, cfg.n_hidden)), requires_grad=True),
-        }
+            name: Tensor(rng.uniform(0.0, 2.0 * (sh if name.startswith("H") else s), shape),
+                         requires_grad=True)
+            for name, shape in self.param_shapes().items()}
 
     def loss(self, batch: PairBatch, X=None, Y=None) -> Tensor:
         """Masked reconstruction of the batch rows of X and Y, squared error
@@ -105,7 +108,23 @@ class EFM(Recommender):
         return cfg.lam_x * term_x + cfg.lam_y * term_y + cfg.lam_a * term_a \
             + cfg.lam_reg * reg + cfg.lam_nn * neg
 
-    def loss_grad(self, batch: PairBatch, Y: np.ndarray | None = None, want_dy: bool = False
+    def penalty_grad(self) -> Penalty:
+        """The L2 sum `reg` and the negativity sum `neg` over every parameter,
+        and the gradient of lam_reg * reg + lam_nn * neg."""
+        cfg = self.config
+        reg = neg = 0.0
+        grads = {}
+        for name, P in self.params.items():
+            P = P.data
+            below = np.minimum(P, 0.0)
+            reg = reg + (P * P).sum()
+            neg = neg + (below * below).sum()
+            # d/dP of lam_reg * P^2 + lam_nn * relu(-P)^2
+            grads[name] = 2.0 * (cfg.lam_reg * P + cfg.lam_nn * below)
+        return Penalty((reg, neg), grads)
+
+    def loss_grad(self, batch: PairBatch, penalty: Penalty, Y: np.ndarray | None = None,
+                  want_dy: bool = False
                   ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
         """`loss` and its gradients by hand. The residuals are formed as on
         the tape, so the loss is the tape's to the last bit; the gradients
@@ -122,15 +141,8 @@ class EFM(Recommender):
         h1b, h2b = H1[batch.users], H2[batch.items]
         a_res = (u1b * u2b) @ self._ones_r + (h1b * h2b) @ self._ones_h - batch.targets
 
-        reg = neg = 0.0
-        grads = {}
-        for name, P in self.params.items():
-            P = P.data
-            below = np.minimum(P, 0.0)
-            reg = reg + (P * P).sum()
-            neg = neg + (below * below).sum()
-            # d/dP of lam_reg * P^2 + lam_nn * relu(-P)^2
-            grads[name] = 2.0 * (cfg.lam_reg * P + cfg.lam_nn * below)
+        reg, neg = penalty.terms
+        grads = {name: g.copy() for name, g in penalty.grads.items()}
         loss = cfg.lam_x * (x_res * x_res).sum() + cfg.lam_y * (y_res * y_res).sum() \
             + cfg.lam_a * (a_res * a_res).sum() + cfg.lam_reg * reg + cfg.lam_nn * neg
 

@@ -11,6 +11,9 @@ this objective and its gradient from `defended_loss_grad`: one clean
 `Recommender.loss_grad` pass gives dL/dTheta and dL/dY, one adversarial pass
 on Y_adv follows, and the gradients mix with the same weights. lambda = 0 or
 eps_d = 0 run the clean pass alone, so those reductions are exact to the bit.
+The regularisation penalty depends on Theta alone, so `penalty_grad` runs
+once per Theta and its result is shared by every pass on it: once per
+training step, and once per attack pass over the whole training set.
 `defense_loss` and `fgsm_delta_y` build the same objective on the autodiff
 tape, the reference the hand-derived gradients are tested against.
 
@@ -32,7 +35,7 @@ from .dataset import DatasetSplit
 from .diffcore import Adam, Tensor
 from .evalkit import validation_ndcg
 from .harness.training import EarlyStopper, TrainingConfig
-from .models.base import PairBatch, Recommender
+from .models.base import PairBatch, Penalty, Recommender
 from .rng import SplitMix64, derive_seed
 
 ZERO_GRAD_NORM = 1e-12
@@ -113,22 +116,29 @@ def defense_loss(model: Recommender, batch: PairBatch, cfg: DefenseConfig,
 
 
 def defended_loss_grad(model: Recommender, batch: PairBatch, cfg: DefenseConfig,
-                       on_perturbation=None) -> tuple[float, dict[str, np.ndarray]]:
+                       penalty: Penalty, on_perturbation=None
+                       ) -> tuple[float, dict[str, np.ndarray]]:
     """`defense_loss` on one batch and its parameter gradients, from one
     clean and one adversarial `loss_grad` pass (the clean pass alone when
-    lambda or eps_d is 0)."""
+    lambda or eps_d is 0). Both passes take `penalty`, the model's
+    `penalty_grad()` at its current parameters."""
     if cfg.lam == 0.0 or cfg.eps_d == 0.0:
-        loss, grads, _ = model.loss_grad(batch)
+        loss, grads, _ = model.loss_grad(batch, penalty)
         return loss, grads
-    clean, grads, dy = model.loss_grad(batch, want_dy=True)
+    clean, grads, dy = model.loss_grad(batch, penalty, want_dy=True)
     delta_y = cfg.eps_d * np.sign(dy)
     y_adv = clip_perturbed_y(model.Y, delta_y, model.n_rating)
     if on_perturbation is not None:
         on_perturbation(delta_y, y_adv)
-    adv, adv_grads, _ = model.loss_grad(batch, Y=y_adv)
+    adv, adv_grads, _ = model.loss_grad(batch, penalty, Y=y_adv)
     lam = cfg.lam
-    return ((1.0 - lam) * clean + lam * adv,
-            {name: (1.0 - lam) * g + lam * adv_grads[name] for name, g in grads.items()})
+    # (1 - lam) * g + lam * g_adv, in place on the two fresh gradient sets
+    for name, g in grads.items():
+        a = adv_grads[name]
+        g *= 1.0 - lam
+        a *= lam
+        g += a
+    return (1.0 - lam) * clean + lam * adv, grads
 
 
 def _train_once(model: Recommender, split: DatasetSplit, defense: DefenseConfig,
@@ -147,7 +157,8 @@ def _train_once(model: Recommender, split: DatasetSplit, defense: DefenseConfig,
         rng = SplitMix64(derive_seed(seed, "epoch", epoch))
         total, n_batches = 0.0, 0
         for batch in model.epoch_batches(rng, training.batch_size):
-            loss, grads = defended_loss_grad(model, batch, defense, on_perturbation)
+            loss, grads = defended_loss_grad(model, batch, defense, model.penalty_grad(),
+                                             on_perturbation)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch} (lr={lr:g})")
             for name, p in model.params.items():
@@ -199,9 +210,10 @@ def attack_gradient(model: Recommender, defense: DefenseConfig, seed: int,
     The model's parameters and their .grad are left alone; a non-finite Xi
     raises FloatingPointError naming the parameters it came from."""
     xi = {name: np.zeros_like(p.data) for name, p in model.params.items()}
+    penalty = model.penalty_grad()  # Theta is fixed over the pass
     rng = SplitMix64(derive_seed(seed, "attack"))
     for batch in model.epoch_batches(rng, batch_size):
-        _, grads = defended_loss_grad(model, batch, defense)
+        _, grads = defended_loss_grad(model, batch, defense, penalty)
         for name, g in grads.items():
             xi[name] += g
     grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in xi.values())))

@@ -584,6 +584,43 @@ def test_checkpoint_manifest_records_training_loss(warm_cache):
         assert all(isinstance(x, float) and np.isfinite(x) for x in losses)
 
 
+def test_warm_sweep_loads_checkpoints_without_drawing_and_hashes_once(
+        corpus, warm_cache, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    shutil.copytree(warm_cache, cache)
+    hashes, real_reinit = [], EFM.reinit
+
+    def hash_spy(obj):
+        hashes.append(obj)
+        return config_hash(obj)
+
+    monkeypatch.setattr(EFM, "reinit", lambda *a: pytest.fail("warm load drew parameters"))
+    monkeypatch.setattr(sweep, "config_hash", hash_spy)
+    cfg = _sweep_config(corpus)
+    out = run_sweep(cfg, cache)
+    assert out.read_bytes() == (warm_cache / "results.csv").read_bytes()
+    # the dataset key; per cell its run id, vanilla run id, bed and attack
+    # keys; one key per results row
+    n_cells, n_rows = 2, 4
+    assert len(hashes) == 1 + 4 * n_cells + n_rows
+
+    # a checkpoint whose parameters do not fit the model is rebuilt
+    monkeypatch.undo()
+    ckpt = _first(cache, "runs/*/checkpoint")
+    manifest, params = load_checkpoint(ckpt)
+    shutil.rmtree(ckpt)
+    save_checkpoint(ckpt, manifest, {**params, "V": params["V"][:, :2]})
+    draws = []
+
+    def reinit_spy(self, seed):
+        draws.append(seed)
+        real_reinit(self, seed)
+
+    monkeypatch.setattr(EFM, "reinit", reinit_spy)
+    assert run_sweep(cfg, cache).read_bytes() == (warm_cache / "results.csv").read_bytes()
+    assert draws == [0]  # that run alone was trained again
+
+
 def test_publish_removes_only_partials_of_gone_writers(tmp_path, caplog):
     gone = subprocess.Popen([sys.executable, "-c", "pass"])
     gone.wait()

@@ -46,14 +46,18 @@ def test_loss_grad_matches_tape(cer_tiny):
         y_leaf = Tensor(cer_tiny.Y, requires_grad=True)
         taped = cer_tiny.loss(batch, Y=y_leaf)
         taped.backward()
-        loss, grads, dy = cer_tiny.loss_grad(batch, want_dy=True)
+        penalty = cer_tiny.penalty_grad()
+        shared = {name: g.copy() for name, g in penalty.grads.items()}
+        loss, grads, dy = cer_tiny.loss_grad(batch, penalty, want_dy=True)
         assert loss == pytest.approx(float(taped.data), rel=1e-12)
         assert list(grads) == list(cer_tiny.params)
         for name, p in cer_tiny.params.items():
             assert grads[name].shape == p.data.shape
             np.testing.assert_allclose(grads[name], p.grad, rtol=1e-10, atol=1e-15)
         np.testing.assert_allclose(dy, y_leaf.grad, rtol=1e-10, atol=1e-15)
-        assert cer_tiny.loss_grad(batch)[2] is None
+        assert cer_tiny.loss_grad(batch, penalty)[2] is None
+        for name, g in shared.items():  # the penalty is shared, never written
+            np.testing.assert_array_equal(penalty.grads[name], g)
 
 
 def test_loss_at_zero_params_is_log_two(cer_tiny):

@@ -53,13 +53,17 @@ def test_loss_grad_matches_tape(efm_tiny):
         y_leaf = Tensor(efm_tiny.Y, requires_grad=True)
         taped = efm_tiny.loss(batch, Y=y_leaf)
         taped.backward()
-        loss, grads, dy = efm_tiny.loss_grad(batch, want_dy=True)
+        penalty = efm_tiny.penalty_grad()
+        shared = {name: g.copy() for name, g in penalty.grads.items()}
+        loss, grads, dy = efm_tiny.loss_grad(batch, penalty, want_dy=True)
         assert loss == float(taped.data)  # the residuals are formed as on the tape
         assert list(grads) == list(efm_tiny.params)
         for name, p in efm_tiny.params.items():
             np.testing.assert_allclose(grads[name], p.grad, rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(dy, y_leaf.grad, rtol=1e-10, atol=0.0)
-        assert efm_tiny.loss_grad(batch)[2] is None
+        assert efm_tiny.loss_grad(batch, penalty)[2] is None
+        for name, g in shared.items():  # the penalty is shared, never written
+            np.testing.assert_array_equal(penalty.grads[name], g)
 
 
 def test_loss_decreases_under_training_steps(efm_tiny):
@@ -68,7 +72,7 @@ def test_loss_decreases_under_training_steps(efm_tiny):
     batch = _batch(efm_tiny, seed=2)
     first = float(efm_tiny.loss(batch).data)
     for _ in range(30):
-        _, grads, _ = efm_tiny.loss_grad(batch)
+        _, grads, _ = efm_tiny.loss_grad(batch, efm_tiny.penalty_grad())
         for name, p in efm_tiny.params.items():
             p.grad = grads[name]
         opt.step()

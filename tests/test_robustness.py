@@ -1,4 +1,6 @@
 """Defense objective, weight attack, and their exact reduction identities."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,8 @@ def test_defended_loss_grad_matches_tape(algo, lam, eps_d, efm_tiny, cer_tiny):
     for seed in range(3):
         batch = _batch(model, seed=seed)
         seen = []
-        loss, grads = defended_loss_grad(model, batch, cfg,
+        penalty = model.penalty_grad()
+        loss, grads = defended_loss_grad(model, batch, cfg, penalty,
                                          on_perturbation=lambda d, y: seen.append((d, y)))
         want_loss, want = _taped_defense_grad(model, batch, cfg)
         assert loss == pytest.approx(want_loss, rel=1e-12)
@@ -108,7 +111,7 @@ def test_defended_loss_grad_matches_tape(algo, lam, eps_d, efm_tiny, cer_tiny):
             np.testing.assert_allclose(grads[name], g, rtol=1e-10, atol=1e-15)
         if lam == 0.0 or eps_d == 0.0:
             assert seen == []  # the clean pass alone
-            clean_loss, clean, _ = model.loss_grad(batch)
+            clean_loss, clean, _ = model.loss_grad(batch, penalty)
             assert loss == clean_loss
             for name, g in clean.items():
                 np.testing.assert_array_equal(grads[name], g)
@@ -132,7 +135,7 @@ def test_fgsm_sign_matches_tape_over_a_full_epoch(algo):
     model.reinit(0)
     eps_d, batches = 0.25, 0
     for batch in model.epoch_batches(SplitMix64(derive_seed(0, "epoch", 1)), 32):
-        _, _, dy = model.loss_grad(batch, want_dy=True)
+        _, _, dy = model.loss_grad(batch, model.penalty_grad(), want_dy=True)
         want = fgsm_delta_y(model, batch, X, Y, eps_d)
         assert np.array_equal(eps_d * np.sign(dy), want), f"sign differs in batch {batches}"
         batches += 1
@@ -155,6 +158,36 @@ def test_attack_gradient_matches_tape_accumulation(algo, lam, eps_d, efm_tiny, c
         np.testing.assert_allclose(xi[name], g, rtol=1e-10, atol=1e-15)
     want_norm = np.sqrt(sum(float((g * g).sum()) for g in want.values()))
     assert grad_norm == pytest.approx(want_norm, rel=1e-12)
+
+
+@pytest.mark.parametrize("algo", ["efm", "cer"])
+def test_penalty_is_computed_once_per_parameter_set(algo, efm_tiny, cer_tiny, tiny_split,
+                                                    monkeypatch):
+    # Theta moves every training step and stays fixed over an attack pass
+    model = efm_tiny if algo == "efm" else cer_tiny
+    defense = DefenseConfig(lam=0.5, eps_d=0.25)
+    penalties, passes = [], []
+    real_penalty, real_pass = model.penalty_grad, rob.defended_loss_grad
+
+    def penalty_spy():
+        penalties.append(real_penalty())
+        return penalties[-1]
+
+    def pass_spy(model, batch, cfg, penalty, on_perturbation=None):
+        passes.append(penalty)
+        return real_pass(model, batch, cfg, penalty, on_perturbation)
+
+    monkeypatch.setattr(model, "penalty_grad", penalty_spy)
+    monkeypatch.setattr(rob, "defended_loss_grad", pass_spy)
+    train_defended(model, tiny_split, defense, TrainingConfig(batch_size=8, max_epochs=2),
+                   seed=0)
+    assert len(passes) == len(penalties) > 2
+    assert all(used is made for used, made in zip(passes, penalties))
+    penalties.clear()
+    passes.clear()
+    attack_gradient(model, defense, seed=0, batch_size=8)
+    assert len(penalties) == 1 and len(passes) > 2
+    assert all(used is penalties[0] for used in passes)
 
 
 def test_training_records_mean_loss_per_epoch(efm_tiny, tiny_split):
@@ -388,3 +421,37 @@ def test_attack_rejects_invalid_budget(efm_tiny, eps_a):
         scale_attack(gradient, eps_a)
     with pytest.raises(ValueError, match="eps_a"):
         attack_weights(efm_tiny, DefenseConfig(), eps_a, seed=0)
+
+
+def _digest(arrays: dict, *extra: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for arr in extra:
+        h.update(arr.tobytes())
+    for name, arr in arrays.items():
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of one 1-epoch lambda=0.5, eps_d=0.25 run on tiny_split, recorded
+# from the code that recomputed the penalty on every loss pass: (the epoch's
+# mean loss and the trained parameters, ||Xi|| and Xi). Any moved bit fails.
+GOLDEN_DEFENDED_RUN = {
+    "efm": ("63b0c35d9dffe9664c5dbed6ad56ac6d4470b69ac8de5e675f9a09307a4eeb8f",
+            "a784d1c582b3e2fd47645a3e1fc7f9be1521d2ccae83a790c87a3134b3dffcef"),
+    "cer": ("344b8b2f4277b21ca6aa082ab0684d558515ab6763979c1aae6f067d714052ac",
+            "5158bc16827d443836db12f0c07482fcffdf939712fcc377cb0c3baffe286d47"),
+}
+
+
+@pytest.mark.parametrize("algo", ["efm", "cer"])
+def test_defended_run_and_attack_gradient_are_pinned(algo, efm_tiny, cer_tiny, tiny_split):
+    model = efm_tiny if algo == "efm" else cer_tiny
+    defense = DefenseConfig(lam=0.5, eps_d=0.25)
+    result = train_defended(model, tiny_split, defense,
+                            TrainingConfig(batch_size=8, lr=0.01, max_epochs=1), seed=0)
+    assert result.best_epoch == 1  # the trained parameters, not the initial ones
+    trained = _digest(model.param_arrays(), np.asarray(result.train_loss))
+    xi, grad_norm = attack_gradient(model, defense, seed=0, batch_size=8)
+    attack = _digest(xi, np.float64(grad_norm))
+    assert (trained, attack) == GOLDEN_DEFENDED_RUN[algo]

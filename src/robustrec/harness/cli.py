@@ -13,13 +13,12 @@ import json
 import sys
 from pathlib import Path
 
-from ..evalkit import gold_explanations, train_feature_sets
 from ..robustness import DefenseConfig, fmt_eps, scale_attack
 from .config import ConfigError, apply_overrides, load_config, training_config
 from .report import write_report
 from .sweep import (SweepCell, cell_keys, ensure_attack, ensure_bed, ensure_eval,
-                    ensure_trained, load_dataset, new_model, resolve_cache, run_sweep,
-                    train_cell)
+                    ensure_trained, eval_inputs, load_dataset, new_model, resolve_cache,
+                    run_sweep, train_cell)
 from .training import hyperparameter_search
 
 
@@ -98,7 +97,7 @@ def cmd_evaluate(cfg: dict, cache: Path, args) -> None:
     keys = cell_keys(cfg, cell, data, run_id)
     bed = ensure_bed(cfg, cell, data, cache, keys)
     row = ensure_eval(cfg, cell, model, run_dir, run_id, float(args.eps_a), data,
-                      bed, gold_explanations(data.split), train_feature_sets(data.split), keys)
+                      bed, eval_inputs(data), keys)
     print(json.dumps(row, indent=2, sort_keys=True))
 
 

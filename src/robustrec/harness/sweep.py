@@ -8,11 +8,17 @@ byte-identical results.csv. Processes may fill one cache at once: each
 writes its own temporary, and one that loses the rename loads the winner's.
 Vanilla cells run first: their rankings define the per-(algo, seed)
 evaluation bed every condition is scored on.
+
+A rerun of a finished grid only reads: the review file (for its sha256), the
+dataset artifact, each checkpoint, each bed once per (algo, seed) and each
+results row. The evaluation inputs (gold explanations and the users' training
+features) are derived only when a results row has to be built.
 """
 from __future__ import annotations
 
 import csv
 import errno
+import functools
 import hashlib
 import io
 import json
@@ -286,7 +292,10 @@ def ensure_bed(cfg: dict, cell: SweepCell, data: Dataset, cache: Path,
 
     def load(path: Path) -> dict[int, list[int]]:
         doc = json.loads(path.read_text())
-        return {int(u): [int(v) for v in items] for u, items in doc.items()}
+        if not (isinstance(doc, dict) and all(
+                isinstance(vs, list) and all(type(v) is int for v in vs) for vs in doc.values())):
+            raise ValueError(f"{path}: a bed maps users to lists of item ids")
+        return {int(u): items for u, items in doc.items()}
 
     return artifact(cache / "runs" / keys.vanilla_id / f"bed_{keys.bed}.json", build, save, load)
 
@@ -315,12 +324,23 @@ def ensure_attack(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
     return artifact(path, build, save, load), path
 
 
+EvalInputs = tuple[dict[tuple[int, int], set[int]], dict[int, set[int]]]
+
+
+def eval_inputs(data: Dataset) -> Callable[[], EvalInputs]:
+    """The dataset's gold explanations and users' training feature sets, as
+    a callable that derives them on its first call and returns them after."""
+    return functools.cache(lambda: (gold_explanations(data.split),
+                                    train_feature_sets(data.split)))
+
+
 def ensure_eval(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
-                run_id: str, eps_a: float, data: Dataset,
-                bed: dict[int, list[int]], gold, user_features, keys: CellKeys) -> dict:
+                run_id: str, eps_a: float, data: Dataset, bed: dict[int, list[int]],
+                inputs: Callable[[], EvalInputs], keys: CellKeys) -> dict:
     """One results row: clean when eps_a = 0, otherwise attack then evaluate.
-    A cached row is reused without loading the attack gradient behind it; a
-    clean row's key leaves the attack settings out, as its value does."""
+    A cached row is reused without loading the attack gradient behind it or
+    calling `inputs` (see `eval_inputs`); a clean row's key leaves the attack
+    settings out, as its value does."""
     top_n, k_ndcg = int(cfg["eval"]["top_n"]), int(cfg["eval"]["k_ndcg"])
     source = {"run": run_id} if eps_a == 0.0 else {"attack": keys.attack}
     key = config_hash({**source, "eps_a": eps_a, "bed": keys.bed,
@@ -332,6 +352,7 @@ def ensure_eval(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
             gradient, _ = ensure_attack(cfg, cell, model, run_dir, keys.attack)
             target = attacked_copy(model, scale_attack(gradient, eps_a).delta)
             grad_norm = gradient.grad_norm
+        gold, user_features = inputs()
         report = evaluate(target, data.split, bed, gold, user_features,
                           top_n=top_n, k_ndcg=k_ndcg)
         return {"run_id": run_id, "algo": cell.algo, "dataset": cfg["dataset"]["name"],
@@ -341,6 +362,8 @@ def ensure_eval(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
 
     def load(path: Path) -> dict:
         row = json.loads(path.read_text())
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}: a results row is a JSON object")
         missing = [c for c in RESULT_COLUMNS if c not in row]
         if missing:
             raise KeyError(f"results row lacks {missing}")
@@ -380,18 +403,19 @@ def run_sweep(cfg: dict, cache: Path | None = None) -> Path:
     """Execute the whole grid; returns the path of results.csv."""
     cache = resolve_cache(cache)
     data = load_dataset(cfg, cache)
-    gold = gold_explanations(data.split)
-    user_features = train_feature_sets(data.split)
+    inputs = eval_inputs(data)
     sw = cfg["sweep"]
     cells = enumerate_cells(sw["algos"], sw["lambdas"], sw["eps_ds"], sw["seeds"])
     rows: list[dict] = []
+    beds: dict[str, dict[int, list[int]]] = {}  # by bed key: read once per (algo, seed)
     for cell in cells:
         model, run_dir, run_id = ensure_trained(cfg, cell, data, cache)
         keys = cell_keys(cfg, cell, data, run_id)
-        bed = ensure_bed(cfg, cell, data, cache, keys)
+        if keys.bed not in beds:
+            beds[keys.bed] = ensure_bed(cfg, cell, data, cache, keys)
         for eps_a in cfg["attack"]["eps_a_grid"]:
             rows.append(ensure_eval(cfg, cell, model, run_dir, run_id, float(eps_a),
-                                    data, bed, gold, user_features, keys))
+                                    data, beds[keys.bed], inputs, keys))
     out = cache / "results.csv"
     write_results(out, rows)
     return out

@@ -198,13 +198,14 @@ class Recommender(ABC):
         return clone
 
     def set_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Take copies of `arrays` as the parameters, in `param_shapes` order;
-        a missing, extra or misshapen array raises ValueError."""
+        """Adopt `arrays` as the parameters, in `param_shapes` order, without
+        copying float64 arrays: the caller hands over fresh arrays it no longer
+        uses. A missing, extra or misshapen array raises ValueError."""
         shapes = self.param_shapes()
         if set(arrays) != set(shapes):
             raise ValueError(f"parameter names {sorted(arrays)} != expected {sorted(shapes)}")
         for name, shape in shapes.items():
             if arrays[name].shape != shape:
                 raise ValueError(f"parameter {name}: shape {arrays[name].shape} != expected {shape}")
-        self.params = {name: Tensor(np.array(arrays[name], dtype=np.float64), requires_grad=True)
+        self.params = {name: Tensor(np.asarray(arrays[name], dtype=np.float64), requires_grad=True)
                        for name in shapes}

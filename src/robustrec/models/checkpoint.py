@@ -34,11 +34,15 @@ def save_checkpoint(path: str | Path, manifest: dict, params: dict[str, np.ndarr
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """(manifest, arrays) of an array directory. A malformed index entry, or a
-    blob missing, of another dtype or of the wrong size, raises ValueError."""
+    """(manifest, arrays) of an array directory; the arrays are fresh and
+    writable. A manifest or index that is not a JSON object, a malformed index
+    entry, or a blob missing, of another dtype or of the wrong size, raises
+    ValueError."""
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text())
     index = json.loads((root / "index.json").read_text())
+    if not (isinstance(manifest, dict) and isinstance(index, dict)):
+        raise ValueError(f"{path}: manifest.json and index.json must be JSON objects")
     files = {p.name for p in root.iterdir()}
     params: dict[str, np.ndarray] = {}
     for name, shape in index.items():

@@ -16,7 +16,7 @@ import pytest
 import robustrec.harness.sweep as sweep
 import robustrec.harness.training as training_mod
 import robustrec.robustness as rob
-from robustrec.dataset import build_split, ingest_reviews
+from robustrec.dataset import DatasetSplit, build_split, ingest_reviews
 from robustrec.evalkit import EvalReport, build_bed, evaluate
 from robustrec.harness.cli import main as cli_main
 from robustrec.harness.cli import parse_override_tokens
@@ -505,12 +505,21 @@ def _first(cache, pattern):
     return sorted(cache.glob(pattern))[0]
 
 
+def _write_json(pattern, doc):
+    """A JSON artifact that parses but holds a document of the wrong type."""
+    return lambda cache: _first(cache, pattern).write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda c: _truncate(_first(c, "runs/*/checkpoint/*.f64")), id="param-blob"),
     pytest.param(lambda c: _first(c, "runs/*/checkpoint/index.json").unlink(), id="index-json"),
     pytest.param(lambda c: _truncate(_first(c, "datasets/*/*.i64")), id="dataset-blob"),
     pytest.param(lambda c: _first(c, "datasets/*/index.json").unlink(), id="dataset-index"),
     pytest.param(lambda c: _unpublish(_first(c, "runs/*/checkpoint")), id="temp-sibling"),
+    pytest.param(_write_json("runs/*/bed_*.json", []), id="bed-list"),
+    pytest.param(_write_json("runs/*/bed_*.json", {"3": 5}), id="bed-int-items"),
+    pytest.param(_write_json("runs/*/eval_*.json", 5), id="eval-row-int"),
+    pytest.param(_write_json("runs/*/checkpoint/index.json", []), id="index-list"),
 ])
 def test_damaged_artifact_is_rebuilt(damage, corpus, warm_cache, tmp_path, caplog):
     cache = tmp_path / "cache"
@@ -619,6 +628,88 @@ def test_warm_sweep_loads_checkpoints_without_drawing_and_hashes_once(
     monkeypatch.setattr(EFM, "reinit", reinit_spy)
     assert run_sweep(cfg, cache).read_bytes() == (warm_cache / "results.csv").read_bytes()
     assert draws == [0]  # that run alone was trained again
+
+
+def _fail_on_eval_inputs(monkeypatch):
+    for name in ("gold_explanations", "train_feature_sets"):
+        monkeypatch.setattr(sweep, name, lambda *a, name=name: pytest.fail(f"{name} derived"))
+    # what both read, whoever calls them
+    monkeypatch.setattr(DatasetSplit, "mention_table",
+                        lambda *a: pytest.fail("mention table read"))
+
+
+def test_warm_sweep_derives_no_eval_inputs_and_reads_each_bed_once(
+        corpus, warm_cache, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    shutil.copytree(warm_cache, cache)
+    _fail_on_eval_inputs(monkeypatch)
+    reads, real_read_text = [], Path.read_text
+
+    def read_spy(self, *args, **kwargs):
+        reads.append(self)
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_spy)
+    out = run_sweep(_sweep_config(corpus), cache)
+    assert out.read_bytes() == (warm_cache / "results.csv").read_bytes()
+    beds = [p for p in reads if p.name.startswith("bed_")]
+    # one (algo, seed), whose vanilla and defended cells share the bed
+    assert beds == sorted(cache.glob("runs/*/bed_*.json"))
+
+
+def test_warm_load_adopts_the_loaded_arrays(corpus, warm_cache, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    shutil.copytree(warm_cache, cache)
+    cfg = _sweep_config(corpus)
+    data = sweep.load_dataset(cfg, cache)
+    loaded = []
+    monkeypatch.setattr(sweep, "load_checkpoint",
+                        lambda path: loaded.append(load_checkpoint(path)) or loaded[-1])
+    monkeypatch.setattr(sweep, "train_defended", lambda *a: pytest.fail("retrained"))
+    model, _, _ = sweep.train_cell(cfg, SweepCell("efm", 0.5, 0.25, 0), data, cache)
+    [(_, params)] = loaded
+    assert model.params.keys() == params.keys()
+    for name, p in model.params.items():
+        assert p.data is params[name]  # the loaded array itself, not a copy
+        assert p.data.flags.writeable
+
+
+@pytest.mark.parametrize("n_deleted", [1, 4])
+def test_rebuilt_rows_derive_the_eval_inputs_once(n_deleted, corpus, warm_cache, tmp_path,
+                                                  monkeypatch):
+    cache = tmp_path / "cache"
+    shutil.copytree(warm_cache, cache)
+    rows = sorted(cache.glob("runs/*/eval_*.json"))
+    assert len(rows) == 4
+    for path in rows[:n_deleted]:
+        path.unlink()
+    calls = []
+    for name in ("gold_explanations", "train_feature_sets"):
+        real = getattr(sweep, name)
+        monkeypatch.setattr(sweep, name, lambda split, name=name, real=real:
+                            calls.append(name) or real(split))
+    out = run_sweep(_sweep_config(corpus), cache)
+    assert out.read_bytes() == (warm_cache / "results.csv").read_bytes()
+    assert sorted(calls) == ["gold_explanations", "train_feature_sets"]
+    assert sorted(cache.glob("runs/*/eval_*.json")) == rows
+
+
+def test_cli_evaluate_of_a_cached_row_derives_no_eval_inputs(corpus, warm_cache, tmp_path,
+                                                             capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    shutil.copytree(warm_cache, cache)
+    cfg = _sweep_config(corpus)
+    cfg["defense"].update({"lambda": 0.5, "eps_d": 0.25})  # the defended cell of the sweep
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    _fail_on_eval_inputs(monkeypatch)
+    monkeypatch.setattr(sweep, "evaluate", lambda *a, **k: pytest.fail("row evaluated"))
+    assert cli_main(["--config", str(config), "--cache", str(cache),
+                     "evaluate", "--eps-a", "0.5"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["condition"] == "attacked" and row["lambda"] == 0.5
+    cached = [json.loads(p.read_text()) for p in cache.glob("runs/*/eval_*.json")]
+    assert row in cached
 
 
 def test_publish_removes_only_partials_of_gone_writers(tmp_path, caplog):

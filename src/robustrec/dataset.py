@@ -3,7 +3,7 @@
 Input is JSON lines, one review per line:
 
     {"user_id": ..., "item_id": ..., "rating": 1..N, "timestamp": int,
-     "triples": [{"feature": ..., "opinion": ..., "sentiment": +1|-1}, ...]}
+     "triples": [{"feature": ..., "opinion": ... (ignored), "sentiment": +1|-1}, ...]}
 
 The split is per user, chronological: the 6 latest interactions become test
 positives, the latest remaining one the validation positive, the rest train.
@@ -42,19 +42,12 @@ class SplitError(ValueError):
 
 
 @dataclass(frozen=True)
-class SentimentTriple:
-    feature: str
-    opinion: str
-    sentiment: int  # +1 or -1
-
-
-@dataclass(frozen=True)
 class ReviewRecord:
     user_id: str
     item_id: str
     rating: int
     timestamp: int
-    triples: tuple[SentimentTriple, ...]
+    mentions: tuple[tuple[str, int], ...]  # (feature, sentiment +1|-1), in file order
 
 
 @dataclass(eq=False)
@@ -187,7 +180,7 @@ def _parse_record(obj: dict, line_no: int, max_rating: int) -> ReviewRecord:
     if not (-2**63 <= timestamp < 2**63):  # the dataset artifact stores int64
         raise IngestError(f"line {line_no}: timestamp {timestamp} does not fit "
                           "a signed 64-bit integer")
-    triples = []
+    mentions = []
     for t in raw_triples:
         try:
             sentiment = t["sentiment"]
@@ -195,8 +188,8 @@ def _parse_record(obj: dict, line_no: int, max_rating: int) -> ReviewRecord:
             raise IngestError(f"line {line_no}: triple missing 'sentiment'") from None
         if sentiment not in (1, -1):
             raise IngestError(f"line {line_no}: sentiment must be +1 or -1, got {sentiment!r}")
-        triples.append(SentimentTriple(str(t.get("feature", "")), str(t.get("opinion", "")), int(sentiment)))
-    return ReviewRecord(user_id, item_id, rating, timestamp, tuple(triples))
+        mentions.append((str(t.get("feature", "")), int(sentiment)))
+    return ReviewRecord(user_id, item_id, rating, timestamp, tuple(mentions))
 
 
 def ingest_reviews(source: str | Path | Iterable[str], min_reviews_per_user: int = 1,
@@ -232,7 +225,7 @@ def dataset_stats(records: list[ReviewRecord]) -> dict:
     """Corpus-level counts plus sparsity% = 100*reviews/(users*items), 5 significant digits."""
     users = {r.user_id for r in records}
     items = {r.item_id for r in records}
-    features = {t.feature for r in records for t in r.triples}
+    features = {f for r in records for f, _ in r.mentions}
     n_reviews = len(records)
     if users and items:
         sparsity = float(f"{100.0 * n_reviews / (len(users) * len(items)):.5g}")
@@ -260,7 +253,7 @@ def build_split(records: list[ReviewRecord], config: SplitConfig = SplitConfig()
         raise SplitError("no records to split")
     users = sorted({r.user_id for r in records})
     items = sorted({r.item_id for r in records})
-    features = sorted({t.feature for r in records for t in r.triples})
+    features = sorted({f for r in records for f, _ in r.mentions})
     uidx = {u: i for i, u in enumerate(users)}
     iidx = {v: i for i, v in enumerate(items)}
     fidx = {f: i for i, f in enumerate(features)}
@@ -270,7 +263,7 @@ def build_split(records: list[ReviewRecord], config: SplitConfig = SplitConfig()
     merged: dict[tuple[str, str], dict] = {}
     for r in records:  # records come sorted by (user, time)
         key = (r.user_id, r.item_id)
-        mentions = [(fidx[t.feature], t.sentiment) for t in r.triples]
+        mentions = [(fidx[f], sentiment) for f, sentiment in r.mentions]
         slot = merged.get(key)
         if slot is None:
             merged[key] = {"rating": r.rating, "ts": r.timestamp, "mentions": mentions}

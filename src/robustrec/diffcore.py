@@ -345,37 +345,37 @@ def clip(a, lo: float, hi: float) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction and decoupled weight decay.
+    """Adam with bias correction and decoupled weight decay, on plain arrays.
 
     The decay is applied to the raw parameter before the moment update:
     param -= lr*wd*param, then param -= lr * m_hat / (sqrt(v_hat) + eps).
     """
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        self.params: list[Tensor] = list(params.values()) if isinstance(params, dict) else list(params)
+    def __init__(self, params: list[np.ndarray], lr: float, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+        self.params = list(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m = [np.zeros_like(p) for p in self.params]
+        self._v = [np.zeros_like(p) for p in self.params]
 
-    def step(self) -> None:
+    def step(self, grads: list[np.ndarray | None]) -> None:
+        """Update each array in place by its gradient; a None gradient skips it."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
+        for p, g, m, v in zip(self.params, grads, self._m, self._v, strict=True):
+            if g is None:
                 continue
             if self.weight_decay != 0.0:
-                p.data -= self.lr * self.weight_decay * p.data
-            g = p.grad
+                p -= self.lr * self.weight_decay * p
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

@@ -114,13 +114,11 @@ class EvalReport:
 
 def evaluate(model: Recommender, split: DatasetSplit, bed: dict[int, list[int]],
              gold: dict[tuple[int, int], set[int]],
-             user_features: dict[int, set[int]] | None = None,
+             user_features: dict[int, set[int]],
              top_n: int = EvalReport.top_n, k_ndcg: int = EvalReport.k_ndcg) -> EvalReport:
     """Rank every test user's candidates (NDCG@k) and explain every bed pair
     with nonempty gold. Explanations never enforce the top-K precondition
     here: the bed is fixed by the reference model, not the one under test."""
-    if user_features is None:
-        user_features = train_feature_sets(split)
     ndcg_total = 0.0
     n_users = 0
     n_skipped = 0

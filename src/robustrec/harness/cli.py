@@ -14,11 +14,11 @@ import sys
 from pathlib import Path
 
 from ..robustness import DefenseConfig, fmt_eps, scale_attack
-from .config import ConfigError, apply_overrides, load_config, training_config
+from .config import ConfigError, apply_override, load_config, training_config
 from .report import write_report
 from .sweep import (SweepCell, cell_keys, ensure_attack, ensure_bed, ensure_eval,
                     ensure_trained, eval_inputs, load_dataset, new_model, resolve_cache,
-                    run_sweep, train_cell)
+                    run_sweep)
 from .training import hyperparameter_search
 
 
@@ -64,9 +64,9 @@ def cmd_train(cfg: dict, cache: Path, args) -> None:
         cfg["training"]["lr"] = lr
         cfg["training"]["weight_decay"] = wd
         print(f"search selected lr={lr:g} weight_decay={wd:g}", file=sys.stderr)
-    _, manifest, run_dir = train_cell(cfg, cell, data, cache)
+    _, run_dir, run_id, manifest = ensure_trained(cfg, cell, data, cache)
     print(json.dumps({
-        "run_id": run_dir.name,
+        "run_id": run_id,
         "checkpoint": str(run_dir / "checkpoint"),
         "best_epoch": manifest["best_epoch"],
         "epochs_trained": manifest["epochs_trained"],
@@ -79,7 +79,7 @@ def cmd_train(cfg: dict, cache: Path, args) -> None:
 def cmd_attack(cfg: dict, cache: Path, args) -> None:
     data = load_dataset(cfg, cache)
     cell = _cell_from_config(cfg)
-    model, run_dir, run_id = ensure_trained(cfg, cell, data, cache)
+    model, run_dir, run_id, _ = ensure_trained(cfg, cell, data, cache)
     grid = [args.eps_a] if args.eps_a is not None else \
         [e for e in cfg["attack"]["eps_a_grid"] if e != 0.0]
     gradient, path = ensure_attack(cfg, cell, model, run_dir,
@@ -93,7 +93,7 @@ def cmd_attack(cfg: dict, cache: Path, args) -> None:
 def cmd_evaluate(cfg: dict, cache: Path, args) -> None:
     data = load_dataset(cfg, cache)
     cell = _cell_from_config(cfg)
-    model, run_dir, run_id = ensure_trained(cfg, cell, data, cache)
+    model, run_dir, run_id, _ = ensure_trained(cfg, cell, data, cache)
     keys = cell_keys(cfg, cell, data, run_id)
     bed = ensure_bed(cfg, cell, data, cache, keys)
     row = ensure_eval(cfg, cell, model, run_dir, run_id, float(args.eps_a), data,
@@ -141,7 +141,8 @@ def main(argv: list[str] | None = None) -> int:
     args, unknown = parser.parse_known_args(argv)
     try:
         cfg = load_config(args.config)
-        apply_overrides(cfg, parse_override_tokens(unknown))
+        for dotted, raw in parse_override_tokens(unknown):
+            apply_override(cfg, dotted, raw)
     except ConfigError as e:
         parser.error(str(e))
     cache = resolve_cache(args.cache)

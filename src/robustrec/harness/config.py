@@ -148,11 +148,6 @@ def apply_override(cfg: dict, dotted: str, raw: str) -> None:
     node[leaf] = _coerce(dotted, schema[leaf], value)
 
 
-def apply_overrides(cfg: dict, pairs: list[tuple[str, str]]) -> None:
-    for dotted, raw in pairs:
-        apply_override(cfg, dotted, raw)
-
-
 def config_hash(obj) -> str:
     """12-hex content hash of a canonical JSON rendering."""
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))

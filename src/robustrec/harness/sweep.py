@@ -51,6 +51,10 @@ CACHE_ENV = "ROBUSTREC_CACHE"
 REPORT_COLUMNS = ["ndcg", "expl_pr", "expl_re", "expl_f1", "n_users", "n_pairs", "n_non_cf"]
 RESULT_COLUMNS = ["run_id", "algo", "dataset", "lambda", "eps_d", "eps_a", "condition",
                   *REPORT_COLUMNS, "grad_norm"]
+# the JSON types of the results row columns that are not int or float
+COLUMN_TYPES = {**dict.fromkeys(["run_id", "algo", "dataset", "condition"], (str,)),
+                **dict.fromkeys(["n_users", "n_pairs", "n_non_cf"], (int,)),
+                "grad_norm": (int, float, type(None))}
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -223,11 +227,11 @@ def new_model(cfg: dict, cell: SweepCell, data: Dataset) -> Recommender:
     return model
 
 
-def train_cell(cfg: dict, cell: SweepCell, data: Dataset,
-               cache: Path) -> tuple[Recommender, dict, Path]:
-    """The cell's model with best-epoch parameters, attached to the split,
-    its checkpoint manifest and its run directory (named by the run id).
-    Trains unless the checkpoint is cached."""
+def ensure_trained(cfg: dict, cell: SweepCell, data: Dataset,
+                   cache: Path) -> tuple[Recommender, Path, str, dict]:
+    """(model, run_dir, run_id, manifest): the cell's model with best-epoch
+    parameters, attached to the split, its run directory, named by the run
+    id, and its checkpoint manifest. Trains unless the checkpoint is cached."""
     run_cfg = cell_run_config(cfg, cell, data)
     run_dir = cache / "runs" / config_hash(run_cfg)
     split, model = data.split, new_model(cfg, cell, data)
@@ -249,14 +253,7 @@ def train_cell(cfg: dict, cell: SweepCell, data: Dataset,
 
     manifest = artifact(run_dir / "checkpoint", build,
                         lambda path, m: save_checkpoint(path, m, model.param_arrays()), load)
-    return model, manifest, run_dir
-
-
-def ensure_trained(cfg: dict, cell: SweepCell, data: Dataset,
-                   cache: Path) -> tuple[Recommender, Path, str]:
-    """`train_cell` as (model, run_dir, run_id)."""
-    model, _, run_dir = train_cell(cfg, cell, data, cache)
-    return model, run_dir, run_dir.name
+    return model, run_dir, run_dir.name, manifest
 
 
 class CellKeys(NamedTuple):
@@ -284,7 +281,7 @@ def ensure_bed(cfg: dict, cell: SweepCell, data: Dataset, cache: Path,
     Trains the vanilla cell on demand when the sweep doesn't include it."""
     def build() -> dict[int, list[int]]:
         vanilla = SweepCell(cell.algo, 0.0, 0.0, cell.seed)
-        model, _, _ = ensure_trained(cfg, vanilla, data, cache)
+        model = ensure_trained(cfg, vanilla, data, cache)[0]
         return build_bed(model, data.split, k_rec=int(cfg["eval"]["k_rec"]))
 
     def save(path: Path, bed: dict[int, list[int]]) -> None:
@@ -317,8 +314,13 @@ def ensure_attack(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
 
     def load(path: Path) -> AttackGradient:
         manifest, xi = load_checkpoint(path)
+        shapes, grad_norm = model.param_shapes(), manifest.get("grad_norm")
+        if not (set(xi) == set(shapes) and all(xi[n].shape == s for n, s in shapes.items())
+                and type(grad_norm) is float and np.isfinite(grad_norm) and grad_norm >= 0.0):
+            raise ValueError(f"{path}: Xi must have the model's parameter shapes "
+                             f"and grad_norm must be a finite float >= 0")
         # in the model's parameter order, which the norms of a delta are summed in
-        return AttackGradient({name: xi[name] for name in model.params}, manifest["grad_norm"])
+        return AttackGradient({name: xi[name] for name in shapes}, grad_norm)
 
     path = run_dir / f"attack_{key}"
     return artifact(path, build, save, load), path
@@ -367,6 +369,9 @@ def ensure_eval(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
         missing = [c for c in RESULT_COLUMNS if c not in row]
         if missing:
             raise KeyError(f"results row lacks {missing}")
+        bad = [c for c in RESULT_COLUMNS if type(row[c]) not in COLUMN_TYPES.get(c, (int, float))]
+        if bad:
+            raise ValueError(f"{path}: results row has wrong-typed {bad}")
         return row
 
     return artifact(run_dir / f"eval_{key}.json", build,
@@ -409,7 +414,7 @@ def run_sweep(cfg: dict, cache: Path | None = None) -> Path:
     rows: list[dict] = []
     beds: dict[str, dict[int, list[int]]] = {}  # by bed key: read once per (algo, seed)
     for cell in cells:
-        model, run_dir, run_id = ensure_trained(cfg, cell, data, cache)
+        model, run_dir, run_id, _ = ensure_trained(cfg, cell, data, cache)
         keys = cell_keys(cfg, cell, data, run_id)
         if keys.bed not in beds:
             beds[keys.bed] = ensure_bed(cfg, cell, data, cache, keys)

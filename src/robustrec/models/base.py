@@ -5,9 +5,9 @@ its hand-derived parameter gradients (and optionally dL/dY, which the defense
 perturbs item aspect values along) in plain numpy, which training and the
 weight attack run on; `penalty_grad`, the part of that objective that depends
 on the parameters alone, computed once per parameter set and shared by every
-`loss_grad` pass on it; `loss`, the same objective on the autodiff tape, whose
-Y argument may be a gradient-tracked Tensor and which serves as the gradient
-reference; fast numpy `scores` for ranking, per-pair `explain`, and
+`loss_grad` pass on it; `loss`, the same objective on the autodiff tape over
+the attached X and Y, whose Y may be replaced by a gradient-tracked Tensor, the
+gradient reference; fast numpy `scores` for ranking, per-pair `explain`, and
 `explain_pairs` for many pairs in one call.
 """
 from __future__ import annotations
@@ -71,29 +71,17 @@ class Recommender(ABC):
 
     def __init__(self) -> None:
         self.params: dict[str, Tensor] = {}
-        self._X: np.ndarray | None = None
-        self._Y: np.ndarray | None = None
+        self.X: np.ndarray | None = None  # user aspect matrix, set by attach
+        self.Y: np.ndarray | None = None  # item aspect matrix, set by attach
         self._split: DatasetSplit | None = None
         self.n_rating: int = MAX_RATING
 
     def attach(self, split: DatasetSplit, X: np.ndarray, Y: np.ndarray) -> None:
         """Bind the training data this model learns from and is scored on."""
-        self._X = np.asarray(X, dtype=np.float64)
-        self._Y = np.asarray(Y, dtype=np.float64)
+        self.X = np.asarray(X, dtype=np.float64)
+        self.Y = np.asarray(Y, dtype=np.float64)
         self._split = split
         self.n_rating = split.n_rating
-        self._on_attach(split)
-
-    def _on_attach(self, split: DatasetSplit) -> None:
-        pass
-
-    @property
-    def X(self) -> np.ndarray:
-        return self._X
-
-    @property
-    def Y(self) -> np.ndarray:
-        return self._Y
 
     def candidate_items(self, u: int) -> np.ndarray:
         """Test user u's candidate items: its positives, then its negatives."""
@@ -113,7 +101,7 @@ class Recommender(ABC):
         split = self._split
         if split is None:
             raise RuntimeError("epoch_batches() before attach()")
-        n_items = self._Y.shape[0]
+        n_items = self.Y.shape[0]
         train = np.flatnonzero(split.part == TRAIN)
         order = list(range(len(train)))
         rng.shuffle(order)
@@ -149,10 +137,10 @@ class Recommender(ABC):
         """(Re)draw initial parameters; requires attach() first."""
 
     @abstractmethod
-    def loss(self, batch: PairBatch, X=None, Y=None) -> Tensor:
+    def loss(self, batch: PairBatch, Y=None) -> Tensor:
         """Training loss on one batch on the tape, the reference `loss_grad`
-        is checked against. X/Y default to the attached matrices; Y may be a
-        Tensor to obtain gradients w.r.t. item aspect values."""
+        is checked against. X is the attached matrix; Y defaults to it and
+        may be a Tensor to obtain gradients w.r.t. item aspect values."""
 
     @abstractmethod
     def penalty_grad(self) -> Penalty:

@@ -60,21 +60,20 @@ def counterfactual_deltas(score_grad: Callable[[np.ndarray], tuple[np.ndarray, n
     item) of each row in errors. Returns (deltas, converged, final scores);
     converged means a final score at or below threshold - margin.
     """
-    delta = Tensor(np.zeros((len(pairs), n_features)))
+    delta = np.zeros((len(pairs), n_features))
     opt = Adam([delta], lr=lr)
     target = thresholds - margins
     for _ in range(steps):
-        s, ds = score_grad(delta.data)
+        s, ds = score_grad(delta)
         # relu's subgradient is 0 at the kink, so the hinge pulls only above target
-        delta.grad = 2.0 * delta.data + (gamma * (s > target))[:, None] * ds
-        opt.step()
-    final, _ = score_grad(delta.data)
-    bad = ~(np.isfinite(final) & np.isfinite(delta.data).all(axis=1))
+        opt.step([2.0 * delta + (gamma * (s > target))[:, None] * ds])
+    final, _ = score_grad(delta)
+    bad = ~(np.isfinite(final) & np.isfinite(delta).all(axis=1))
     if bad.any():
         u, v = pairs[int(np.argmax(bad))]
         raise FloatingPointError(f"counterfactual solve: non-finite delta or score for "
                                  f"user {u}, item {v} ({int(bad.sum())} of {len(pairs)} pairs)")
-    return delta.data, final <= target, final
+    return delta, final <= target, final
 
 
 class CER(Recommender):
@@ -109,11 +108,10 @@ class CER(Recommender):
         h = sigmoid(add(matmul(h, params["W2"]), params["b2"]))
         return add(matmul(h, params["W3"]), params["b3"])
 
-    def loss(self, batch: PairBatch, X=None, Y=None) -> Tensor:
+    def loss(self, batch: PairBatch, Y=None) -> Tensor:
         """Mean binary cross-entropy on pair logits plus L2 on the weights."""
-        X = self._X if X is None else X
-        Y = self._Y if Y is None else Y
-        x_rows = Tensor(X[batch.users]) if not isinstance(X, Tensor) else gather_rows(X, batch.users)
+        Y = self.Y if Y is None else Y
+        x_rows = Tensor(self.X[batch.users])
         y_rows = gather_rows(Y, batch.items) if isinstance(Y, Tensor) else Tensor(Y[batch.items])
         logits = self._forward(x_rows, y_rows, self.params)
         # softplus(s) - s*y == -log sigmoid(s) for y=1, -log(1-sigmoid(s)) for y=0
@@ -148,9 +146,9 @@ class CER(Recommender):
                   ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
         """`loss` and its gradients, with the BCE backpropagated by hand
         through the two sigmoid layers of one `_activations` forward."""
-        Y = self._Y if Y is None else Y
+        Y = self.Y if Y is None else Y
         p = {name: t.data for name, t in self.params.items()}
-        z = np.hstack([self._X[batch.users], Y[batch.items]])
+        z = np.hstack([self.X[batch.users], Y[batch.items]])
         h1, h2, s = self._activations(z @ p["W1"] + p["b1"])
         logits, targets = s[:, None], batch.targets
         softplus = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))
@@ -175,8 +173,8 @@ class CER(Recommender):
 
     def scores(self, u: int, items: np.ndarray) -> np.ndarray:
         items = np.asarray(items, dtype=np.int64)
-        x_rows = np.repeat(self._X[u:u + 1], len(items), axis=0)
-        z = np.hstack([x_rows, self._Y[items]])
+        x_rows = np.repeat(self.X[u:u + 1], len(items), axis=0)
+        z = np.hstack([x_rows, self.Y[items]])
         return self._activations(z @ self.params["W1"].data + self.params["b1"].data)[2]
 
     def _cf_score_grad(self, pairs: Sequence[tuple[int, int]]
@@ -187,8 +185,8 @@ class CER(Recommender):
         p = self.params
         users, items = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
         W1_item = p["W1"].data[self.n_features:]
-        pre1_user = self._X[users] @ p["W1"].data[:self.n_features] + p["b1"].data
-        y_rows = self._Y[items]
+        pre1_user = self.X[users] @ p["W1"].data[:self.n_features] + p["b1"].data
+        y_rows = self.Y[items]
 
         def score_grad(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             h1, h2, s = self._activations(pre1_user + (y_rows + delta) @ W1_item)

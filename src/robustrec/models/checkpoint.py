@@ -51,10 +51,12 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
                 and len(found) == 1):
             raise ValueError(f"{path}: array {name} needs a shape and one .f64 or .i64 "
                              f"blob, has shape {shape!r} and {len(found)} blobs")
-        dtype, raw = DTYPES[found[0]], (root / f"{name}.{found[0]}").read_bytes()
-        if len(raw) != 8 * math.prod(shape):
-            raise ValueError(f"{path}: array {name} holds {len(raw)} bytes, "
-                             f"expected {math.prod(shape)} values")
-        # astype to the native dtype copies, so the array is writable
-        params[name] = np.frombuffer(raw, dtype).astype(dtype[1:]).reshape(shape)
+        dtype, blob = DTYPES[found[0]], root / f"{name}.{found[0]}"
+        size = blob.stat().st_size
+        arr = np.empty(shape, dtype) if size == 8 * math.prod(shape) else None
+        with open(blob, "rb") as fh:  # one read, straight into the array
+            if arr is None or fh.readinto(arr) != size:
+                raise ValueError(f"{path}: array {name} holds {size} bytes, "
+                                 f"expected {math.prod(shape)} values")
+        params[name] = arr.astype(dtype[1:], copy=False)  # copies only on a big-endian host
     return manifest, params

@@ -45,11 +45,12 @@ class EFM(Recommender):
         self._ones_r = np.ones((config.n_factors, 1))
         self._ones_h = np.ones((config.n_hidden, 1))
 
-    def _on_attach(self, split) -> None:
+    def attach(self, split, X: np.ndarray, Y: np.ndarray) -> None:
+        super().attach(split, X, Y)
         # observation masks are dataset structure; the adversarial branch
         # keeps the clean pattern even though it shifts the values
-        self._Xmask = (self._X != 0.0).astype(np.float64)
-        self._Ymask = (self._Y != 0.0).astype(np.float64)
+        self._Xmask = (self.X != 0.0).astype(np.float64)
+        self._Ymask = (self.Y != 0.0).astype(np.float64)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         r, h = self.config.n_factors, self.config.n_hidden
@@ -57,11 +58,11 @@ class EFM(Recommender):
                 "H1": (self.n_users, h), "H2": (self.n_items, h)}
 
     def reinit(self, seed: int) -> None:
-        if self._X is None:
+        if self.X is None:
             raise RuntimeError("reinit() before attach()")
         cfg = self.config
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "efm-init")))
-        nz = np.concatenate([self._X[self._X > 0], self._Y[self._Y > 0]])
+        nz = np.concatenate([self.X[self.X > 0], self.Y[self.Y > 0]])
         mean_nz = float(nz.mean()) if nz.size else 1.0
         s = np.sqrt(mean_nz / cfg.n_factors)
         sh = 0.1 / np.sqrt(cfg.n_hidden)
@@ -71,18 +72,17 @@ class EFM(Recommender):
                          requires_grad=True)
             for name, shape in self.param_shapes().items()}
 
-    def loss(self, batch: PairBatch, X=None, Y=None) -> Tensor:
+    def loss(self, batch: PairBatch, Y=None) -> Tensor:
         """Masked reconstruction of the batch rows of X and Y, squared error
         on the batch's rating/negative targets, L2 and negativity penalties."""
         cfg = self.config
-        X = self._X if X is None else X
-        Y = self._Y if Y is None else Y
+        Y = self.Y if Y is None else Y
         p = self.params
         users = np.unique(batch.users)
         items = np.unique(batch.items)
         vt = transpose(p["V"])
 
-        x_rows = X[users] if not isinstance(X, Tensor) else gather_rows(X, users)
+        x_rows = self.X[users]
         x_hat = matmul(gather_rows(p["U1"], users), vt)
         x_res = mul(sub(x_rows, x_hat), self._Xmask[users])
         term_x = tsum(square(x_res))
@@ -130,12 +130,12 @@ class EFM(Recommender):
         the tape, so the loss is the tape's to the last bit; the gradients
         differ from the tape's only in the order of summation."""
         cfg = self.config
-        Y = self._Y if Y is None else Y
+        Y = self.Y if Y is None else Y
         U1, U2, V, H1, H2 = (self.params[n].data for n in ("U1", "U2", "V", "H1", "H2"))
         users = np.unique(batch.users)
         items = np.unique(batch.items)
         vt = V.T.copy()  # the tape's layout, so the residuals are its bits too
-        x_res = (self._X[users] - U1[users] @ vt) * self._Xmask[users]
+        x_res = (self.X[users] - U1[users] @ vt) * self._Xmask[users]
         y_res = (Y[items] - U2[items] @ vt) * self._Ymask[items]
         u1b, u2b = U1[batch.users], U2[batch.items]
         h1b, h2b = H1[batch.users], H2[batch.items]

@@ -14,8 +14,8 @@ eps_d = 0 run the clean pass alone, so those reductions are exact to the bit.
 The regularisation penalty depends on Theta alone, so `penalty_grad` runs
 once per Theta and its result is shared by every pass on it: once per
 training step, and once per attack pass over the whole training set.
-`defense_loss` and `fgsm_delta_y` build the same objective on the autodiff
-tape, the reference the hand-derived gradients are tested against.
+`defense_loss` and `fgsm_delta_y` build the same objective on the tape over the
+attached X and Y: the reference the hand-derived gradients are tested against.
 
 Attack: a single-shot perturbation of the trained weights,
 Delta* = eps_a * Xi / ||Xi||_2, with Xi the full-training-set gradient of the
@@ -73,16 +73,16 @@ class AttackResult:
     delta_norm: float  # achieved ||Delta*||_2
 
 
-def fgsm_delta_y(model: Recommender, batch: PairBatch, X, Y, eps_d: float) -> np.ndarray:
+def fgsm_delta_y(model: Recommender, batch: PairBatch, eps_d: float) -> np.ndarray:
     """eps_d * sign(dL/dY) for the clean loss on this batch; full Y shape,
     zero outside entries the batch touches. sign(0) = 0."""
-    y_leaf = Tensor(Y, requires_grad=True)
+    y_leaf = Tensor(model.Y, requires_grad=True)
     saved = {name: p.grad for name, p in model.params.items()}
     for p in model.params.values():
         # backward() accumulates into existing grad arrays in place; detach
         # them so the probe cannot pollute grads accumulated elsewhere
         p.grad = None
-    loss = model.loss(batch, X=X, Y=y_leaf)
+    loss = model.loss(batch, Y=y_leaf)
     loss.backward()
     psi = y_leaf.grad
     for name, p in model.params.items():
@@ -96,22 +96,20 @@ def clip_perturbed_y(Y: np.ndarray, delta_y: np.ndarray, n_rating: int) -> np.nd
 
 
 def defense_loss(model: Recommender, batch: PairBatch, cfg: DefenseConfig,
-                 X=None, Y=None, on_perturbation=None):
-    """The mixed clean/adversarial objective for one batch.
+                 on_perturbation=None):
+    """The mixed clean/adversarial objective for one batch on the tape.
 
     Returns the clean loss object unchanged when lambda or eps_d is 0. The
     adversarial Y enters as a constant: gradients flow only through Theta.
     """
-    X = model.X if X is None else X
-    Y = model.Y if Y is None else Y
     if cfg.lam == 0.0 or cfg.eps_d == 0.0:
-        return model.loss(batch, X=X, Y=Y)
-    delta_y = fgsm_delta_y(model, batch, X, Y, cfg.eps_d)
-    y_adv = clip_perturbed_y(Y, delta_y, model.n_rating)
+        return model.loss(batch)
+    delta_y = fgsm_delta_y(model, batch, cfg.eps_d)
+    y_adv = clip_perturbed_y(model.Y, delta_y, model.n_rating)
     if on_perturbation is not None:
         on_perturbation(delta_y, y_adv)
-    clean = model.loss(batch, X=X, Y=Y)
-    adv = model.loss(batch, X=X, Y=y_adv)
+    clean = model.loss(batch)
+    adv = model.loss(batch, Y=y_adv)
     return (1.0 - cfg.lam) * clean + cfg.lam * adv
 
 
@@ -144,7 +142,7 @@ def defended_loss_grad(model: Recommender, batch: PairBatch, cfg: DefenseConfig,
 def _train_once(model: Recommender, split: DatasetSplit, defense: DefenseConfig,
                 training: TrainingConfig, lr: float, seed: int,
                 on_perturbation=None) -> TrainResult:
-    opt = Adam(model.params, lr=lr, weight_decay=training.weight_decay)
+    opt = Adam([p.data for p in model.params.values()], lr, weight_decay=training.weight_decay)
     stopper = EarlyStopper(training.patience, training.min_delta)
     baseline = validation_ndcg(model, split, k=training.val_k)
     stopper.observe(baseline)
@@ -161,9 +159,7 @@ def _train_once(model: Recommender, split: DatasetSplit, defense: DefenseConfig,
                                              on_perturbation)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch} (lr={lr:g})")
-            for name, p in model.params.items():
-                p.grad = grads[name]
-            opt.step()
+            opt.step([grads[name] for name in model.params])
             total += loss
             n_batches += 1
         train_loss.append(total / n_batches)

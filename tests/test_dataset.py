@@ -136,6 +136,18 @@ def test_ingest_validation_errors_carry_line_numbers():
         ingest_reviews([json.dumps({"user_id": "a"})])
 
 
+def test_ingest_keeps_feature_and_sentiment_in_file_order_whatever_the_opinion():
+    triples = [{"feature": "screen", "opinion": "sharp", "sentiment": 1},
+               {"feature": "battery", "sentiment": -1},
+               {"feature": "screen", "opinion": None, "sentiment": -1},
+               {"feature": "price", "opinion": {"not": "text"}, "sentiment": 1},
+               {"feature": "battery", "opinion": 7, "sentiment": 1}]
+    [record] = ingest_reviews([json.dumps({"user_id": "a", "item_id": "b", "rating": 3,
+                                           "timestamp": 1, "triples": triples})])
+    assert record.mentions == (("screen", 1), ("battery", -1), ("screen", -1),
+                               ("price", 1), ("battery", 1))
+
+
 def test_min_reviews_filter_is_single_pass():
     lines = [_line("u1", "a", 3, 1), _line("u1", "b", 3, 2),
              _line("u2", "a", 3, 1)]

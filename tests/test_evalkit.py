@@ -214,7 +214,7 @@ def test_non_finite_scores_stop_every_ranking(tiny_split, bad):
     with pytest.raises(FloatingPointError, match=pattern):
         build_bed(model, tiny_split)
     with pytest.raises(FloatingPointError, match=pattern):
-        evaluate(model, tiny_split, {}, {})
+        evaluate(model, tiny_split, {}, {}, {})
     w = int(tiny_split.val_users[0])
     y = int(tiny_split.val_negatives[0, 1])
     model = _ScriptedModel(lambda user, item: bad if (user, item) == (w, y) else 0.0)

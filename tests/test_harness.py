@@ -510,6 +510,28 @@ def _write_json(pattern, doc):
     return lambda cache: _first(cache, pattern).write_text(json.dumps(doc))
 
 
+def _row_column(column, value):
+    """A cached results row whose `column` holds a value of the wrong type."""
+    def damage(cache):
+        path = _first(cache, "runs/*/eval_*.json")
+        path.write_text(json.dumps({**json.loads(path.read_text()), column: value}))
+    return damage
+
+
+def _attack_gradient(change):
+    """An attack gradient rewritten by `change(manifest, xi)`, in a cache
+    without results rows, so that the attacked rows load it again."""
+    def damage(cache):
+        path = _first(cache, "runs/*/attack_*")
+        manifest, xi = load_checkpoint(path)
+        change(manifest, xi)
+        shutil.rmtree(path)
+        save_checkpoint(path, manifest, xi)
+        for row in cache.glob("runs/*/eval_*.json"):
+            row.unlink()
+    return damage
+
+
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda c: _truncate(_first(c, "runs/*/checkpoint/*.f64")), id="param-blob"),
     pytest.param(lambda c: _first(c, "runs/*/checkpoint/index.json").unlink(), id="index-json"),
@@ -520,6 +542,11 @@ def _write_json(pattern, doc):
     pytest.param(_write_json("runs/*/bed_*.json", {"3": 5}), id="bed-int-items"),
     pytest.param(_write_json("runs/*/eval_*.json", 5), id="eval-row-int"),
     pytest.param(_write_json("runs/*/checkpoint/index.json", []), id="index-list"),
+    pytest.param(_row_column("ndcg", "x"), id="eval-row-str-metric"),
+    pytest.param(_attack_gradient(lambda m, xi: xi.update(H1=xi["H1"][:1])),
+                 id="attack-xi-shape"),
+    pytest.param(_attack_gradient(lambda m, xi: m.update(grad_norm="x")),
+                 id="attack-grad-norm-str"),
 ])
 def test_damaged_artifact_is_rebuilt(damage, corpus, warm_cache, tmp_path, caplog):
     cache = tmp_path / "cache"
@@ -657,6 +684,21 @@ def test_warm_sweep_derives_no_eval_inputs_and_reads_each_bed_once(
     assert beds == sorted(cache.glob("runs/*/bed_*.json"))
 
 
+def test_ensure_trained_returns_the_checkpoint_manifest_cold_and_warm(corpus, tmp_path):
+    cfg, cache = _sweep_config(corpus), tmp_path / "cache"
+    data = sweep.load_dataset(cfg, cache)
+    cell = SweepCell("efm", 0.0, 0.0, 0)
+    cold = sweep.ensure_trained(cfg, cell, data, cache)
+    warm = sweep.ensure_trained(cfg, cell, data, cache)
+    for model, run_dir, run_id, manifest in (cold, warm):
+        assert run_dir == cache / "runs" / run_id  # bench/tracing.py reads the id as result[2]
+        assert manifest == json.loads((run_dir / "checkpoint" / "manifest.json").read_text())
+        assert manifest["config"] == sweep.cell_run_config(cfg, cell, data)
+    assert cold[3] == warm[3] and cold[1] == warm[1]
+    for name, p in cold[0].params.items():
+        np.testing.assert_array_equal(p.data, warm[0].params[name].data)
+
+
 def test_warm_load_adopts_the_loaded_arrays(corpus, warm_cache, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     shutil.copytree(warm_cache, cache)
@@ -666,7 +708,7 @@ def test_warm_load_adopts_the_loaded_arrays(corpus, warm_cache, tmp_path, monkey
     monkeypatch.setattr(sweep, "load_checkpoint",
                         lambda path: loaded.append(load_checkpoint(path)) or loaded[-1])
     monkeypatch.setattr(sweep, "train_defended", lambda *a: pytest.fail("retrained"))
-    model, _, _ = sweep.train_cell(cfg, SweepCell("efm", 0.5, 0.25, 0), data, cache)
+    model = sweep.ensure_trained(cfg, SweepCell("efm", 0.5, 0.25, 0), data, cache)[0]
     [(_, params)] = loaded
     assert model.params.keys() == params.keys()
     for name, p in model.params.items():

@@ -68,14 +68,12 @@ def test_loss_grad_matches_tape(efm_tiny):
 
 def test_loss_decreases_under_training_steps(efm_tiny):
     from robustrec.diffcore import Adam
-    opt = Adam(efm_tiny.params, lr=0.01)
+    opt = Adam([p.data for p in efm_tiny.params.values()], lr=0.01)
     batch = _batch(efm_tiny, seed=2)
     first = float(efm_tiny.loss(batch).data)
     for _ in range(30):
         _, grads, _ = efm_tiny.loss_grad(batch, efm_tiny.penalty_grad())
-        for name, p in efm_tiny.params.items():
-            p.grad = grads[name]
-        opt.step()
+        opt.step([grads[name] for name in efm_tiny.params])
     assert float(efm_tiny.loss(batch).data) < first
 
 

@@ -28,7 +28,7 @@ def _batch(model, seed=0, batch_size=6):
 def test_fgsm_matches_y_gradient_sign(efm_tiny):
     batch = _batch(efm_tiny)
     eps = 0.25
-    delta = fgsm_delta_y(efm_tiny, batch, efm_tiny.X, efm_tiny.Y, eps)
+    delta = fgsm_delta_y(efm_tiny, batch, eps)
     y_leaf = Tensor(efm_tiny.Y, requires_grad=True)
     efm_tiny.loss(batch, Y=y_leaf).backward()
     np.testing.assert_array_equal(delta, eps * np.sign(y_leaf.grad))
@@ -42,7 +42,7 @@ def test_fgsm_leaves_parameter_grads_alone(efm_tiny):
     for name, p in efm_tiny.params.items():
         p.grad = np.full_like(p.data, 7.25)
         sentinels[name] = p.grad
-    fgsm_delta_y(efm_tiny, batch, efm_tiny.X, efm_tiny.Y, 0.1)
+    fgsm_delta_y(efm_tiny, batch, 0.1)
     for name, p in efm_tiny.params.items():
         assert p.grad is sentinels[name]
         assert np.all(p.grad == 7.25)
@@ -118,8 +118,7 @@ def test_defended_loss_grad_matches_tape(algo, lam, eps_d, efm_tiny, cer_tiny):
         else:
             assert len(seen) == 1
             delta_y, y_adv = seen[0]
-            np.testing.assert_array_equal(delta_y, fgsm_delta_y(model, batch, model.X,
-                                                                model.Y, eps_d))
+            np.testing.assert_array_equal(delta_y, fgsm_delta_y(model, batch, eps_d))
             np.testing.assert_array_equal(y_adv, clip_perturbed_y(model.Y, delta_y,
                                                                   model.n_rating))
 
@@ -136,7 +135,7 @@ def test_fgsm_sign_matches_tape_over_a_full_epoch(algo):
     eps_d, batches = 0.25, 0
     for batch in model.epoch_batches(SplitMix64(derive_seed(0, "epoch", 1)), 32):
         _, _, dy = model.loss_grad(batch, model.penalty_grad(), want_dy=True)
-        want = fgsm_delta_y(model, batch, X, Y, eps_d)
+        want = fgsm_delta_y(model, batch, eps_d)
         assert np.array_equal(eps_d * np.sign(dy), want), f"sign differs in batch {batches}"
         batches += 1
     assert batches == 119

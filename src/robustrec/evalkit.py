@@ -8,7 +8,9 @@ truncated to top_n, masked to features the user mentioned in training, and
 scored as precision/recall/F1 against the positive-sentiment features of
 that pair's held-out review; pair scores are macro-averaged. All bed pairs
 of one evaluation go to the model in a single `explain_pairs` call, and
-counterfactual explanations whose solve missed its target are counted.
+counterfactual explanations whose solve missed its target are counted. Each
+pass that ranks many users builds the model's `score_table` once and hands
+it to every `scores` call.
 """
 from __future__ import annotations
 
@@ -40,9 +42,10 @@ def ndcg_at(ranked: Sequence[int], relevant: set[int], k: int) -> float:
 def validation_ndcg(model: Recommender, split: DatasetSplit, k: int = 10) -> float:
     """Mean NDCG@k over each user's 1-positive + sampled-negatives list."""
     cands = np.column_stack([split.item[split.part == VAL], split.val_negatives])
+    table = model.score_table()
     total = 0.0
     for u, row in zip(split.val_users.tolist(), cands):
-        ranked = rank_items(model.scores(u, row), row)
+        ranked = rank_items(model.scores(u, row, table), row)
         total += ndcg_at(ranked, {int(row[0])}, k)
     return total / len(cands) if len(cands) else 0.0
 
@@ -51,8 +54,9 @@ def build_bed(model: Recommender, split: DatasetSplit, k_rec: int = 5) -> dict[i
     """Per user, the test positives the given model ranks in its top `k_rec`
     of the user's candidate list. Evaluate every condition on the same bed."""
     bed: dict[int, list[int]] = {}
+    table = model.score_table()
     for u, positives, cands in split.test_lists():
-        top = set(rank_items(model.scores(u, cands), cands)[:k_rec])
+        top = set(rank_items(model.scores(u, cands, table), cands)[:k_rec])
         hits = [v for v in positives.tolist() if v in top]
         if hits:
             bed[u] = hits
@@ -122,12 +126,13 @@ def evaluate(model: Recommender, split: DatasetSplit, bed: dict[int, list[int]],
     ndcg_total = 0.0
     n_users = 0
     n_skipped = 0
+    table = model.score_table()
     for u, positives, cands in split.test_lists():
         relevant = set(positives.tolist())
         if not relevant:
             n_skipped += 1
             continue
-        ranked = rank_items(model.scores(u, cands), cands)
+        ranked = rank_items(model.scores(u, cands, table), cands)
         ndcg_total += ndcg_at(ranked, relevant, k_ndcg)
         n_users += 1
 

@@ -41,8 +41,8 @@ from ..models.base import Recommender
 # attack_weights is not called here; it stays importable from this module
 # because bench/tracing.py patches it by this name
 from ..robustness import (AttackGradient, DefenseConfig, attack_gradient,  # noqa: F401
-                          attack_weights, attacked_copy, fmt_eps, scale_attack,
-                          train_defended)
+                          attack_weights, attacked_copy, fmt_eps, params_norm,
+                          scale_attack, train_defended)
 from .config import config_hash, training_config
 
 CACHE_ENV = "ROBUSTREC_CACHE"
@@ -203,8 +203,10 @@ def load_dataset(cfg: dict, cache: Path) -> Dataset:
 
     def load(path: Path) -> Dataset:
         manifest, arrays = load_checkpoint(path)
-        return Dataset(split_from_arrays(manifest, arrays), arrays["X"], arrays["Y"],
-                       manifest["stats"])
+        stats = manifest.get("stats")
+        if not (isinstance(stats, dict) and stats.get("sha256") == sha256):
+            raise ValueError(f"{path}: stats must be an object with the review file's sha256")
+        return Dataset(split_from_arrays(manifest, arrays), arrays["X"], arrays["Y"], stats)
 
     key = config_hash(_dataset_source(cfg, sha256))
     return artifact(cache / "datasets" / key, build, save, load)
@@ -315,12 +317,16 @@ def ensure_attack(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
     def load(path: Path) -> AttackGradient:
         manifest, xi = load_checkpoint(path)
         shapes, grad_norm = model.param_shapes(), manifest.get("grad_norm")
-        if not (set(xi) == set(shapes) and all(xi[n].shape == s for n, s in shapes.items())
-                and type(grad_norm) is float and np.isfinite(grad_norm) and grad_norm >= 0.0):
-            raise ValueError(f"{path}: Xi must have the model's parameter shapes "
-                             f"and grad_norm must be a finite float >= 0")
-        # in the model's parameter order, which the norms of a delta are summed in
-        return AttackGradient({name: xi[name] for name in shapes}, grad_norm)
+        if not (set(xi) == set(shapes) and all(xi[n].shape == s and xi[n].dtype == np.float64
+                                               for n, s in shapes.items())):
+            raise ValueError(f"{path}: Xi must be float64 with the model's parameter shapes")
+        # in the model's parameter order, which attack_gradient and the norms
+        # of a delta are summed in
+        xi = {name: xi[name] for name in shapes}
+        if not (type(grad_norm) is float and np.isfinite(grad_norm)
+                and grad_norm == params_norm(xi)):
+            raise ValueError(f"{path}: grad_norm {grad_norm!r} is not the finite norm of Xi")
+        return AttackGradient(xi, grad_norm)
 
     path = run_dir / f"attack_{key}"
     return artifact(path, build, save, load), path

@@ -9,6 +9,10 @@ on the parameters alone, computed once per parameter set and shared by every
 the attached X and Y, whose Y may be replaced by a gradient-tracked Tensor, the
 gradient reference; fast numpy `scores` for ranking, per-pair `explain`, and
 `explain_pairs` for many pairs in one call.
+
+A clean `loss_grad` pass may share its Y-free work with the adversarial pass
+after it, and a ranking pass builds `score_table` once for all its users;
+neither is kept on the model, where a parameter update would make it stale.
 """
 from __future__ import annotations
 
@@ -48,6 +52,16 @@ class Penalty(NamedTuple):
     """The parameter-only part of a model's training objective."""
     terms: tuple[float, ...]      # its sums, in the order the model's loss adds them
     grads: dict[str, np.ndarray]  # its gradient by parameter name
+
+
+def scatter_add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """`np.add.at(target, rows, values)` for a C-contiguous 2-D target and
+    values [len(rows), n], through the flat view of target: each element
+    receives its additions in the same order, so the result has the same
+    bits, and the 1-D scatter is several times faster than the 2-D one."""
+    n = target.shape[1]
+    flat = np.reshape(target, -1, copy=False)
+    np.add.at(flat, (rows[:, None] * n + np.arange(n)).ravel(), values.ravel())
 
 
 def rank_items(scores: np.ndarray, item_ids: np.ndarray) -> list[int]:
@@ -150,17 +164,31 @@ class Recommender(ABC):
 
     @abstractmethod
     def loss_grad(self, batch: PairBatch, penalty: Penalty, Y: np.ndarray | None = None,
-                  want_dy: bool = False
+                  want_dy: bool = False, reuse: dict | None = None
                   ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
         """(loss, dL/dTheta by parameter name, dL/dY or None) of `loss` on one
         batch, in plain numpy: the training path. `penalty` is
         `penalty_grad()` at the current parameters and is not modified; the
         gradients returned are fresh arrays. Y defaults to the attached
-        matrix; dL/dY has Y's full shape and is computed only if `want_dy`."""
+        matrix; dL/dY has Y's full shape and is computed only if `want_dy`.
+
+        `reuse` is a dict the caller owns for one batch, penalty and set of
+        parameters. A pass that finds it empty may fill it with the part of
+        its work that does not depend on Y; a later pass with another Y that
+        finds it filled redoes only the Y term and returns the gradients of
+        the parameters Y reaches, bit for bit those of a pass from scratch.
+        The parameters it leaves out have the filling pass's gradients.
+        A model that shares nothing ignores it."""
 
     @abstractmethod
-    def scores(self, u: int, items: np.ndarray) -> np.ndarray:
-        """Recommendation scores for one user over the given item ids."""
+    def scores(self, u: int, items: np.ndarray, table=None) -> np.ndarray:
+        """Recommendation scores for one user over the given item ids.
+        `table` is `score_table()` at the current parameters, or None."""
+
+    def score_table(self):
+        """What every `scores` call on the current parameters shares, built
+        once by a pass that scores many users; None when nothing is shared."""
+        return None
 
     @abstractmethod
     def explain(self, u: int, v: int, top_n: int = 1,

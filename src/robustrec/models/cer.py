@@ -21,7 +21,7 @@ import numpy as np
 from ..diffcore import (Adam, Tensor, add, concat_cols, gather_rows, matmul, mul, sigmoid,
                         softplus, square, sub, tmean, tsum)
 from ..rng import derive_seed
-from .base import Explanation, PairBatch, Penalty, Recommender, rank_items
+from .base import Explanation, PairBatch, Penalty, Recommender, rank_items, scatter_add_rows
 
 
 class NotRecommendedError(ValueError):
@@ -142,7 +142,7 @@ class CER(Recommender):
         return Penalty((reg,), grads)
 
     def loss_grad(self, batch: PairBatch, penalty: Penalty, Y: np.ndarray | None = None,
-                  want_dy: bool = False
+                  want_dy: bool = False, reuse: dict | None = None
                   ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
         """`loss` and its gradients, with the BCE backpropagated by hand
         through the two sigmoid layers of one `_activations` forward."""
@@ -166,12 +166,12 @@ class CER(Recommender):
 
         dy = None
         if want_dy:
-            dy = np.zeros_like(Y)
+            dy = np.zeros(Y.shape)
             # the full product, as on the tape: the sign of dL/dY steers FGSM
-            np.add.at(dy, batch.items, (g1 @ p["W1"].T)[:, self.n_features:])
+            scatter_add_rows(dy, batch.items, (g1 @ p["W1"].T)[:, self.n_features:])
         return float(loss), grads, dy
 
-    def scores(self, u: int, items: np.ndarray) -> np.ndarray:
+    def scores(self, u: int, items: np.ndarray, table=None) -> np.ndarray:
         items = np.asarray(items, dtype=np.int64)
         x_rows = np.repeat(self.X[u:u + 1], len(items), axis=0)
         z = np.hstack([x_rows, self.Y[items]])

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..diffcore import Tensor, gather_rows, matmul, mul, relu, square, sub, transpose, tsum
 from ..rng import derive_seed
-from .base import Explanation, PairBatch, Penalty, Recommender
+from .base import Explanation, PairBatch, Penalty, Recommender, scatter_add_rows
 
 
 @dataclass(frozen=True)
@@ -124,44 +124,67 @@ class EFM(Recommender):
         return Penalty((reg, neg), grads)
 
     def loss_grad(self, batch: PairBatch, penalty: Penalty, Y: np.ndarray | None = None,
-                  want_dy: bool = False
+                  want_dy: bool = False, reuse: dict | None = None
                   ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
         """`loss` and its gradients by hand. The residuals are formed as on
         the tape, so the loss is the tape's to the last bit; the gradients
-        differ from the tape's only in the order of summation."""
+        differ from the tape's only in the order of summation. Only the y
+        term depends on Y: a filled `reuse` skips the rest and returns the
+        gradients of U2 and V alone, those of U1, H1 and H2 being the clean
+        pass's."""
+        if reuse:
+            return self._y_pass(batch, penalty, Y, want_dy, **reuse)
         cfg = self.config
-        Y = self.Y if Y is None else Y
         U1, U2, V, H1, H2 = (self.params[n].data for n in ("U1", "U2", "V", "H1", "H2"))
         users = np.unique(batch.users)
         items = np.unique(batch.items)
         vt = V.T.copy()  # the tape's layout, so the residuals are its bits too
         x_res = (self.X[users] - U1[users] @ vt) * self._Xmask[users]
-        y_res = (Y[items] - U2[items] @ vt) * self._Ymask[items]
+        u2_items = U2[items]
+        y_fit = u2_items @ vt
         u1b, u2b = U1[batch.users], U2[batch.items]
         h1b, h2b = H1[batch.users], H2[batch.items]
         a_res = (u1b * u2b) @ self._ones_r + (h1b * h2b) @ self._ones_h - batch.targets
-
-        reg, neg = penalty.terms
-        grads = {name: g.copy() for name, g in penalty.grads.items()}
-        loss = cfg.lam_x * (x_res * x_res).sum() + cfg.lam_y * (y_res * y_res).sum() \
-            + cfg.lam_a * (a_res * a_res).sum() + cfg.lam_reg * reg + cfg.lam_nn * neg
-
         gx = (2.0 * cfg.lam_x) * x_res
-        gy = (2.0 * cfg.lam_y) * y_res
         ga = (2.0 * cfg.lam_a) * a_res
-        grads["U1"][users] -= gx @ V
-        grads["U2"][items] -= gy @ V
-        grads["V"] -= gx.T @ U1[users] + gy.T @ U2[items]
-        np.add.at(grads["U1"], batch.users, ga * u2b)
-        np.add.at(grads["U2"], batch.items, ga * u1b)
-        np.add.at(grads["H1"], batch.users, ga * h2b)
-        np.add.at(grads["H2"], batch.items, ga * h1b)
+        shared = dict(items=items, u2_items=u2_items, y_fit=y_fit,
+                      x_term=cfg.lam_x * (x_res * x_res).sum(),
+                      a_term=cfg.lam_a * (a_res * a_res).sum(),
+                      gx_u1=gx.T @ U1[users], ga_u1b=ga * u1b)
+        if reuse is not None:
+            reuse.update(shared)
+        loss, grads, dy = self._y_pass(batch, penalty, Y, want_dy, **shared)
 
+        grads.update((name, penalty.grads[name].copy()) for name in ("U1", "H1", "H2"))
+        grads["U1"][users] -= gx @ V
+        scatter_add_rows(grads["U1"], batch.users, ga * u2b)
+        scatter_add_rows(grads["H1"], batch.users, ga * h2b)
+        scatter_add_rows(grads["H2"], batch.items, ga * h1b)
+        return loss, {name: grads[name] for name in self.params}, dy
+
+    def _y_pass(self, batch: PairBatch, penalty: Penalty, Y: np.ndarray | None, want_dy: bool,
+                items, u2_items, y_fit, x_term, a_term, gx_u1, ga_u1b
+                ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
+        """The loss and the U2 and V gradients of `loss_grad` on the given
+        Y, from the Y-free terms of a clean pass on the same batch."""
+        cfg = self.config
+        Y = self.Y if Y is None else Y
+        y_res = (Y[items] - y_fit) * self._Ymask[items]
+        reg, neg = penalty.terms
+        loss = x_term + cfg.lam_y * (y_res * y_res).sum() + a_term \
+            + cfg.lam_reg * reg + cfg.lam_nn * neg
+        gy = (2.0 * cfg.lam_y) * y_res
+        V = self.params["V"].data
+        g_u2 = penalty.grads["U2"].copy()
+        g_u2[items] -= gy @ V
+        scatter_add_rows(g_u2, batch.items, ga_u1b)
+        g_v = penalty.grads["V"].copy()
+        g_v -= gx_u1 + gy.T @ u2_items
         dy = None
         if want_dy:
             dy = np.zeros_like(Y)
             dy[items] = gy
-        return float(loss), grads, dy
+        return float(loss), {"U2": g_u2, "V": g_v}, dy
 
     def _user_feature_scores(self, u: int) -> np.ndarray:
         return self.params["U1"].data[u] @ self.params["V"].data.T
@@ -173,12 +196,17 @@ class EFM(Recommender):
         # stable argsort on the negated scores: ties go to the lower index
         return np.argsort(-feature_scores, kind="stable")[:k]
 
-    def scores(self, u: int, items: np.ndarray) -> np.ndarray:
+    def score_table(self) -> np.ndarray:
+        """Every item's feature scores, U2 V^T [n_items, F], from which the
+        `scores` calls of one ranking pass gather their items' rows."""
+        return self.params["U2"].data @ self.params["V"].data.T
+
+    def scores(self, u: int, items: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
         cfg = self.config
         items = np.asarray(items, dtype=np.int64)
         x_u = self._user_feature_scores(u)
         top = self._top_features(x_u, cfg.top_k_features)
-        y_items = self.params["U2"].data[items] @ self.params["V"].data.T
+        y_items = (self.score_table() if table is None else table)[items]
         match = y_items[:, top] @ x_u[top] / (cfg.top_k_features * self.n_rating)
         a_hat = self.params["U1"].data[u] @ self.params["U2"].data[items].T \
             + self.params["H1"].data[u] @ self.params["H2"].data[items].T

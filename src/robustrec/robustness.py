@@ -9,8 +9,12 @@ The perturbation direction comes from the clean loss and is recomputed every
 minibatch as a stop-gradient constant. Training and the attack both take
 this objective and its gradient from `defended_loss_grad`: one clean
 `Recommender.loss_grad` pass gives dL/dTheta and dL/dY, one adversarial pass
-on Y_adv follows, and the gradients mix with the same weights. lambda = 0 or
-eps_d = 0 run the clean pass alone, so those reductions are exact to the bit.
+on Y_adv follows, and the gradients mix with the same weights. The clean pass
+hands the adversarial one its work that does not depend on Y (`reuse`), so
+for EFM the second pass redoes only the Y term, and a parameter it leaves
+out keeps the clean gradient, which a pass from scratch would equal bit for
+bit. lambda = 0 or eps_d = 0 run the clean pass alone, so those reductions
+are exact to the bit.
 The regularisation penalty depends on Theta alone, so `penalty_grad` runs
 once per Theta and its result is shared by every pass on it: once per
 training step, and once per attack pass over the whole training set.
@@ -23,6 +27,7 @@ model's own training objective (its trained lambda/eps_d) and the norm taken
 over the concatenation of every parameter. Xi does not depend on eps_a, so it
 is computed once per trained model (`attack_gradient`) and every budget is a
 cheap rescaling of it (`scale_attack`); `attack_weights` is the two in a row.
+Every such norm is `params_norm`, summed in parameter order.
 """
 from __future__ import annotations
 
@@ -39,6 +44,7 @@ from .models.base import PairBatch, Penalty, Recommender
 from .rng import SplitMix64, derive_seed
 
 ZERO_GRAD_NORM = 1e-12
+MAX_SCALE_STEPS = 16  # ulp steps of scale_attack's scale; a true norm needs a few
 
 
 class DivergenceError(RuntimeError):
@@ -123,18 +129,23 @@ def defended_loss_grad(model: Recommender, batch: PairBatch, cfg: DefenseConfig,
     if cfg.lam == 0.0 or cfg.eps_d == 0.0:
         loss, grads, _ = model.loss_grad(batch, penalty)
         return loss, grads
-    clean, grads, dy = model.loss_grad(batch, penalty, want_dy=True)
+    reuse: dict = {}  # the clean pass's Y-free work, for the adversarial pass
+    clean, grads, dy = model.loss_grad(batch, penalty, want_dy=True, reuse=reuse)
     delta_y = cfg.eps_d * np.sign(dy)
     y_adv = clip_perturbed_y(model.Y, delta_y, model.n_rating)
     if on_perturbation is not None:
         on_perturbation(delta_y, y_adv)
-    adv, adv_grads, _ = model.loss_grad(batch, penalty, Y=y_adv)
+    adv, adv_grads, _ = model.loss_grad(batch, penalty, Y=y_adv, reuse=reuse)
     lam = cfg.lam
-    # (1 - lam) * g + lam * g_adv, in place on the two fresh gradient sets
+    # (1 - lam) * g + lam * g_adv, in place on the fresh gradient sets; a
+    # parameter the adversarial pass left out has g_adv = g
     for name, g in grads.items():
-        a = adv_grads[name]
+        a = adv_grads.get(name)
+        if a is None:
+            a = lam * g
+        else:
+            a *= lam
         g *= 1.0 - lam
-        a *= lam
         g += a
     return (1.0 - lam) * clean + lam * adv, grads
 
@@ -212,7 +223,7 @@ def attack_gradient(model: Recommender, defense: DefenseConfig, seed: int,
         _, grads = defended_loss_grad(model, batch, defense, penalty)
         for name, g in grads.items():
             xi[name] += g
-    grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in xi.values())))
+    grad_norm = params_norm(xi)
     if not np.isfinite(grad_norm):
         bad = sorted(name for name, g in xi.items() if not np.isfinite(g).all())
         raise FloatingPointError(f"attack: non-finite training gradient "
@@ -220,11 +231,18 @@ def attack_gradient(model: Recommender, defense: DefenseConfig, seed: int,
     return AttackGradient(xi, grad_norm)
 
 
+def params_norm(arrays: dict[str, np.ndarray]) -> float:
+    """The 2-norm of the concatenated arrays, summed in the dict's order."""
+    return float(np.sqrt(sum(float((g * g).sum()) for g in arrays.values())))
+
+
 def scale_attack(gradient: AttackGradient, eps_a: float) -> AttackResult:
     """Delta* = (eps_a / ||Xi||_2) * Xi. Where rounding puts ||Delta*||_2 above
-    eps_a, the scale steps down an ulp at a time until it does not. A gradient
-    with norm below 1e-12 (or eps_a = 0) yields the zero perturbation; a
-    negative or non-finite eps_a raises ValueError."""
+    eps_a, the scale steps down an ulp at a time until it does not; a
+    gradient whose `grad_norm` is not Xi's norm would need more than
+    MAX_SCALE_STEPS steps and raises FloatingPointError. A gradient with norm
+    below 1e-12 (or eps_a = 0) yields the zero perturbation; a negative or
+    non-finite eps_a raises ValueError."""
     if not (np.isfinite(eps_a) and eps_a >= 0.0):
         raise ValueError(f"attack budget eps_a must be finite and >= 0, got {eps_a!r}")
     xi, grad_norm = gradient
@@ -232,13 +250,15 @@ def scale_attack(gradient: AttackGradient, eps_a: float) -> AttackResult:
         delta = {name: np.zeros_like(g) for name, g in xi.items()}
         return AttackResult(delta=delta, grad_norm=grad_norm, delta_norm=0.0)
     scale = eps_a / grad_norm
-    while True:
+    for _ in range(MAX_SCALE_STEPS + 1):
         delta = {name: scale * g for name, g in xi.items()}
-        delta_norm = float(np.sqrt(sum(float((d * d).sum()) for d in delta.values())))
+        delta_norm = params_norm(delta)
         if delta_norm <= eps_a:
-            break
+            return AttackResult(delta=delta, grad_norm=grad_norm, delta_norm=delta_norm)
         scale = float(np.nextafter(scale, 0.0))
-    return AttackResult(delta=delta, grad_norm=grad_norm, delta_norm=delta_norm)
+    raise FloatingPointError(f"attack: ||Delta*|| = {delta_norm} still exceeds eps_a = {eps_a} "
+                             f"after {MAX_SCALE_STEPS} ulp steps; grad_norm {grad_norm} "
+                             f"is not the norm of Xi")
 
 
 def attack_weights(model: Recommender, defense: DefenseConfig, eps_a: float,

@@ -10,6 +10,7 @@ from robustrec.dataset import TEST, TRAIN, VAL
 from robustrec.evalkit import (build_bed, evaluate, explanation_prf, gold_explanations,
                                mask_explanation, ndcg_at, train_feature_sets,
                                validation_ndcg)
+from robustrec.models.base import Recommender
 from splits import interactions, split_of
 
 
@@ -125,7 +126,9 @@ class _ScriptedModel:
         self.explain_calls = []
         self.batches = 0
 
-    def scores(self, u, items):
+    score_table = Recommender.score_table  # shares nothing across users
+
+    def scores(self, u, items, table=None):
         return np.asarray([self._score_fn(u, int(v)) for v in items], dtype=np.float64)
 
     def explain_pairs(self, pairs, top_n=1, require_recommended=True):

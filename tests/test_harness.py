@@ -532,6 +532,23 @@ def _attack_gradient(change):
     return damage
 
 
+def _attack_blob_as_int(cache):
+    """An attack gradient whose V blob is renamed to .i64, so its float bits
+    read as int64, in a cache without results rows."""
+    blob = _first(cache, "runs/*/attack_*/V.f64")
+    blob.rename(blob.with_suffix(".i64"))
+    for row in cache.glob("runs/*/eval_*.json"):
+        row.unlink()
+
+
+def _dataset_stats(stats):
+    """A dataset artifact whose manifest holds `stats` in place of its own."""
+    def damage(cache):
+        path = _first(cache, "datasets/*/manifest.json")
+        path.write_text(json.dumps({**json.loads(path.read_text()), "stats": stats}))
+    return damage
+
+
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda c: _truncate(_first(c, "runs/*/checkpoint/*.f64")), id="param-blob"),
     pytest.param(lambda c: _first(c, "runs/*/checkpoint/index.json").unlink(), id="index-json"),
@@ -547,6 +564,11 @@ def _attack_gradient(change):
                  id="attack-xi-shape"),
     pytest.param(_attack_gradient(lambda m, xi: m.update(grad_norm="x")),
                  id="attack-grad-norm-str"),
+    pytest.param(_attack_blob_as_int, id="attack-blob-int"),
+    pytest.param(_attack_gradient(lambda m, xi: xi.update(V=2.0 * xi["V"])),
+                 id="attack-xi-not-its-norm"),
+    pytest.param(_dataset_stats([]), id="dataset-stats-list"),
+    pytest.param(_dataset_stats({"n_users": 20, "sha256": "0" * 64}), id="dataset-stats-sha"),
 ])
 def test_damaged_artifact_is_rebuilt(damage, corpus, warm_cache, tmp_path, caplog):
     cache = tmp_path / "cache"

@@ -4,9 +4,10 @@ import pytest
 
 from gradcheck import gradcheck
 from robustrec.dataset import TRAIN
-from robustrec.diffcore import Tensor
+from robustrec.diffcore import Adam, Tensor
+from robustrec.evalkit import validation_ndcg
 from robustrec.models import EFM, EFMConfig, rank_items
-from robustrec.models.base import PairBatch
+from robustrec.models.base import PairBatch, scatter_add_rows
 from robustrec.rng import SplitMix64
 from splits import interactions
 
@@ -221,3 +222,39 @@ def test_set_param_arrays_validates_shapes(efm_tiny):
         efm_tiny.set_param_arrays(bad)
     with pytest.raises(ValueError, match="names"):
         efm_tiny.set_param_arrays({"V": good["V"]})
+
+
+def test_scatter_add_rows_matches_add_at_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for trial in range(300):
+        n_rows, n, m = (int(k) for k in rng.integers(1, [40, 9, 12]))
+        # batch users repeat: each drawn row occurs 1 to 8 times, in any order
+        rows = rng.permutation(np.repeat(rng.integers(0, n_rows, m), rng.integers(1, 9, m)))
+        scale = 10.0 ** rng.uniform(-12.0, 12.0, (len(rows), n))
+        values = rng.choice([-1.0, 1.0], (len(rows), n)) * scale
+        target = rng.normal(size=(n_rows, n)) * 10.0 ** rng.uniform(-12.0, 12.0)
+        want = target.copy()
+        np.add.at(want, rows, values)
+        scatter_add_rows(target, rows, values)
+        assert target.tobytes() == want.tobytes(), trial
+
+
+def test_scatter_add_rows_empty_rows_change_nothing():
+    target = np.arange(12.0).reshape(4, 3)
+    scatter_add_rows(target, np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
+    assert target.tobytes() == np.arange(12.0).reshape(4, 3).tobytes()
+
+
+def test_validation_ndcg_follows_an_adam_step(efm_tiny, tiny_split):
+    # a ranking pass builds its item-feature table from the parameters of the
+    # moment, so an update in place is seen by the next pass
+    before = validation_ndcg(efm_tiny, tiny_split)
+    table = efm_tiny.score_table()
+    opt = Adam([p.data for p in efm_tiny.params.values()], lr=0.5)
+    _, grads, _ = efm_tiny.loss_grad(_batch(efm_tiny), efm_tiny.penalty_grad())
+    opt.step([grads[name] for name in efm_tiny.params])
+    fresh = efm_tiny.with_params(efm_tiny.param_arrays())
+    assert not np.array_equal(efm_tiny.score_table(), table)
+    after = validation_ndcg(efm_tiny, tiny_split)
+    assert after == validation_ndcg(fresh, tiny_split)
+    assert after != before

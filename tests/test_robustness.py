@@ -224,6 +224,13 @@ def test_scaled_attack_never_exceeds_budget_by_rounding():
     assert overshoots > 0  # the plain scaling would have broken the budget
 
 
+def test_scaled_attack_stops_on_a_gradient_with_a_wrong_norm():
+    rng = np.random.default_rng(0)
+    xi = {"a": rng.normal(size=(7, 5)), "b": rng.normal(size=11)}
+    with pytest.raises(FloatingPointError, match="attack: .* ulp steps"):
+        scale_attack(rob.AttackGradient(xi, rob.params_norm(xi) / 2.0), 1.0)
+
+
 def test_attack_zero_budget_returns_exact_copies(efm_tiny):
     res = attack_weights(efm_tiny, DefenseConfig(), 0.0, seed=0)
     assert res.delta_norm == 0.0
@@ -454,3 +461,26 @@ def test_defended_run_and_attack_gradient_are_pinned(algo, efm_tiny, cer_tiny, t
     xi, grad_norm = attack_gradient(model, defense, seed=0, batch_size=8)
     attack = _digest(xi, np.float64(grad_norm))
     assert (trained, attack) == GOLDEN_DEFENDED_RUN[algo]
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.5, 0.9])
+def test_adversarial_pass_reuses_the_clean_pass_bit_for_bit(lam, efm_tiny):
+    cfg = DefenseConfig(lam=lam, eps_d=0.25)
+    for seed in range(3):
+        batch = _batch(efm_tiny, seed=seed)
+        penalty = efm_tiny.penalty_grad()
+        reuse = {}
+        clean, grads, dy = efm_tiny.loss_grad(batch, penalty, want_dy=True, reuse=reuse)
+        y_adv = clip_perturbed_y(efm_tiny.Y, cfg.eps_d * np.sign(dy), efm_tiny.n_rating)
+        adv, adv_grads, _ = efm_tiny.loss_grad(batch, penalty, Y=y_adv, reuse=reuse)
+        want_adv, want, _ = efm_tiny.loss_grad(batch, penalty, Y=y_adv)
+        assert adv == want_adv
+        assert sorted(adv_grads) == ["U2", "V"]  # the others are the clean pass's
+        for name, g in want.items():
+            assert adv_grads.get(name, grads[name]).tobytes() == g.tobytes(), name
+        # the defended step equals the mix of two passes from scratch
+        loss, mixed = defended_loss_grad(efm_tiny, batch, cfg, penalty)
+        assert loss == (1.0 - lam) * clean + lam * want_adv
+        _, scratch, _ = efm_tiny.loss_grad(batch, penalty)
+        for name, g in want.items():
+            assert mixed[name].tobytes() == (scratch[name] * (1.0 - lam) + g * lam).tobytes()

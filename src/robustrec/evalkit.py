@@ -10,7 +10,8 @@ that pair's held-out review; pair scores are macro-averaged. All bed pairs
 of one evaluation go to the model in a single `explain_pairs` call, and
 counterfactual explanations whose solve missed its target are counted. Each
 pass that ranks many users builds the model's `score_table` once and hands
-it to every `scores` call.
+it to every `scores` call, and `evaluate` hands the bed users' candidate
+scores on to the explanations, so no user is scored twice.
 """
 from __future__ import annotations
 
@@ -127,17 +128,22 @@ def evaluate(model: Recommender, split: DatasetSplit, bed: dict[int, list[int]],
     n_users = 0
     n_skipped = 0
     table = model.score_table()
+    bed_scores: dict[int, np.ndarray] = {}  # each bed user's candidate scores
     for u, positives, cands in split.test_lists():
         relevant = set(positives.tolist())
         if not relevant:
             n_skipped += 1
             continue
-        ranked = rank_items(model.scores(u, cands, table), cands)
+        scores = model.scores(u, cands, table)
+        if u in bed:
+            bed_scores[u] = scores
+        ranked = rank_items(scores, cands)
         ndcg_total += ndcg_at(ranked, relevant, k_ndcg)
         n_users += 1
 
     pairs = [(u, v) for u in sorted(bed) for v in bed[u] if gold.get((u, v))]
-    explanations = model.explain_pairs(pairs, top_n=top_n, require_recommended=False)
+    explanations = model.explain_pairs(pairs, top_n=top_n, require_recommended=False,
+                                       candidate_scores=bed_scores)
     p_total = r_total = f_total = 0.0
     for (u, v), expl in zip(pairs, explanations, strict=True):
         masked = mask_explanation(expl.features, user_features.get(u, set()))

@@ -16,9 +16,8 @@ from pathlib import Path
 from ..robustness import DefenseConfig, fmt_eps, scale_attack
 from .config import ConfigError, apply_override, load_config, training_config
 from .report import write_report
-from .sweep import (SweepCell, cell_keys, ensure_attack, ensure_bed, ensure_eval,
-                    ensure_trained, eval_inputs, load_dataset, new_model, resolve_cache,
-                    run_sweep)
+from .sweep import (SweepCell, cell_keys, cell_rows, ensure_attack, ensure_trained, eval_inputs,
+                    lazy_dataset, load_dataset, new_model, resolve_cache, run_sweep)
 from .training import hyperparameter_search
 
 
@@ -83,7 +82,7 @@ def cmd_attack(cfg: dict, cache: Path, args) -> None:
     grid = [args.eps_a] if args.eps_a is not None else \
         [e for e in cfg["attack"]["eps_a_grid"] if e != 0.0]
     gradient, path = ensure_attack(cfg, cell, model, run_dir,
-                                   cell_keys(cfg, cell, data, run_id).attack)
+                                   cell_keys(cfg, cell, data.stats["sha256"], run_id).attack)
     print(json.dumps({
         "run_id": run_id, "grad_norm": gradient.grad_norm, "artifact": str(path),
         "delta_norm": {fmt_eps(e): scale_attack(gradient, float(e)).delta_norm for e in grid},
@@ -91,13 +90,9 @@ def cmd_attack(cfg: dict, cache: Path, args) -> None:
 
 
 def cmd_evaluate(cfg: dict, cache: Path, args) -> None:
-    data = load_dataset(cfg, cache)
-    cell = _cell_from_config(cfg)
-    model, run_dir, run_id, _ = ensure_trained(cfg, cell, data, cache)
-    keys = cell_keys(cfg, cell, data, run_id)
-    bed = ensure_bed(cfg, cell, data, cache, keys)
-    row = ensure_eval(cfg, cell, model, run_dir, run_id, float(args.eps_a), data,
-                      bed, eval_inputs(data), keys)
+    sha256, data = lazy_dataset(cfg, cache)  # as in a sweep: loaded only to build the row
+    [row] = cell_rows(cfg, _cell_from_config(cfg), sha256, data, cache, [args.eps_a],
+                      eval_inputs(data), {})
     print(json.dumps(row, indent=2, sort_keys=True))
 
 

@@ -9,10 +9,15 @@ writes its own temporary, and one that loses the rename loads the winner's.
 Vanilla cells run first: their rankings define the per-(algo, seed)
 evaluation bed every condition is scored on.
 
-A rerun of a finished grid only reads: the review file (for its sha256), the
-dataset artifact, each checkpoint, each bed once per (algo, seed) and each
-results row. The evaluation inputs (gold explanations and the users' training
-features) are derived only when a results row has to be built.
+Every key comes from the review file's sha256, hashed once per sweep; the
+dataset, each cell's model and its attack gradient are callables that load or
+build them on their first call, made when a results row has to be built, so
+a rerun of a finished grid reads only the review file, each bed once per
+(algo, seed) and each results row. Within a cell every eps_a shares one model
+and one attack gradient, and the bed of a sweep's vanilla cell is built from
+that cell's model; both are dropped when the cell ends. The evaluation inputs
+(gold explanations and the users' training features) are likewise derived
+once, on the first results row built.
 """
 from __future__ import annotations
 
@@ -171,16 +176,23 @@ def _dataset_source(cfg: dict, sha256: str) -> dict:
     return {**{k: v for k, v in cfg["dataset"].items() if k != "path"}, "sha256": sha256}
 
 
-def load_dataset(cfg: dict, cache: Path) -> Dataset:
-    """Build (or reuse) the split and aspect matrices for cfg['dataset']."""
-    dcfg = cfg["dataset"]
-    if not dcfg["path"]:
+def review_sha256(cfg: dict) -> str:
+    """The sha256 of the bytes of the review file cfg['dataset'] names."""
+    path = cfg["dataset"]["path"]
+    if not path:
         raise ValueError("dataset.path is required (a JSON-lines review file)")
     digest = hashlib.sha256()
-    with open(dcfg["path"], "rb") as fh:  # in chunks: a cache hit never holds the file
+    with open(path, "rb") as fh:  # in chunks: a cache hit never holds the file
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
-    sha256 = digest.hexdigest()
+    return digest.hexdigest()
+
+
+def load_dataset(cfg: dict, cache: Path, sha256: str | None = None) -> Dataset:
+    """Build (or reuse) the split and aspect matrices for cfg['dataset'];
+    `sha256` is the review file's `review_sha256`, hashed here when not given."""
+    dcfg = cfg["dataset"]
+    sha256 = sha256 or review_sha256(cfg)
 
     def build() -> Dataset:
         raw = Path(dcfg["path"]).read_bytes()
@@ -212,10 +224,18 @@ def load_dataset(cfg: dict, cache: Path) -> Dataset:
     return artifact(cache / "datasets" / key, build, save, load)
 
 
-def cell_run_config(cfg: dict, cell: SweepCell, data: Dataset) -> dict:
-    """The exact configuration a run id is hashed from."""
+def lazy_dataset(cfg: dict, cache: Path) -> tuple[str, Callable[[], Dataset]]:
+    """The review file's sha256, hashed now, and the dataset as a callable
+    that loads (or builds) it on its first call and returns it after."""
+    sha256 = review_sha256(cfg)
+    return sha256, functools.cache(lambda: load_dataset(cfg, cache, sha256))
+
+
+def cell_run_config(cfg: dict, cell: SweepCell, sha256: str) -> dict:
+    """The exact configuration a run id is hashed from; `sha256` is the
+    review file's."""
     return {
-        "dataset": _dataset_source(cfg, data.stats["sha256"]),
+        "dataset": _dataset_source(cfg, sha256),
         "model": {"algo": cell.algo, cell.algo: cfg["model"][cell.algo]},
         "training": {**cfg["training"], "seed": cell.seed},
         "defense": {"lambda": cell.lam, "eps_d": cell.eps_d},
@@ -234,7 +254,7 @@ def ensure_trained(cfg: dict, cell: SweepCell, data: Dataset,
     """(model, run_dir, run_id, manifest): the cell's model with best-epoch
     parameters, attached to the split, its run directory, named by the run
     id, and its checkpoint manifest. Trains unless the checkpoint is cached."""
-    run_cfg = cell_run_config(cfg, cell, data)
+    run_cfg = cell_run_config(cfg, cell, data.stats["sha256"])
     run_dir = cache / "runs" / config_hash(run_cfg)
     split, model = data.split, new_model(cfg, cell, data)
 
@@ -258,6 +278,13 @@ def ensure_trained(cfg: dict, cell: SweepCell, data: Dataset,
     return model, run_dir, run_dir.name, manifest
 
 
+def trained(cfg: dict, cell: SweepCell, data: Callable[[], Dataset],
+            cache: Path) -> Callable[[], Recommender]:
+    """The cell's model from `ensure_trained`, as a callable that trains or
+    loads it on its first call and returns it after."""
+    return functools.cache(lambda: ensure_trained(cfg, cell, data(), cache)[0])
+
+
 class CellKeys(NamedTuple):
     """The cache keys a trained cell's bed, attack and results rows are
     stored under, hashed once per cell."""
@@ -266,10 +293,11 @@ class CellKeys(NamedTuple):
     attack: str      # this cell's run and the attack settings
 
 
-def cell_keys(cfg: dict, cell: SweepCell, data: Dataset, run_id: str) -> CellKeys:
-    """The keys of the cell whose run id is `run_id`."""
+def cell_keys(cfg: dict, cell: SweepCell, sha256: str, run_id: str) -> CellKeys:
+    """The keys of the cell whose run id is `run_id`, on the review file
+    whose sha256 is `sha256`."""
     vanilla = SweepCell(cell.algo, 0.0, 0.0, cell.seed)
-    vanilla_id = config_hash(cell_run_config(cfg, vanilla, data))
+    vanilla_id = config_hash(cell_run_config(cfg, vanilla, sha256))
     a = cfg["attack"]
     return CellKeys(vanilla_id,
                     config_hash({"run": vanilla_id, "k_rec": int(cfg["eval"]["k_rec"])}),
@@ -277,14 +305,12 @@ def cell_keys(cfg: dict, cell: SweepCell, data: Dataset, run_id: str) -> CellKey
                                  "batch_size": int(a["batch_size"])}))
 
 
-def ensure_bed(cfg: dict, cell: SweepCell, data: Dataset, cache: Path,
-               keys: CellKeys) -> dict[int, list[int]]:
-    """The evaluation bed for (algo, seed): the vanilla model's top-k hits.
-    Trains the vanilla cell on demand when the sweep doesn't include it."""
+def ensure_bed(cfg: dict, cell: SweepCell, data: Callable[[], Dataset], cache: Path,
+               keys: CellKeys, vanilla: Callable[[], Recommender]) -> dict[int, list[int]]:
+    """The evaluation bed for (algo, seed): the top-k hits of the vanilla
+    model, which `vanilla` gives (see `trained`) when the bed is built."""
     def build() -> dict[int, list[int]]:
-        vanilla = SweepCell(cell.algo, 0.0, 0.0, cell.seed)
-        model = ensure_trained(cfg, vanilla, data, cache)[0]
-        return build_bed(model, data.split, k_rec=int(cfg["eval"]["k_rec"]))
+        return build_bed(vanilla(), data().split, k_rec=int(cfg["eval"]["k_rec"]))
 
     def save(path: Path, bed: dict[int, list[int]]) -> None:
         path.write_text(json.dumps({str(u): vs for u, vs in sorted(bed.items())}, sort_keys=True))
@@ -332,36 +358,41 @@ def ensure_attack(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
     return artifact(path, build, save, load), path
 
 
-EvalInputs = tuple[dict[tuple[int, int], set[int]], dict[int, set[int]]]
+EvalInputs = tuple[DatasetSplit, dict[tuple[int, int], set[int]], dict[int, set[int]]]
 
 
-def eval_inputs(data: Dataset) -> Callable[[], EvalInputs]:
-    """The dataset's gold explanations and users' training feature sets, as
-    a callable that derives them on its first call and returns them after."""
-    return functools.cache(lambda: (gold_explanations(data.split),
-                                    train_feature_sets(data.split)))
+def eval_inputs(data: Callable[[], Dataset]) -> Callable[[], EvalInputs]:
+    """The split, its gold explanations and its users' training feature
+    sets, as a callable that derives them on its first call and returns them
+    after."""
+    def derive() -> EvalInputs:
+        split = data().split
+        return split, gold_explanations(split), train_feature_sets(split)
+    return functools.cache(derive)
 
 
-def ensure_eval(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
-                run_id: str, eps_a: float, data: Dataset, bed: dict[int, list[int]],
-                inputs: Callable[[], EvalInputs], keys: CellKeys) -> dict:
+def ensure_eval(cfg: dict, cell: SweepCell, model: Callable[[], Recommender], run_dir: Path,
+                run_id: str, eps_a: float, bed: dict[int, list[int]],
+                inputs: Callable[[], EvalInputs], keys: CellKeys,
+                gradient: Callable[[], AttackGradient]) -> dict:
     """One results row: clean when eps_a = 0, otherwise attack then evaluate.
-    A cached row is reused without loading the attack gradient behind it or
-    calling `inputs` (see `eval_inputs`); a clean row's key leaves the attack
-    settings out, as its value does."""
+    The trained model, the attack gradient (see `ensure_attack`) and the
+    evaluation inputs (see `eval_inputs`) are callables, called only when
+    the row is built, so a cached row is reused without any of them; a clean
+    row's key leaves the attack settings out, as its value does."""
     top_n, k_ndcg = int(cfg["eval"]["top_n"]), int(cfg["eval"]["k_ndcg"])
     source = {"run": run_id} if eps_a == 0.0 else {"attack": keys.attack}
     key = config_hash({**source, "eps_a": eps_a, "bed": keys.bed,
                        "top_n": top_n, "k_ndcg": k_ndcg, "dataset": cfg["dataset"]["name"]})
 
     def build() -> dict:
-        target, grad_norm = model, None
+        target, grad_norm = model(), None
         if eps_a != 0.0:
-            gradient, _ = ensure_attack(cfg, cell, model, run_dir, keys.attack)
-            target = attacked_copy(model, scale_attack(gradient, eps_a).delta)
-            grad_norm = gradient.grad_norm
-        gold, user_features = inputs()
-        report = evaluate(target, data.split, bed, gold, user_features,
+            xi = gradient()
+            target = attacked_copy(target, scale_attack(xi, eps_a).delta)
+            grad_norm = xi.grad_norm
+        split, gold, user_features = inputs()
+        report = evaluate(target, split, bed, gold, user_features,
                           top_n=top_n, k_ndcg=k_ndcg)
         return {"run_id": run_id, "algo": cell.algo, "dataset": cfg["dataset"]["name"],
                 "lambda": cell.lam, "eps_d": cell.eps_d, "eps_a": eps_a,
@@ -387,46 +418,66 @@ def ensure_eval(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
 
 def write_results(path: Path, rows: list[dict]) -> None:
     """Deterministic CSV: fixed column order, sorted rows, fixed float formats.
-    grad_norm is empty on clean rows (and rows without one)."""
+    grad_norm is empty on clean rows (and rows without one). A file that
+    already holds these bytes is left as it is."""
     def key(row):
         return (row["algo"], row["dataset"], row["lambda"], row["eps_d"],
                 row["run_id"], row["eps_a"])
 
-    def save(tmp: Path) -> None:
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RESULT_COLUMNS)
-            for row in sorted(rows, key=key):
-                writer.writerow([
-                    row["run_id"], row["algo"], row["dataset"],
-                    fmt_eps(row["lambda"]), fmt_eps(row["eps_d"]), fmt_eps(row["eps_a"]),
-                    row["condition"],
-                    f"{row['ndcg']:.6f}", f"{row['expl_pr']:.6f}",
-                    f"{row['expl_re']:.6f}", f"{row['expl_f1']:.6f}",
-                    row["n_users"], row["n_pairs"], row["n_non_cf"],
-                    "" if row.get("grad_norm") is None else f"{row['grad_norm']:.6e}",
-                ])
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(RESULT_COLUMNS)
+    for row in sorted(rows, key=key):
+        writer.writerow([
+            row["run_id"], row["algo"], row["dataset"],
+            fmt_eps(row["lambda"]), fmt_eps(row["eps_d"]), fmt_eps(row["eps_a"]),
+            row["condition"],
+            f"{row['ndcg']:.6f}", f"{row['expl_pr']:.6f}",
+            f"{row['expl_re']:.6f}", f"{row['expl_f1']:.6f}",
+            row["n_users"], row["n_pairs"], row["n_non_cf"],
+            "" if row.get("grad_norm") is None else f"{row['grad_norm']:.6e}",
+        ])
+    data = text.getvalue().encode("utf-8")
+    try:
+        if path.read_bytes() == data:
+            return
+    except OSError:
+        pass
+    publish(path, lambda tmp: tmp.write_bytes(data))
 
-    publish(path, save)
+
+def cell_rows(cfg: dict, cell: SweepCell, sha256: str, data: Callable[[], Dataset],
+              cache: Path, eps_grid: list[float], inputs: Callable[[], EvalInputs],
+              beds: dict[str, dict[int, list[int]]]) -> list[dict]:
+    """The cell's results rows, one per eps_a of `eps_grid`. Its model and
+    attack gradient are loaded or built on the first row that needs them and
+    live as long as this call; the bed of its (algo, seed) is read or built
+    once into `beds`, by bed key, from the cell's own model when the cell is
+    the vanilla one, else from the vanilla cell's, trained on demand."""
+    run_id = config_hash(cell_run_config(cfg, cell, sha256))
+    run_dir = cache / "runs" / run_id
+    keys = cell_keys(cfg, cell, sha256, run_id)
+    model = trained(cfg, cell, data, cache)
+    if keys.bed not in beds:
+        vanilla = model if run_id == keys.vanilla_id else \
+            trained(cfg, SweepCell(cell.algo, 0.0, 0.0, cell.seed), data, cache)
+        beds[keys.bed] = ensure_bed(cfg, cell, data, cache, keys, vanilla)
+    gradient = functools.cache(lambda: ensure_attack(cfg, cell, model(), run_dir, keys.attack)[0])
+    return [ensure_eval(cfg, cell, model, run_dir, run_id, float(eps_a), beds[keys.bed],
+                        inputs, keys, gradient) for eps_a in eps_grid]
 
 
 def run_sweep(cfg: dict, cache: Path | None = None) -> Path:
     """Execute the whole grid; returns the path of results.csv."""
     cache = resolve_cache(cache)
-    data = load_dataset(cfg, cache)
+    sha256, data = lazy_dataset(cfg, cache)
     inputs = eval_inputs(data)
     sw = cfg["sweep"]
-    cells = enumerate_cells(sw["algos"], sw["lambdas"], sw["eps_ds"], sw["seeds"])
     rows: list[dict] = []
     beds: dict[str, dict[int, list[int]]] = {}  # by bed key: read once per (algo, seed)
-    for cell in cells:
-        model, run_dir, run_id, _ = ensure_trained(cfg, cell, data, cache)
-        keys = cell_keys(cfg, cell, data, run_id)
-        if keys.bed not in beds:
-            beds[keys.bed] = ensure_bed(cfg, cell, data, cache, keys)
-        for eps_a in cfg["attack"]["eps_a_grid"]:
-            rows.append(ensure_eval(cfg, cell, model, run_dir, run_id, float(eps_a),
-                                    data, beds[keys.bed], inputs, keys))
+    for cell in enumerate_cells(sw["algos"], sw["lambdas"], sw["eps_ds"], sw["seeds"]):
+        rows += cell_rows(cfg, cell, sha256, data, cache, cfg["attack"]["eps_a_grid"],
+                          inputs, beds)
     out = cache / "results.csv"
     write_results(out, rows)
     return out

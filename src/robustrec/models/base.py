@@ -196,9 +196,14 @@ class Recommender(ABC):
         """Ranked feature ids explaining why v is recommended to u."""
 
     def explain_pairs(self, pairs: Sequence[tuple[int, int]], top_n: int = 1,
-                      require_recommended: bool = True) -> list[Explanation]:
+                      require_recommended: bool = True,
+                      candidate_scores: dict[int, np.ndarray] | None = None
+                      ) -> list[Explanation]:
         """`explain` for every (u, v) of `pairs`, in order. Models whose
-        explanations share work across pairs override this."""
+        explanations share work across pairs override this. A caller that
+        has scored users' `candidate_items` on the current parameters may pass
+        those scores by user as `candidate_scores`; models that rank the
+        candidates use them instead of scoring again."""
         return [self.explain(u, v, top_n=top_n, require_recommended=require_recommended)
                 for u, v in pairs]
 

@@ -197,7 +197,9 @@ class CER(Recommender):
         return score_grad
 
     def explain_pairs(self, pairs: Sequence[tuple[int, int]], top_n: int = 1,
-                      require_recommended: bool = True) -> list[Explanation]:
+                      require_recommended: bool = True,
+                      candidate_scores: dict[int, np.ndarray] | None = None
+                      ) -> list[Explanation]:
         """Features whose minimal weakening un-recommends each v for its u,
         from one batched counterfactual solve over all pairs.
 
@@ -207,11 +209,12 @@ class CER(Recommender):
         is set; evaluation over a fixed bed relaxes this.
         """
         cfg = self.config
+        known = candidate_scores or {}
         targets: dict[int, tuple[list[int], np.ndarray, float]] = {}
         for u, v in pairs:
             if u not in targets:  # per user: ranking, scores best first, margin
                 cands = self.candidate_items(u)
-                scores = self.scores(u, cands)
+                scores = known[u] if u in known else self.scores(u, cands)
                 spread = float(scores.max() - scores.min())
                 targets[u] = (rank_items(scores, cands), np.sort(scores)[::-1],
                               cfg.cf_margin_frac * (spread if spread > 0.0 else 1.0))

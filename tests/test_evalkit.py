@@ -131,7 +131,7 @@ class _ScriptedModel:
     def scores(self, u, items, table=None):
         return np.asarray([self._score_fn(u, int(v)) for v in items], dtype=np.float64)
 
-    def explain_pairs(self, pairs, top_n=1, require_recommended=True):
+    def explain_pairs(self, pairs, top_n=1, require_recommended=True, candidate_scores=None):
         self.batches += 1
         out = []
         for u, v in pairs:

@@ -463,12 +463,47 @@ def test_sweep_computes_the_attack_gradient_once_per_run(corpus, tmp_path, monke
     assert not list((tmp_path / "clean-only").glob("runs/*/attack_*"))
 
 
+def test_cold_sweep_reads_back_nothing_it_built(corpus, tmp_path, monkeypatch):
+    loads, norms = [], []
+
+    def load_spy(path):
+        result = load_checkpoint(path)  # a missing artifact raises before it is recorded
+        loads.append(path)
+        return result
+
+    monkeypatch.setattr(sweep, "load_checkpoint", load_spy)
+    monkeypatch.setattr(sweep, "params_norm", lambda xi: norms.append(xi) or rob.params_norm(xi))
+    cfg = _sweep_config(corpus)
+    cfg["attack"]["eps_a_grid"] = DEFAULTS["attack"]["eps_a_grid"]
+    run_sweep(cfg, tmp_path / "cache")
+    # the vanilla model the bed is built from, and each run's attack gradient
+    # behind its attacked rows, are the ones this sweep just built
+    assert loads == []
+    assert norms == []
+
+
 @pytest.fixture(scope="module")
 def warm_cache(corpus, tmp_path_factory):
     """A cache filled by one sweep of `_sweep_config(corpus)`."""
     cache = tmp_path_factory.mktemp("warm") / "cache"
     run_sweep(_sweep_config(corpus), cache)
     return cache
+
+
+def test_sweep_without_the_vanilla_cell_scores_on_its_bed(corpus, warm_cache, tmp_path):
+    cfg = _sweep_config(corpus)
+    cfg["sweep"]["lambdas"] = [0.5]
+    cache = tmp_path / "cache"
+    out = run_sweep(cfg, cache)
+    # the bed's vanilla run is trained on demand, with its bed alone
+    vanilla = [d for d in (cache / "runs").iterdir() if list(d.glob("bed_*.json"))]
+    assert len(vanilla) == 1 and (vanilla[0] / "checkpoint" / "manifest.json").exists()
+    assert not list(vanilla[0].glob("eval_*.json"))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(warm_cache / "results.csv", newline="") as fh:
+        full = [r for r in csv.DictReader(fh) if r["lambda"] == "0.5"]
+    assert rows == full
 
 
 @pytest.mark.parametrize("change", ["eval.top_n=2", "eval.k_ndcg=10", "eval.k_rec=3",
@@ -541,24 +576,54 @@ def _attack_blob_as_int(cache):
         row.unlink()
 
 
+def _drop_run_rows(run_dir):
+    """Delete the results rows of one run, the rows that need its checkpoint."""
+    for row in run_dir.glob("eval_*.json"):
+        row.unlink()
+
+
+def _checkpoint(damage, pattern):
+    """`damage` applied to the first path matching `pattern` in a run's
+    checkpoint, in a cache without that run's results rows, so that they
+    load it again."""
+    def apply(cache):
+        path = _first(cache, pattern)
+        damage(path)
+        _drop_run_rows(cache / "runs" / path.relative_to(cache / "runs").parts[0])
+    return apply
+
+
+def _dataset(damage):
+    """`damage(cache)` to the dataset artifact, in a cache without results
+    rows, every one of which needs the dataset to be built again."""
+    def apply(cache):
+        damage(cache)
+        for run_dir in cache.glob("runs/*"):
+            _drop_run_rows(run_dir)
+    return apply
+
+
 def _dataset_stats(stats):
     """A dataset artifact whose manifest holds `stats` in place of its own."""
     def damage(cache):
         path = _first(cache, "datasets/*/manifest.json")
         path.write_text(json.dumps({**json.loads(path.read_text()), "stats": stats}))
-    return damage
+    return _dataset(damage)
 
 
 @pytest.mark.parametrize("damage", [
-    pytest.param(lambda c: _truncate(_first(c, "runs/*/checkpoint/*.f64")), id="param-blob"),
-    pytest.param(lambda c: _first(c, "runs/*/checkpoint/index.json").unlink(), id="index-json"),
-    pytest.param(lambda c: _truncate(_first(c, "datasets/*/*.i64")), id="dataset-blob"),
-    pytest.param(lambda c: _first(c, "datasets/*/index.json").unlink(), id="dataset-index"),
-    pytest.param(lambda c: _unpublish(_first(c, "runs/*/checkpoint")), id="temp-sibling"),
+    pytest.param(_checkpoint(_truncate, "runs/*/checkpoint/*.f64"), id="param-blob"),
+    pytest.param(_checkpoint(Path.unlink, "runs/*/checkpoint/index.json"), id="index-json"),
+    pytest.param(_dataset(lambda c: _truncate(_first(c, "datasets/*/*.i64"))),
+                 id="dataset-blob"),
+    pytest.param(_dataset(lambda c: _first(c, "datasets/*/index.json").unlink()),
+                 id="dataset-index"),
+    pytest.param(_checkpoint(_unpublish, "runs/*/checkpoint"), id="temp-sibling"),
     pytest.param(_write_json("runs/*/bed_*.json", []), id="bed-list"),
     pytest.param(_write_json("runs/*/bed_*.json", {"3": 5}), id="bed-int-items"),
     pytest.param(_write_json("runs/*/eval_*.json", 5), id="eval-row-int"),
-    pytest.param(_write_json("runs/*/checkpoint/index.json", []), id="index-list"),
+    pytest.param(_checkpoint(lambda p: p.write_text(json.dumps([])),
+                             "runs/*/checkpoint/index.json"), id="index-list"),
     pytest.param(_row_column("ndcg", "x"), id="eval-row-str-metric"),
     pytest.param(_attack_gradient(lambda m, xi: xi.update(H1=xi["H1"][:1])),
                  id="attack-xi-shape"),
@@ -593,6 +658,8 @@ def test_legacy_dataset_layout_is_rebuilt_once(corpus, warm_cache, tmp_path, cap
     (dataset / "x.bin").write_bytes(b"RRAM" + bytes(28))
     (dataset / "y.bin").write_bytes(b"RRAM" + bytes(28))
     (dataset / "stats.json").write_text(json.dumps({"n_users": 0}))
+    for run_dir in cache.glob("runs/*"):  # rows that need the dataset built again
+        _drop_run_rows(run_dir)
     with caplog.at_level("WARNING", logger="robustrec"):
         out = run_sweep(_sweep_config(corpus), cache)
     assert [r for r in caplog.records if str(dataset) in r.getMessage()]
@@ -657,10 +724,10 @@ def test_warm_sweep_loads_checkpoints_without_drawing_and_hashes_once(
     cfg = _sweep_config(corpus)
     out = run_sweep(cfg, cache)
     assert out.read_bytes() == (warm_cache / "results.csv").read_bytes()
-    # the dataset key; per cell its run id, vanilla run id, bed and attack
-    # keys; one key per results row
+    # per cell its run id, vanilla run id, bed and attack keys; one key per
+    # results row; no dataset key, as no row needs the dataset
     n_cells, n_rows = 2, 4
-    assert len(hashes) == 1 + 4 * n_cells + n_rows
+    assert len(hashes) == 4 * n_cells + n_rows
 
     # a checkpoint whose parameters do not fit the model is rebuilt
     monkeypatch.undo()
@@ -668,6 +735,7 @@ def test_warm_sweep_loads_checkpoints_without_drawing_and_hashes_once(
     manifest, params = load_checkpoint(ckpt)
     shutil.rmtree(ckpt)
     save_checkpoint(ckpt, manifest, {**params, "V": params["V"][:, :2]})
+    _drop_run_rows(ckpt.parent)  # the rows that need it
     draws = []
 
     def reinit_spy(self, seed):
@@ -715,7 +783,7 @@ def test_ensure_trained_returns_the_checkpoint_manifest_cold_and_warm(corpus, tm
     for model, run_dir, run_id, manifest in (cold, warm):
         assert run_dir == cache / "runs" / run_id  # bench/tracing.py reads the id as result[2]
         assert manifest == json.loads((run_dir / "checkpoint" / "manifest.json").read_text())
-        assert manifest["config"] == sweep.cell_run_config(cfg, cell, data)
+        assert manifest["config"] == sweep.cell_run_config(cfg, cell, data.stats["sha256"])
     assert cold[3] == warm[3] and cold[1] == warm[1]
     for name, p in cold[0].params.items():
         np.testing.assert_array_equal(p.data, warm[0].params[name].data)
@@ -774,6 +842,65 @@ def test_cli_evaluate_of_a_cached_row_derives_no_eval_inputs(corpus, warm_cache,
     assert row["condition"] == "attacked" and row["lambda"] == 0.5
     cached = [json.loads(p.read_text()) for p in cache.glob("runs/*/eval_*.json")]
     assert row in cached
+
+
+def _fail_on_artifact_reads(monkeypatch):
+    monkeypatch.setattr(sweep, "load_dataset", lambda *a: pytest.fail("dataset loaded"))
+    monkeypatch.setattr(sweep, "load_checkpoint", lambda path: pytest.fail(f"{path} opened"))
+
+
+def test_cached_rows_open_no_dataset_or_checkpoint(corpus, warm_cache, tmp_path, monkeypatch,
+                                                   caplog):
+    cache = tmp_path / "cache"
+    shutil.copytree(warm_cache, cache)
+    damaged = [_first(cache, "runs/*/checkpoint/*.f64"), _first(cache, "datasets/*/*.i64")]
+    for path in damaged:
+        _truncate(path)
+    truncated = [path.read_bytes() for path in damaged]
+    results = cache / "results.csv"
+    inode = results.stat().st_ino
+    _fail_on_artifact_reads(monkeypatch)
+    with caplog.at_level("WARNING", logger="robustrec"):
+        assert run_sweep(_sweep_config(corpus), cache) == results
+    assert not caplog.records  # nothing found damaged: nothing was opened
+    assert [path.read_bytes() for path in damaged] == truncated
+    assert results.read_bytes() == (warm_cache / "results.csv").read_bytes()
+    assert results.stat().st_ino == inode  # the same bytes are not written again
+
+
+def test_cli_evaluate_of_a_cached_row_opens_no_dataset_or_checkpoint(
+        corpus, warm_cache, tmp_path, capsys, monkeypatch):
+    cfg = _sweep_config(corpus)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    _fail_on_artifact_reads(monkeypatch)
+    cached = [json.loads(p.read_text()) for p in warm_cache.glob("runs/*/eval_*.json")]
+    for eps_a in ("0", "0.5"):  # the vanilla cell's clean and attacked rows
+        assert cli_main(["--config", str(config), "--cache", str(warm_cache),
+                         "evaluate", "--eps-a", eps_a]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert row["lambda"] == 0.0 and row["eps_a"] == float(eps_a)
+        assert row in cached
+
+
+def test_write_results_rewrites_only_changed_bytes(corpus, warm_cache, tmp_path):
+    cache = tmp_path / "cache"
+    shutil.copytree(warm_cache, cache)
+    results = cache / "results.csv"
+    before = results.stat()
+    cfg = _sweep_config(corpus)
+    run_sweep(cfg, cache)
+    assert results.stat().st_ino == before.st_ino
+    assert results.stat().st_mtime_ns == before.st_mtime_ns
+
+    cfg["attack"]["eps_a_grid"] = [0.0]  # a changed grid: fewer rows
+    run_sweep(cfg, cache)
+    assert results.stat().st_ino != before.st_ino
+    assert results.read_bytes() == run_sweep(cfg, tmp_path / "fresh").read_bytes()
+    assert results.read_bytes() != (warm_cache / "results.csv").read_bytes()
+    results.unlink()  # a missing file is written
+    run_sweep(cfg, cache)
+    assert results.read_bytes() == (tmp_path / "fresh" / "results.csv").read_bytes()
 
 
 def test_publish_removes_only_partials_of_gone_writers(tmp_path, caplog):

@@ -7,6 +7,7 @@ import pytest
 import robustrec.models.cer as cer_mod
 from gradcheck import gradcheck
 from robustrec.dataset import TEST
+from robustrec.evalkit import evaluate
 from robustrec.diffcore import Tensor, tsum
 from robustrec.models import CER, CERConfig, build_model
 from robustrec.models.base import Explanation
@@ -297,3 +298,30 @@ def test_build_model_rejects_malformed_hidden(tiny_split, hidden):
     # the widths come from JSON config; a bad one must fail here, not in reinit
     with pytest.raises(ValueError, match="hidden"):
         build_model("cer", tiny_split, {"cer": {"hidden": hidden}})
+
+
+def test_evaluate_scores_each_test_user_once_and_explains_as_before(cer_tiny, tiny_split,
+                                                                    monkeypatch):
+    bed = {u: positives.tolist() for u, positives, _ in tiny_split.test_lists()
+           if len(positives)}
+    gold = {(u, v): {0} for u, items in bed.items() for v in items}
+    scored, explained = [], []
+    real_scores, real_explain = CER.scores, CER.explain_pairs
+
+    def scores_spy(self, u, items, table=None):
+        scored.append(u)
+        return real_scores(self, u, items, table)
+
+    def explain_spy(self, pairs, **kwargs):
+        explained.append((pairs, real_explain(self, pairs, **kwargs)))
+        return explained[-1][1]
+
+    monkeypatch.setattr(CER, "scores", scores_spy)
+    monkeypatch.setattr(CER, "explain_pairs", explain_spy)
+    evaluate(cer_tiny, tiny_split, bed, gold, {u: set(range(10)) for u in bed})
+    # ranking scores every test user once; the thresholds reuse those scores
+    assert sorted(scored) == sorted(bed)
+    [(pairs, got)] = explained
+    monkeypatch.undo()
+    assert len(pairs) == sum(map(len, bed.values()))
+    assert got == cer_tiny.explain_pairs(pairs, require_recommended=False)  # scored afresh

@@ -16,8 +16,8 @@ from pathlib import Path
 from ..robustness import DefenseConfig, fmt_eps, scale_attack
 from .config import ConfigError, apply_override, load_config, training_config
 from .report import write_report
-from .sweep import (SweepCell, cell_keys, cell_rows, ensure_attack, ensure_trained, eval_inputs,
-                    lazy_dataset, load_dataset, new_model, resolve_cache, run_sweep)
+from .sweep import (Run, Sweep, SweepCell, budgets, ensure_attack, ensure_trained, load_dataset,
+                    new_model, resolve_cache, run_sweep, sweep_cell)
 from .training import hyperparameter_search
 
 
@@ -41,11 +41,10 @@ def parse_override_tokens(tokens: list[str]) -> list[tuple[str, str]]:
     return pairs
 
 
-def _cell_from_config(cfg: dict) -> SweepCell:
-    lam = float(cfg["defense"]["lambda"])
-    eps_d = float(cfg["defense"]["eps_d"]) if lam != 0.0 else 0.0
-    return SweepCell(algo=cfg["model"]["algo"], lam=lam, eps_d=eps_d,
-                     seed=int(cfg["training"]["seed"]))
+def _cell(cfg: dict) -> SweepCell:
+    """The cell the config's model, defense and training sections name."""
+    return sweep_cell(cfg["model"]["algo"], cfg["defense"]["lambda"], cfg["defense"]["eps_d"],
+                      cfg["training"]["seed"])
 
 
 def cmd_ingest(cfg: dict, cache: Path, args) -> None:
@@ -53,17 +52,16 @@ def cmd_ingest(cfg: dict, cache: Path, args) -> None:
 
 
 def cmd_train(cfg: dict, cache: Path, args) -> None:
-    data = load_dataset(cfg, cache)
-    cell = _cell_from_config(cfg)
+    sweep, cell = Sweep(cfg, cache), _cell(cfg)
     if args.search:
-        lr, wd, _ = hyperparameter_search(lambda: new_model(cfg, cell, data), data.split,
-                                          DefenseConfig(cell.lam, cell.eps_d),
+        lr, wd, _ = hyperparameter_search(lambda: new_model(cfg, cell, sweep.data),
+                                          sweep.data.split, DefenseConfig(cell.lam, cell.eps_d),
                                           training_config(cfg),
                                           cell.seed, search_epochs=args.search_epochs)
         cfg["training"]["lr"] = lr
         cfg["training"]["weight_decay"] = wd
         print(f"search selected lr={lr:g} weight_decay={wd:g}", file=sys.stderr)
-    _, run_dir, run_id, manifest = ensure_trained(cfg, cell, data, cache)
+    _, run_dir, run_id, manifest = ensure_trained(sweep, cell, Run(sweep, cell))
     print(json.dumps({
         "run_id": run_id,
         "checkpoint": str(run_dir / "checkpoint"),
@@ -76,23 +74,19 @@ def cmd_train(cfg: dict, cache: Path, args) -> None:
 
 
 def cmd_attack(cfg: dict, cache: Path, args) -> None:
-    data = load_dataset(cfg, cache)
-    cell = _cell_from_config(cfg)
-    model, run_dir, run_id, _ = ensure_trained(cfg, cell, data, cache)
-    grid = [args.eps_a] if args.eps_a is not None else \
-        [e for e in cfg["attack"]["eps_a_grid"] if e != 0.0]
-    gradient, path = ensure_attack(cfg, cell, model, run_dir,
-                                   cell_keys(cfg, cell, data.stats["sha256"], run_id).attack)
+    grid = budgets([args.eps_a] if args.eps_a is not None else
+                   [e for e in cfg["attack"]["eps_a_grid"] if e != 0.0])
+    run = Run(Sweep(cfg, cache), _cell(cfg))
+    gradient, path = ensure_attack(cfg, run.cell, run.model, run.dir, run.attack_key)
     print(json.dumps({
-        "run_id": run_id, "grad_norm": gradient.grad_norm, "artifact": str(path),
-        "delta_norm": {fmt_eps(e): scale_attack(gradient, float(e)).delta_norm for e in grid},
+        "run_id": run.run_id, "grad_norm": gradient.grad_norm, "artifact": str(path),
+        "delta_norm": {fmt_eps(e): scale_attack(gradient, e).delta_norm for e in grid},
     }, indent=2, sort_keys=True))
 
 
 def cmd_evaluate(cfg: dict, cache: Path, args) -> None:
-    sha256, data = lazy_dataset(cfg, cache)  # as in a sweep: loaded only to build the row
-    [row] = cell_rows(cfg, _cell_from_config(cfg), sha256, data, cache, [args.eps_a],
-                      eval_inputs(data), {})
+    # as in a sweep: the dataset, model and gradient load only to build the row
+    [row] = Run(Sweep(cfg, cache), _cell(cfg)).rows(budgets([args.eps_a]))
     print(json.dumps(row, indent=2, sort_keys=True))
 
 

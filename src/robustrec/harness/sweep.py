@@ -9,15 +9,15 @@ writes its own temporary, and one that loses the rename loads the winner's.
 Vanilla cells run first: their rankings define the per-(algo, seed)
 evaluation bed every condition is scored on.
 
-Every key comes from the review file's sha256, hashed once per sweep; the
-dataset, each cell's model and its attack gradient are callables that load or
-build them on their first call, made when a results row has to be built, so
-a rerun of a finished grid reads only the review file, each bed once per
-(algo, seed) and each results row. Within a cell every eps_a shares one model
-and one attack gradient, and the bed of a sweep's vanilla cell is built from
-that cell's model; both are dropped when the cell ends. The evaluation inputs
-(gold explanations and the users' training features) are likewise derived
-once, on the first results row built.
+A `Sweep` holds what the grid shares, a `Run` what one cell's rows share: the
+review file's sha256 and each run's keys are hashed once, and the dataset, the
+evaluation inputs, a run's model and its attack gradient are loaded or built
+on first use, when a results row has to be built. A rerun of a finished grid
+therefore reads only the review file, each bed once per (algo, seed) and each
+results row. Beds alone are read eagerly, before a cell's rows: a bed is one
+small JSON file, and its lookup is where a traced rerun counts the pairs
+every condition is scored on. Every eps_a of a cell shares one model and one
+attack gradient, dropped when the cell ends.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ from ..models.base import Recommender
 # attack_weights is not called here; it stays importable from this module
 # because bench/tracing.py patches it by this name
 from ..robustness import (AttackGradient, DefenseConfig, attack_gradient,  # noqa: F401
-                          attack_weights, attacked_copy, fmt_eps, params_norm,
+                          attack_weights, attacked_copy, check_budget, fmt_eps, params_norm,
                           scale_attack, train_defended)
 from .config import config_hash, training_config
 
@@ -148,20 +148,33 @@ class SweepCell:
     eps_d: float
     seed: int
 
+    @property
+    def vanilla(self) -> SweepCell:
+        """The undefended cell of the same (algo, seed)."""
+        return SweepCell(self.algo, 0.0, 0.0, self.seed)
+
+
+def sweep_cell(algo: str, lam: float, eps_d: float, seed: int) -> SweepCell:
+    """The cell of one training run: lambda = 0 leaves the defense budget
+    unused, so eps_d collapses to 0 there."""
+    if lam == 0.0:
+        return SweepCell(algo, 0.0, 0.0, int(seed))
+    return SweepCell(algo, float(lam), float(eps_d), int(seed))
+
 
 def enumerate_cells(algos, lambdas, eps_ds, seeds) -> list[SweepCell]:
-    """One training run per cell; lambda = 0 collapses the eps_d axis (the
-    budget is unused) and sorts first, so beds exist before defended cells."""
-    cells: list[SweepCell] = []
-    for algo in sorted(algos):
-        for seed in sorted(seeds):
-            for lam in sorted(lambdas):
-                if lam == 0.0:
-                    cells.append(SweepCell(algo, 0.0, 0.0, seed))
-                else:
-                    for eps_d in sorted(eps_ds):
-                        cells.append(SweepCell(algo, lam, eps_d, seed))
-    return cells
+    """One training run per distinct cell; lambda = 0 collapses the eps_d axis
+    (see `sweep_cell`) and sorts first, so beds exist before defended cells."""
+    return list(dict.fromkeys(sweep_cell(algo, lam, eps_d, seed)
+                              for algo in sorted(algos) for seed in sorted(seeds)
+                              for lam in sorted(lambdas)
+                              for eps_d in (sorted(eps_ds) if lam != 0.0 else [0.0])))
+
+
+def budgets(values) -> list[float]:
+    """The distinct attack budgets of `values` in first-seen order, -0 read as 0
+    (the clean rows' key), each checked by `check_budget` before any artifact."""
+    return [check_budget(eps_a) for eps_a in dict.fromkeys(float(e) or 0.0 for e in values)]
 
 
 class Dataset(NamedTuple):
@@ -224,13 +237,6 @@ def load_dataset(cfg: dict, cache: Path, sha256: str | None = None) -> Dataset:
     return artifact(cache / "datasets" / key, build, save, load)
 
 
-def lazy_dataset(cfg: dict, cache: Path) -> tuple[str, Callable[[], Dataset]]:
-    """The review file's sha256, hashed now, and the dataset as a callable
-    that loads (or builds) it on its first call and returns it after."""
-    sha256 = review_sha256(cfg)
-    return sha256, functools.cache(lambda: load_dataset(cfg, cache, sha256))
-
-
 def cell_run_config(cfg: dict, cell: SweepCell, sha256: str) -> dict:
     """The exact configuration a run id is hashed from; `sha256` is the
     review file's."""
@@ -242,6 +248,66 @@ def cell_run_config(cfg: dict, cell: SweepCell, sha256: str) -> dict:
     }
 
 
+class Sweep:
+    """One config over one cache: the review file's sha256, hashed once; the
+    dataset and the evaluation inputs (gold explanations and the users'
+    training features), loaded or derived on first use; and the beds read so
+    far, by bed key."""
+
+    def __init__(self, cfg: dict, cache: str | Path | None = None):
+        self.cfg, self.cache = cfg, resolve_cache(cache)
+        self.sha256 = review_sha256(cfg)
+        self.beds: dict[str, dict[int, list[int]]] = {}
+
+    @functools.cached_property
+    def data(self) -> Dataset:
+        return load_dataset(self.cfg, self.cache, self.sha256)
+
+    @functools.cached_property
+    def gold(self) -> dict[tuple[int, int], set[int]]:
+        return gold_explanations(self.data.split)
+
+    @functools.cached_property
+    def user_features(self) -> dict[int, set[int]]:
+        return train_feature_sets(self.data.split)
+
+
+class Run:
+    """One cell of a sweep: its run id and directory and the keys of its bed
+    and attack, hashed once, and its model and attack gradient, loaded or
+    built on first use."""
+
+    def __init__(self, sweep: Sweep, cell: SweepCell):
+        cfg, attack = sweep.cfg, sweep.cfg["attack"]
+        self.sweep, self.cell = sweep, cell
+        self.config = cell_run_config(cfg, cell, sweep.sha256)
+        self.run_id = config_hash(self.config)
+        self.dir = sweep.cache / "runs" / self.run_id
+        # the vanilla run of (algo, seed), whose directory keeps the bed
+        self.vanilla_id = self.run_id if cell == cell.vanilla else \
+            config_hash(cell_run_config(cfg, cell.vanilla, sweep.sha256))
+        self.bed_key = config_hash({"run": self.vanilla_id, "k_rec": int(cfg["eval"]["k_rec"])})
+        self.attack_key = config_hash({"run": self.run_id, "seed": int(attack["seed"]),
+                                       "batch_size": int(attack["batch_size"])})
+
+    @functools.cached_property
+    def model(self) -> Recommender:
+        return ensure_trained(self.sweep, self.cell, self)[0]
+
+    @functools.cached_property
+    def gradient(self) -> AttackGradient:
+        return ensure_attack(self.sweep.cfg, self.cell, self.model, self.dir, self.attack_key)[0]
+
+    def rows(self, grid: list[float]) -> list[dict]:
+        """The run's results rows, one per budget of `grid`, scored on the
+        bed of its (algo, seed), read or built first, once per sweep."""
+        sweep, cell = self.sweep, self.cell
+        if self.bed_key not in sweep.beds:
+            sweep.beds[self.bed_key] = ensure_bed(sweep, cell, self)
+        return [ensure_eval(sweep, cell, self, sweep.beds[self.bed_key], self.run_id, eps_a)
+                for eps_a in grid]
+
+
 def new_model(cfg: dict, cell: SweepCell, data: Dataset) -> Recommender:
     """An untrained model for the cell, attached to the dataset."""
     model = build_model(cell.algo, data.split, {cell.algo: cfg["model"][cell.algo]})
@@ -249,19 +315,19 @@ def new_model(cfg: dict, cell: SweepCell, data: Dataset) -> Recommender:
     return model
 
 
-def ensure_trained(cfg: dict, cell: SweepCell, data: Dataset,
-                   cache: Path) -> tuple[Recommender, Path, str, dict]:
-    """(model, run_dir, run_id, manifest): the cell's model with best-epoch
+# the ensure_* stages take the sweep and the run's cell first, and ensure_eval
+# the run id and eps_a fifth and sixth: bench/tracing.py reads them by position
+def ensure_trained(sweep: Sweep, cell: SweepCell, run: Run) -> tuple[Recommender, Path, str, dict]:
+    """(model, run_dir, run_id, manifest): the run's model with best-epoch
     parameters, attached to the split, its run directory, named by the run
     id, and its checkpoint manifest. Trains unless the checkpoint is cached."""
-    run_cfg = cell_run_config(cfg, cell, data.stats["sha256"])
-    run_dir = cache / "runs" / config_hash(run_cfg)
-    split, model = data.split, new_model(cfg, cell, data)
+    data = sweep.data
+    split, model = data.split, new_model(sweep.cfg, cell, data)
 
     def build() -> dict:
         result = train_defended(model, split, DefenseConfig(lam=cell.lam, eps_d=cell.eps_d),
-                                training_config(cfg), cell.seed)
-        return {"kind": cell.algo, "config": run_cfg, "seed": cell.seed,
+                                training_config(sweep.cfg), cell.seed)
+        return {"kind": cell.algo, "config": run.config, "seed": cell.seed,
                 "dims": {"n_users": split.n_users, "n_items": split.n_items,
                          "n_features": split.n_features, "n_rating": split.n_rating},
                 "epochs_trained": result.epochs_run, "best_epoch": result.best_epoch,
@@ -273,44 +339,17 @@ def ensure_trained(cfg: dict, cell: SweepCell, data: Dataset,
         model.set_param_arrays(params)
         return manifest
 
-    manifest = artifact(run_dir / "checkpoint", build,
+    manifest = artifact(run.dir / "checkpoint", build,
                         lambda path, m: save_checkpoint(path, m, model.param_arrays()), load)
-    return model, run_dir, run_dir.name, manifest
+    return model, run.dir, run.run_id, manifest
 
 
-def trained(cfg: dict, cell: SweepCell, data: Callable[[], Dataset],
-            cache: Path) -> Callable[[], Recommender]:
-    """The cell's model from `ensure_trained`, as a callable that trains or
-    loads it on its first call and returns it after."""
-    return functools.cache(lambda: ensure_trained(cfg, cell, data(), cache)[0])
-
-
-class CellKeys(NamedTuple):
-    """The cache keys a trained cell's bed, attack and results rows are
-    stored under, hashed once per cell."""
-    vanilla_id: str  # the vanilla run of (algo, seed), whose directory keeps the bed
-    bed: str         # that run and k_rec
-    attack: str      # this cell's run and the attack settings
-
-
-def cell_keys(cfg: dict, cell: SweepCell, sha256: str, run_id: str) -> CellKeys:
-    """The keys of the cell whose run id is `run_id`, on the review file
-    whose sha256 is `sha256`."""
-    vanilla = SweepCell(cell.algo, 0.0, 0.0, cell.seed)
-    vanilla_id = config_hash(cell_run_config(cfg, vanilla, sha256))
-    a = cfg["attack"]
-    return CellKeys(vanilla_id,
-                    config_hash({"run": vanilla_id, "k_rec": int(cfg["eval"]["k_rec"])}),
-                    config_hash({"run": run_id, "seed": int(a["seed"]),
-                                 "batch_size": int(a["batch_size"])}))
-
-
-def ensure_bed(cfg: dict, cell: SweepCell, data: Callable[[], Dataset], cache: Path,
-               keys: CellKeys, vanilla: Callable[[], Recommender]) -> dict[int, list[int]]:
+def ensure_bed(sweep: Sweep, cell: SweepCell, run: Run) -> dict[int, list[int]]:
     """The evaluation bed for (algo, seed): the top-k hits of the vanilla
-    model, which `vanilla` gives (see `trained`) when the bed is built."""
+    model, `run`'s own when it is the vanilla run."""
     def build() -> dict[int, list[int]]:
-        return build_bed(vanilla(), data().split, k_rec=int(cfg["eval"]["k_rec"]))
+        vanilla = run if run.run_id == run.vanilla_id else Run(sweep, cell.vanilla)
+        return build_bed(vanilla.model, sweep.data.split, k_rec=int(sweep.cfg["eval"]["k_rec"]))
 
     def save(path: Path, bed: dict[int, list[int]]) -> None:
         path.write_text(json.dumps({str(u): vs for u, vs in sorted(bed.items())}, sort_keys=True))
@@ -322,7 +361,8 @@ def ensure_bed(cfg: dict, cell: SweepCell, data: Callable[[], Dataset], cache: P
             raise ValueError(f"{path}: a bed maps users to lists of item ids")
         return {int(u): items for u, items in doc.items()}
 
-    return artifact(cache / "runs" / keys.vanilla_id / f"bed_{keys.bed}.json", build, save, load)
+    path = sweep.cache / "runs" / run.vanilla_id / f"bed_{run.bed_key}.json"
+    return artifact(path, build, save, load)
 
 
 def ensure_attack(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
@@ -358,41 +398,25 @@ def ensure_attack(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
     return artifact(path, build, save, load), path
 
 
-EvalInputs = tuple[DatasetSplit, dict[tuple[int, int], set[int]], dict[int, set[int]]]
-
-
-def eval_inputs(data: Callable[[], Dataset]) -> Callable[[], EvalInputs]:
-    """The split, its gold explanations and its users' training feature
-    sets, as a callable that derives them on its first call and returns them
-    after."""
-    def derive() -> EvalInputs:
-        split = data().split
-        return split, gold_explanations(split), train_feature_sets(split)
-    return functools.cache(derive)
-
-
-def ensure_eval(cfg: dict, cell: SweepCell, model: Callable[[], Recommender], run_dir: Path,
-                run_id: str, eps_a: float, bed: dict[int, list[int]],
-                inputs: Callable[[], EvalInputs], keys: CellKeys,
-                gradient: Callable[[], AttackGradient]) -> dict:
-    """One results row: clean when eps_a = 0, otherwise attack then evaluate.
-    The trained model, the attack gradient (see `ensure_attack`) and the
-    evaluation inputs (see `eval_inputs`) are callables, called only when
-    the row is built, so a cached row is reused without any of them; a clean
-    row's key leaves the attack settings out, as its value does."""
+def ensure_eval(sweep: Sweep, cell: SweepCell, run: Run, bed: dict[int, list[int]],
+                run_id: str, eps_a: float) -> dict:
+    """One results row of `run`, scored on `bed`: clean when eps_a = 0,
+    otherwise attack then evaluate. The run's model and attack gradient and
+    the sweep's dataset and evaluation inputs are used only when the row is
+    built, so a cached row is reused without any of them; a clean row's key
+    leaves the attack settings out, as its value does."""
+    cfg = sweep.cfg
     top_n, k_ndcg = int(cfg["eval"]["top_n"]), int(cfg["eval"]["k_ndcg"])
-    source = {"run": run_id} if eps_a == 0.0 else {"attack": keys.attack}
-    key = config_hash({**source, "eps_a": eps_a, "bed": keys.bed,
+    source = {"run": run_id} if eps_a == 0.0 else {"attack": run.attack_key}
+    key = config_hash({**source, "eps_a": eps_a, "bed": run.bed_key,
                        "top_n": top_n, "k_ndcg": k_ndcg, "dataset": cfg["dataset"]["name"]})
 
     def build() -> dict:
-        target, grad_norm = model(), None
+        target, grad_norm = run.model, None
         if eps_a != 0.0:
-            xi = gradient()
-            target = attacked_copy(target, scale_attack(xi, eps_a).delta)
-            grad_norm = xi.grad_norm
-        split, gold, user_features = inputs()
-        report = evaluate(target, split, bed, gold, user_features,
+            target = attacked_copy(target, scale_attack(run.gradient, eps_a).delta)
+            grad_norm = run.gradient.grad_norm
+        report = evaluate(target, sweep.data.split, bed, sweep.gold, sweep.user_features,
                           top_n=top_n, k_ndcg=k_ndcg)
         return {"run_id": run_id, "algo": cell.algo, "dataset": cfg["dataset"]["name"],
                 "lambda": cell.lam, "eps_d": cell.eps_d, "eps_a": eps_a,
@@ -411,7 +435,7 @@ def ensure_eval(cfg: dict, cell: SweepCell, model: Callable[[], Recommender], ru
             raise ValueError(f"{path}: results row has wrong-typed {bad}")
         return row
 
-    return artifact(run_dir / f"eval_{key}.json", build,
+    return artifact(run.dir / f"eval_{key}.json", build,
                     lambda path, row: path.write_text(json.dumps(row, indent=2, sort_keys=True)),
                     load)
 
@@ -446,38 +470,13 @@ def write_results(path: Path, rows: list[dict]) -> None:
     publish(path, lambda tmp: tmp.write_bytes(data))
 
 
-def cell_rows(cfg: dict, cell: SweepCell, sha256: str, data: Callable[[], Dataset],
-              cache: Path, eps_grid: list[float], inputs: Callable[[], EvalInputs],
-              beds: dict[str, dict[int, list[int]]]) -> list[dict]:
-    """The cell's results rows, one per eps_a of `eps_grid`. Its model and
-    attack gradient are loaded or built on the first row that needs them and
-    live as long as this call; the bed of its (algo, seed) is read or built
-    once into `beds`, by bed key, from the cell's own model when the cell is
-    the vanilla one, else from the vanilla cell's, trained on demand."""
-    run_id = config_hash(cell_run_config(cfg, cell, sha256))
-    run_dir = cache / "runs" / run_id
-    keys = cell_keys(cfg, cell, sha256, run_id)
-    model = trained(cfg, cell, data, cache)
-    if keys.bed not in beds:
-        vanilla = model if run_id == keys.vanilla_id else \
-            trained(cfg, SweepCell(cell.algo, 0.0, 0.0, cell.seed), data, cache)
-        beds[keys.bed] = ensure_bed(cfg, cell, data, cache, keys, vanilla)
-    gradient = functools.cache(lambda: ensure_attack(cfg, cell, model(), run_dir, keys.attack)[0])
-    return [ensure_eval(cfg, cell, model, run_dir, run_id, float(eps_a), beds[keys.bed],
-                        inputs, keys, gradient) for eps_a in eps_grid]
-
-
 def run_sweep(cfg: dict, cache: Path | None = None) -> Path:
     """Execute the whole grid; returns the path of results.csv."""
-    cache = resolve_cache(cache)
-    sha256, data = lazy_dataset(cfg, cache)
-    inputs = eval_inputs(data)
-    sw = cfg["sweep"]
+    grid = budgets(cfg["attack"]["eps_a_grid"])
+    sweep, sw = Sweep(cfg, cache), cfg["sweep"]
     rows: list[dict] = []
-    beds: dict[str, dict[int, list[int]]] = {}  # by bed key: read once per (algo, seed)
     for cell in enumerate_cells(sw["algos"], sw["lambdas"], sw["eps_ds"], sw["seeds"]):
-        rows += cell_rows(cfg, cell, sha256, data, cache, cfg["attack"]["eps_a_grid"],
-                          inputs, beds)
-    out = cache / "results.csv"
+        rows += Run(sweep, cell).rows(grid)
+    out = sweep.cache / "results.csv"
     write_results(out, rows)
     return out

@@ -236,15 +236,21 @@ def params_norm(arrays: dict[str, np.ndarray]) -> float:
     return float(np.sqrt(sum(float((g * g).sum()) for g in arrays.values())))
 
 
+def check_budget(eps_a: float) -> float:
+    """`eps_a` when it is an attack budget, finite and >= 0; ValueError otherwise."""
+    if not (np.isfinite(eps_a) and eps_a >= 0.0):
+        raise ValueError(f"attack budget eps_a must be finite and >= 0, got {eps_a!r}")
+    return eps_a
+
+
 def scale_attack(gradient: AttackGradient, eps_a: float) -> AttackResult:
     """Delta* = (eps_a / ||Xi||_2) * Xi. Where rounding puts ||Delta*||_2 above
     eps_a, the scale steps down an ulp at a time until it does not; a
     gradient whose `grad_norm` is not Xi's norm would need more than
     MAX_SCALE_STEPS steps and raises FloatingPointError. A gradient with norm
     below 1e-12 (or eps_a = 0) yields the zero perturbation; a negative or
-    non-finite eps_a raises ValueError."""
-    if not (np.isfinite(eps_a) and eps_a >= 0.0):
-        raise ValueError(f"attack budget eps_a must be finite and >= 0, got {eps_a!r}")
+    non-finite eps_a raises ValueError (see `check_budget`)."""
+    check_budget(eps_a)
     xi, grad_norm = gradient
     if eps_a == 0.0 or grad_norm < ZERO_GRAD_NORM:
         delta = {name: np.zeros_like(g) for name, g in xi.items()}

@@ -286,6 +286,11 @@ def test_enumerate_cells_vanilla_first_and_collapsed():
     two_algos = enumerate_cells(["efm", "cer"], [0.0], [0.25], [1, 0])
     assert [(c.algo, c.seed) for c in two_algos] == [("cer", 0), ("cer", 1),
                                                      ("efm", 0), ("efm", 1)]
+    # a value given twice counts once, as do budgets
+    assert enumerate_cells(["efm", "efm"], [0.5, 0, 0.0, 0.5], [0.25, 0.25], [0, 0]) == \
+        [SweepCell("efm", 0.0, 0.0, 0), SweepCell("efm", 0.5, 0.25, 0)]
+    assert sweep.budgets([0, 0.5, 0.5, 0.0, 0.25]) == [0.0, 0.5, 0.25]
+    assert [str(e) for e in sweep.budgets([-0.0, 0.5])] == ["0.0", "0.5"]
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -488,6 +493,45 @@ def warm_cache(corpus, tmp_path_factory):
     cache = tmp_path_factory.mktemp("warm") / "cache"
     run_sweep(_sweep_config(corpus), cache)
     return cache
+
+
+def test_repeated_grid_values_write_each_row_once(corpus, warm_cache, tmp_path):
+    cache = tmp_path / "cache"
+    shutil.copytree(warm_cache, cache)
+    cfg = _sweep_config(corpus)
+    cfg["sweep"]["lambdas"] = [0, 0.0]
+    cfg["attack"]["eps_a_grid"] = [0, 0.5, 0.5]
+    out = run_sweep(cfg, cache)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(warm_cache / "results.csv", newline="") as fh:
+        vanilla = [r for r in csv.DictReader(fh) if r["lambda"] == "0"]
+    assert rows == vanilla and len(rows) == 2  # the vanilla run's clean and attacked rows
+    write_report(out, tmp_path / "report")
+    with open(tmp_path / "report" / "aggregate.csv", newline="") as fh:
+        assert [r["n_runs"] for r in csv.DictReader(fh)] == ["1", "1"]
+
+
+@pytest.mark.parametrize("command, grid", [
+    (["evaluate", "--eps-a", "-1"], [0.0, 0.5]),
+    (["evaluate", "--eps-a", "nan"], [0.0, 0.5]),
+    (["attack", "--eps-a", "-1"], [0.0, 0.5]),
+    (["attack"], [0.0, -0.5]),
+    (["attack"], [0.0, float("nan")]),
+    (["sweep"], [0.0, -0.5]),
+    (["sweep"], [0.0, 0.5, float("inf")]),
+])
+def test_bad_budget_is_rejected_before_any_artifact(command, grid, corpus, tmp_path,
+                                                   monkeypatch):
+    cfg = _sweep_config(corpus)
+    cfg["attack"]["eps_a_grid"] = grid
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    monkeypatch.setattr(sweep, "load_dataset", lambda *a: pytest.fail("dataset loaded"))
+    cache = tmp_path / "cache"
+    with pytest.raises(ValueError, match="eps_a"):
+        cli_main(["--config", str(config), "--cache", str(cache), *command])
+    assert not (cache / "runs").exists()
 
 
 def test_sweep_without_the_vanilla_cell_scores_on_its_bed(corpus, warm_cache, tmp_path):
@@ -724,10 +768,11 @@ def test_warm_sweep_loads_checkpoints_without_drawing_and_hashes_once(
     cfg = _sweep_config(corpus)
     out = run_sweep(cfg, cache)
     assert out.read_bytes() == (warm_cache / "results.csv").read_bytes()
-    # per cell its run id, vanilla run id, bed and attack keys; one key per
-    # results row; no dataset key, as no row needs the dataset
-    n_cells, n_rows = 2, 4
-    assert len(hashes) == 4 * n_cells + n_rows
+    # per cell its run id, vanilla run id, bed and attack keys, bar the vanilla
+    # cell's vanilla run id, which is its own; one key per results row; no
+    # dataset key, as no row needs the dataset
+    n_cells, n_vanilla, n_rows = 2, 1, 4
+    assert len(hashes) == 4 * n_cells - n_vanilla + n_rows
 
     # a checkpoint whose parameters do not fit the model is rebuilt
     monkeypatch.undo()
@@ -776,14 +821,13 @@ def test_warm_sweep_derives_no_eval_inputs_and_reads_each_bed_once(
 
 def test_ensure_trained_returns_the_checkpoint_manifest_cold_and_warm(corpus, tmp_path):
     cfg, cache = _sweep_config(corpus), tmp_path / "cache"
-    data = sweep.load_dataset(cfg, cache)
     cell = SweepCell("efm", 0.0, 0.0, 0)
-    cold = sweep.ensure_trained(cfg, cell, data, cache)
-    warm = sweep.ensure_trained(cfg, cell, data, cache)
+    runs = [sweep.Run(sweep.Sweep(cfg, cache), cell) for _ in ("cold", "warm")]
+    cold, warm = (sweep.ensure_trained(run.sweep, cell, run) for run in runs)
     for model, run_dir, run_id, manifest in (cold, warm):
         assert run_dir == cache / "runs" / run_id  # bench/tracing.py reads the id as result[2]
         assert manifest == json.loads((run_dir / "checkpoint" / "manifest.json").read_text())
-        assert manifest["config"] == sweep.cell_run_config(cfg, cell, data.stats["sha256"])
+        assert manifest["config"] == sweep.cell_run_config(cfg, cell, runs[0].sweep.sha256)
     assert cold[3] == warm[3] and cold[1] == warm[1]
     for name, p in cold[0].params.items():
         np.testing.assert_array_equal(p.data, warm[0].params[name].data)
@@ -793,12 +837,13 @@ def test_warm_load_adopts_the_loaded_arrays(corpus, warm_cache, tmp_path, monkey
     cache = tmp_path / "cache"
     shutil.copytree(warm_cache, cache)
     cfg = _sweep_config(corpus)
-    data = sweep.load_dataset(cfg, cache)
+    run = sweep.Run(sweep.Sweep(cfg, cache), SweepCell("efm", 0.5, 0.25, 0))
+    run.sweep.data  # loads through load_checkpoint too
     loaded = []
     monkeypatch.setattr(sweep, "load_checkpoint",
                         lambda path: loaded.append(load_checkpoint(path)) or loaded[-1])
     monkeypatch.setattr(sweep, "train_defended", lambda *a: pytest.fail("retrained"))
-    model = sweep.ensure_trained(cfg, SweepCell("efm", 0.5, 0.25, 0), data, cache)[0]
+    model = run.model
     [(_, params)] = loaded
     assert model.params.keys() == params.keys()
     for name, p in model.params.items():
@@ -881,6 +926,43 @@ def test_cli_evaluate_of_a_cached_row_opens_no_dataset_or_checkpoint(
         row = json.loads(capsys.readouterr().out)
         assert row["lambda"] == 0.0 and row["eps_a"] == float(eps_a)
         assert row in cached
+
+
+# the names bench/tracing.py patches that no longer exist
+STALE_TRACED = {"robustrec.harness.sweep.save_matrix", "robustrec.harness.sweep.load_matrix",
+                "robustrec.robustness.save_checkpoint", "robustrec.robustness.load_checkpoint",
+                "robustrec.models.cer.counterfactual_delta"}
+
+
+def test_bench_tracer_reads_the_sweep_signatures(corpus, tmp_path, monkeypatch):
+    # the tracer reads ensure_trained's, ensure_bed's and ensure_eval's
+    # arguments and results by position; a hook that no longer fits counts
+    # as an error instead of failing the traced run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracing import Tracer
+
+    cfg, cache = _sweep_config(corpus), tmp_path / "cache"
+    keys = {}
+    for rerun in ("cold", "warm"):
+        tracer = Tracer()
+        with tracer.install():
+            run_sweep(cfg, cache)
+        assert tracer.hook_errors == 0
+        assert set(tracer.missing) == STALE_TRACED and len(tracer.missing) == 5
+        keys[rerun] = {}
+        for span in tracer.spans:
+            if "key" in span[6]:
+                keys[rerun].setdefault(span[1], set()).add(span[6]["key"])
+        assert [s[6]["lam"] for s in tracer.spans if s[1] == "harness.ensure_eval"] == \
+            [0.0, 0.0, 0.5, 0.5]
+        assert [s[6]["pairs"] > 0 for s in tracer.spans if s[1] == "harness.ensure_bed"] == \
+            [True]
+    run_ids = [d.name for d in (cache / "runs").iterdir()]
+    assert keys["cold"]["harness.ensure_trained"] == {f"ckpt:{r}" for r in run_ids}
+    for rerun in ("cold", "warm"):
+        assert keys[rerun]["harness.ensure_eval"] == \
+            {f"eval:{r}:{e!r}" for r in run_ids for e in (0.0, 0.5)}
+    assert "harness.ensure_trained" not in keys["warm"]  # no row needed a model
 
 
 def test_write_results_rewrites_only_changed_bytes(corpus, warm_cache, tmp_path):

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .rng import SplitMix64, derive_seed
+from .rng import derive_seed, samples_excluding
 
 log = logging.getLogger(__name__)
 
@@ -278,6 +278,7 @@ def build_split(records: list[ReviewRecord], config: SplitConfig = SplitConfig()
 
     rows: dict[int, list[tuple[int, int, dict]]] = {TRAIN: [], VAL: [], TEST: []}
     held_out: dict[str, tuple[list, list]] = {"test": ([], []), "val": ([], [])}
+    draws: list[tuple[str, tuple[int, set[int], int]]] = []  # (name, (seed, interacted, n_neg))
     n_items = len(items)
     for u in users:
         pairs = by_user.get(u, [])
@@ -304,9 +305,13 @@ def build_split(records: list[ReviewRecord], config: SplitConfig = SplitConfig()
                 what = "test" if name == "test" else "validation"
                 raise SplitError(f"user {u}: need {n_neg} {what} negatives, "
                                  f"only {pool_size} never-interacted items available")
-            rng = SplitMix64(derive_seed(config.seed, f"{name}-neg", u))
             held_out[name][0].append(uidx[u])
-            held_out[name][1].append(rng.sample_range_excluding(n_items, interacted, n_neg))
+            draws.append((name, (derive_seed(config.seed, f"{name}-neg", u), interacted, n_neg)))
+    # SplitMix64(seed).sample_range_excluding(n_items, interacted, n_neg) for
+    # every (user, split), all drawn at once
+    negatives = samples_excluding(n_items, [row for _, row in draws])
+    for (name, _), picked in zip(draws, negatives):
+        held_out[name][1].append(picked)
 
     table = rows[TRAIN] + rows[VAL] + rows[TEST]
     arrays = {"user": np.array([u for u, _, _ in table], dtype=np.int64),

@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from ..dataset import IngestError, SplitError
 from ..robustness import DefenseConfig, fmt_eps, scale_attack
 from .config import ConfigError, apply_override, load_config, training_config
 from .report import write_report
@@ -85,8 +86,10 @@ def cmd_attack(cfg: dict, cache: Path, args) -> None:
 
 
 def cmd_evaluate(cfg: dict, cache: Path, args) -> None:
-    # as in a sweep: the dataset, model and gradient load only to build the row
-    [row] = Run(Sweep(cfg, cache), _cell(cfg)).rows(budgets([args.eps_a]))
+    # as in a sweep: the budget is checked first, and the dataset, model and
+    # gradient load only to build the row
+    grid = budgets([args.eps_a])
+    [row] = Run(Sweep(cfg, cache), _cell(cfg)).rows(grid)
     print(json.dumps(row, indent=2, sort_keys=True))
 
 
@@ -137,7 +140,11 @@ def main(argv: list[str] | None = None) -> int:
     cache = resolve_cache(args.cache)
     handlers = {"ingest": cmd_ingest, "train": cmd_train, "attack": cmd_attack,
                 "evaluate": cmd_evaluate, "sweep": cmd_sweep, "report": cmd_report}
-    handlers[args.command](cfg, cache, args)
+    try:
+        handlers[args.command](cfg, cache, args)
+    except (ConfigError, IngestError, SplitError, FileNotFoundError) as e:
+        print(f"robustrec: error: {e}", file=sys.stderr)  # bad input: one line, no traceback
+        return 2
     return 0
 
 

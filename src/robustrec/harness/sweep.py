@@ -48,7 +48,7 @@ from ..models.base import Recommender
 from ..robustness import (AttackGradient, DefenseConfig, attack_gradient,  # noqa: F401
                           attack_weights, attacked_copy, check_budget, fmt_eps, params_norm,
                           scale_attack, train_defended)
-from .config import config_hash, training_config
+from .config import ConfigError, config_hash, training_config
 
 CACHE_ENV = "ROBUSTREC_CACHE"
 
@@ -173,8 +173,12 @@ def enumerate_cells(algos, lambdas, eps_ds, seeds) -> list[SweepCell]:
 
 def budgets(values) -> list[float]:
     """The distinct attack budgets of `values` in first-seen order, -0 read as 0
-    (the clean rows' key), each checked by `check_budget` before any artifact."""
-    return [check_budget(eps_a) for eps_a in dict.fromkeys(float(e) or 0.0 for e in values)]
+    (the clean rows' key), each checked by `check_budget` before any artifact;
+    a bad one raises ConfigError."""
+    try:
+        return [check_budget(eps_a) for eps_a in dict.fromkeys(float(e) or 0.0 for e in values)]
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 class Dataset(NamedTuple):
@@ -193,7 +197,7 @@ def review_sha256(cfg: dict) -> str:
     """The sha256 of the bytes of the review file cfg['dataset'] names."""
     path = cfg["dataset"]["path"]
     if not path:
-        raise ValueError("dataset.path is required (a JSON-lines review file)")
+        raise ConfigError("dataset.path is required (a JSON-lines review file)")
     digest = hashlib.sha256()
     with open(path, "rb") as fh:  # in chunks: a cache hit never holds the file
         for chunk in iter(lambda: fh.read(1 << 16), b""):

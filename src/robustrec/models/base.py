@@ -110,7 +110,9 @@ class Recommender(ABC):
         """Shuffled minibatches of train interactions plus 1:1 sampled negatives.
 
         `batch_size` counts positives; each batch carries as many zero-target
-        negatives drawn from items the user never interacted with.
+        negatives drawn from items the user never interacted with. The draws
+        are those of one `randrange` per shuffle swap and per negative try,
+        but `rng` is left ahead of them and must serve this pass alone.
         """
         split = self._split
         if split is None:
@@ -124,6 +126,7 @@ class Recommender(ABC):
         targets = np.ones(len(rows)) if self.binary_targets else split.rating[rows]
         user_list = users.tolist()
         positive_items = split.positive_items
+        draws = rng.randranges(n_items)
         for lo in range(0, len(rows), batch_size):
             hi = lo + batch_size
             negatives = []
@@ -132,8 +135,7 @@ class Recommender(ABC):
                 if len(pos) >= n_items:
                     raise RuntimeError(f"user {u} interacted with every item; "
                                        "cannot sample a negative")
-                while True:
-                    j = rng.randrange(n_items)
+                for j in draws:
                     if j not in pos:
                         break
                 negatives.append(j)

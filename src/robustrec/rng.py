@@ -4,14 +4,29 @@ Every sampling decision that must reproduce byte-for-byte (negative sampling,
 epoch shuffles, synthetic corpora) draws from SplitMix64, a 64-bit-state
 generator (Steele, Lea & Flood, OOPSLA 2014). The algorithm is pinned here:
 rebuilding this codebase from the same seeds yields identical streams.
+
+SplitMix64 is counter-based: its k-th output is a fixed bit mix of
+`seed + k * gamma`. So `outputs` and `SplitMix64.block` compute many outputs
+in a few uint64 numpy operations, bit for bit the `next_u64` values, and the
+bulk draws use them. The block path is exact: `shuffle`, `sample` and
+`samples_excluding` return what one `randrange` call per draw would, and they
+take that scalar path whenever a block holds a draw `randrange` would reject.
+`randranges` also returns the scalar values, but over-draws: its generator
+runs up to one block ahead of the values taken. That is safe only because
+every epoch, every attack pass and every (user, split) negative sample seeds
+a generator of its own and uses it for nothing else.
 """
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence, TypeVar
+from itertools import chain
+from typing import Iterable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 T = TypeVar("T")
 
@@ -27,6 +42,28 @@ def derive_seed(root: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def limit(n: int) -> int:
+    """`randrange(n)` accepts a draw u iff u < limit(n), the largest multiple
+    of n not above 2^64, so that u % n is unbiased. ValueError unless
+    1 <= n <= 2^64: above that no draw would ever be accepted."""
+    if not 1 <= n <= 1 << 64:
+        raise ValueError(f"randrange() requires 1 <= n <= 2**64, got {n}")
+    return (1 << 64) // n * n
+
+
+def outputs(seeds: Sequence[int], width: int) -> np.ndarray:
+    """uint64 [len(seeds), width]: row r holds the first `width` `next_u64`
+    outputs of SplitMix64(seeds[r])."""
+    steps = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(_GOLDEN)  # wraps mod 2^64
+    z = np.array([s & _MASK64 for s in seeds], dtype=np.uint64).reshape(-1, 1) + steps
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 class SplitMix64:
     """SplitMix64 generator; 64-bit state, full-period, trivially seedable."""
 
@@ -38,9 +75,16 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def block(self, n: int) -> np.ndarray:
+        """The next n `next_u64` outputs as uint64 [n], leaving the state
+        where n `next_u64` calls would."""
+        z = outputs([self._state], n)[0]
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        return z
 
     def uniform(self) -> float:
         """Float in [0, 1) with 53 random bits."""
@@ -48,18 +92,38 @@ class SplitMix64:
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias (rejection)."""
-        if n <= 0:
-            raise ValueError("randrange() requires n >= 1")
-        limit = ((1 << 64) // n) * n
+        lim = limit(n)
         while True:
             u = self.next_u64()
-            if u < limit:
+            if u < lim:
                 return u % n
+
+    def randranges(self, n: int) -> Iterator[int]:
+        """The values of successive `randrange(n)` calls, drawn 256 outputs
+        at a time. The generator runs up to 255 outputs ahead of the values
+        taken, so it must serve nothing else afterwards."""
+        last = np.uint64(limit(n) - 1)
+        while True:
+            u = self.block(256)
+            u = u[u <= last]
+            yield from (u % np.uint64(n) if n < 1 << 64 else u).tolist()
+
+    def _randrange_each(self, bounds: np.ndarray) -> list[int]:
+        """`randrange(b)` for each uint64 bound b >= 1, in order, from one
+        block of outputs; if `randrange` would reject one of its draws, one
+        call per bound instead, from the same state."""
+        start = self._state
+        u = self.block(len(bounds))
+        # randrange(b) rejects u > 2^64 - 1 - (2^64 mod b), and 2^64 mod b = (0 - b) mod b
+        if (u > ~((np.uint64(0) - bounds) % bounds)).any():
+            self._state = start
+            return [self.randrange(b) for b in bounds.tolist()]
+        return (u % bounds).tolist()
 
     def shuffle(self, xs: list) -> None:
         """In-place Fisher-Yates."""
-        for i in range(len(xs) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        js = self._randrange_each(np.arange(len(xs), 1, -1, dtype=np.uint64))
+        for i, j in zip(range(len(xs) - 1, 0, -1), js):
             xs[i], xs[j] = xs[j], xs[i]
 
     def sample(self, xs: Sequence[T], k: int) -> list[T]:
@@ -67,9 +131,9 @@ class SplitMix64:
         if k > len(xs):
             raise ValueError(f"sample() of {k} from population of {len(xs)}")
         pool = list(xs)
-        for i in range(k):
-            j = i + self.randrange(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
+        js = self._randrange_each(np.arange(len(pool), len(pool) - k, -1, dtype=np.uint64))
+        for i, j in enumerate(js):
+            pool[i], pool[i + j] = pool[i + j], pool[i]
         return pool[:k]
 
     def sample_range_excluding(self, n: int, excluded: Iterable[int], k: int) -> list[int]:
@@ -86,12 +150,38 @@ class SplitMix64:
         if 3 * k >= pool_size:
             pool = [i for i in range(n) if i not in banned]
             return self.sample(pool, k)
-        picked: list[int] = []
-        seen = set(banned)
-        while len(picked) < k:
-            j = self.randrange(n)
-            if j in seen:
-                continue
+        return _distinct(iter(lambda: self.randrange(n), None), banned, k)
+
+
+def _distinct(draws: Iterable[int], banned: set[int], k: int) -> list[int]:
+    """The first k distinct values of `draws` outside `banned`."""
+    picked: list[int] = []
+    seen = set(banned)
+    for j in draws if k else ():
+        if j not in seen:
             seen.add(j)
             picked.append(j)
-        return picked
+            if len(picked) == k:
+                break
+    return picked
+
+
+def samples_excluding(n: int, rows: Sequence[tuple[int, set[int], int]]) -> list[list[int]]:
+    """`SplitMix64(seed).sample_range_excluding(n, banned, k)` for each
+    (seed, banned, k) of `rows`, in order. One [rows, 2 * max k] block holds
+    every row's first draws; a row reads its first 2k and, if it needs more,
+    continues from its generator's state after them. A row whose block holds
+    a draw `randrange(n)` rejects, or that takes the small-pool branch, takes
+    the scalar path."""
+    u = outputs([seed for seed, _, _ in rows], 2 * max((k for _, _, k in rows), default=0))
+    rejects = (u > np.uint64(limit(n) - 1)).any(axis=1).tolist()
+    if n < 1 << 64:
+        u %= np.uint64(n)
+    picked = []
+    for (seed, banned, k), row, rejected in zip(rows, u, rejects):
+        if rejected or 3 * k >= n - len(banned):
+            picked.append(SplitMix64(seed).sample_range_excluding(n, banned, k))
+        else:  # one row at a time: its values are Python ints only while in use
+            rest = SplitMix64(seed + 2 * k * _GOLDEN)
+            picked.append(_distinct(chain(row[:2 * k].tolist(), rest.randranges(n)), banned, k))
+    return picked

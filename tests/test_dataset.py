@@ -15,6 +15,7 @@ from robustrec.dataset import (SPLIT_ARRAYS, TEST, TRAIN, VAL, IngestError, Spli
 from robustrec.evalkit import gold_explanations, train_feature_sets
 from robustrec.harness.config import default_config
 from robustrec.harness.sweep import load_dataset
+from robustrec.rng import SplitMix64, derive_seed
 from robustrec.synth import SynthConfig, synth_jsonl
 from splits import interactions
 
@@ -111,6 +112,23 @@ def test_negative_sampling_contract():
     assert again.test_negatives[again.test_users.tolist().index(u)].tolist() == negatives
     other = build_split(ingest_reviews(lines), SplitConfig(seed=4))
     assert other.test_negatives[other.test_users.tolist().index(u)].tolist() != negatives
+
+
+def test_split_negatives_equal_the_scalar_draw_per_user_and_part():
+    # users with 10 distinct items take the small-pool branch (3 * 10 >= 30);
+    # users with a repeated item draw from the shared block
+    records = ingest_reviews(synth_jsonl(SynthConfig(
+        n_users=30, n_items=40, n_features=10, reviews_per_user=10, seed=8)))
+    split = build_split(records, SplitConfig(seed=2, n_test_pos=2, n_test_neg=10, n_val_neg=4))
+    pools = set()
+    for name, n_neg in (("test", 10), ("val", 4)):
+        for u, negatives in zip(getattr(split, f"{name}_users").tolist(),
+                                getattr(split, f"{name}_negatives").tolist()):
+            interacted = {it.item for it in interactions(split, user=u)}
+            pools.add(3 * n_neg >= split.n_items - len(interacted))
+            rng = SplitMix64(derive_seed(2, f"{name}-neg", split.users[u]))
+            assert negatives == rng.sample_range_excluding(split.n_items, interacted, n_neg)
+    assert pools == {True, False}
 
 
 def test_insufficient_negative_pool_names_user():

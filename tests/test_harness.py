@@ -522,16 +522,54 @@ def test_repeated_grid_values_write_each_row_once(corpus, warm_cache, tmp_path):
     (["sweep"], [0.0, 0.5, float("inf")]),
 ])
 def test_bad_budget_is_rejected_before_any_artifact(command, grid, corpus, tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch, capsys):
     cfg = _sweep_config(corpus)
     cfg["attack"]["eps_a_grid"] = grid
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     monkeypatch.setattr(sweep, "load_dataset", lambda *a: pytest.fail("dataset loaded"))
+    monkeypatch.setattr(sweep, "review_sha256", lambda *a: pytest.fail("review file hashed"))
     cache = tmp_path / "cache"
-    with pytest.raises(ValueError, match="eps_a"):
-        cli_main(["--config", str(config), "--cache", str(cache), *command])
-    assert not (cache / "runs").exists()
+    assert cli_main(["--config", str(config), "--cache", str(cache), *command]) == 2
+    _assert_one_line_error(capsys, "attack budget eps_a must be finite and >= 0")
+    assert _files(cache) == []
+    with pytest.raises(ValueError, match="eps_a"):  # a ConfigError, still a ValueError
+        sweep.budgets(grid if command == ["sweep"] else [-1.0])
+
+
+def _assert_one_line_error(capsys, text):
+    err = capsys.readouterr().err
+    assert err.startswith("robustrec: error: ") and err.count("\n") == 1, err
+    assert text in err
+
+
+def _files(root):
+    return [p for p in root.rglob("*") if p.is_file()] if root.exists() else []
+
+
+def _review_line(user, item, ts):
+    return json.dumps({"user_id": user, "item_id": item, "rating": 4, "timestamp": ts,
+                       "triples": []}) + "\n"
+
+
+@pytest.mark.parametrize("case, text", [
+    ("no dataset.path", "dataset.path is required"),
+    ("missing review file", "No such file or directory"),
+    ("IngestError", "line 2: missing key 'user_id'"),
+    ("SplitError", "user u0: need 100 test negatives, only 0 never-interacted items"),
+])
+def test_cli_input_errors_end_in_one_line_with_status_2(case, text, tmp_path, capsys):
+    reviews = tmp_path / "reviews.jsonl"
+    if case == "IngestError":
+        reviews.write_text(_review_line("u0", "i0", 1) + '{"rating": 3}\n')
+    elif case == "SplitError":  # 8 interactions, no never-interacted item
+        reviews.write_text("".join(_review_line("u0", f"i{t}", t) for t in range(8)))
+    path = [] if case == "no dataset.path" else ["--dataset.path", str(reviews)]
+    cache = tmp_path / "cache"
+    for command in (["ingest"], ["sweep"], ["evaluate"]):
+        assert cli_main(["--cache", str(cache), *command, *path]) == 2
+        _assert_one_line_error(capsys, text)
+        assert _files(cache) == []
 
 
 def test_sweep_without_the_vanilla_cell_scores_on_its_bed(corpus, warm_cache, tmp_path):

@@ -3,12 +3,13 @@ import numpy as np
 import pytest
 
 from gradcheck import gradcheck
+from planted import seed_drawing
 from robustrec.dataset import TRAIN
 from robustrec.diffcore import Adam, Tensor
 from robustrec.evalkit import validation_ndcg
 from robustrec.models import EFM, EFMConfig, rank_items
 from robustrec.models.base import PairBatch, scatter_add_rows
-from robustrec.rng import SplitMix64
+from robustrec.rng import SplitMix64, derive_seed
 from splits import interactions
 
 
@@ -201,6 +202,46 @@ def test_epoch_batches_match_golden_stream(algo, efm_tiny, cer_tiny):
         assert batch.items.tolist() == items
         assert batch.targets.shape == (len(items), 1)
         assert batch.targets[:, 0].tolist() == positives + [0.0] * len(ratings)
+
+
+def _scalar_epoch_batches(model, rng, batch_size):
+    """(users, positives then negatives) per batch, with one `randrange` per
+    shuffle swap and per negative try: the draws the block path reproduces."""
+    split = model._split
+    n_items = model.Y.shape[0]
+    train = np.flatnonzero(split.part == TRAIN)
+    order = list(range(len(train)))
+    for i in range(len(order) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        order[i], order[j] = order[j], order[i]
+    users, items = split.user[train[order]].tolist(), split.item[train[order]].tolist()
+    batches = []
+    for lo in range(0, len(users), batch_size):
+        negatives = []
+        for u in users[lo:lo + batch_size]:
+            pos = {it.item for it in interactions(split, user=u)}
+            while True:
+                j = rng.randrange(n_items)
+                if j not in pos:
+                    break
+            negatives.append(j)
+        batches.append((users[lo:lo + batch_size], items[lo:lo + batch_size] + negatives))
+    return batches
+
+
+def test_block_epoch_batches_equal_the_scalar_draws(efm_tiny, tiny_split):
+    n_train = len(interactions(tiny_split, TRAIN))
+    # planted draws of 2^64 - 1, which randrange(n) rejects for every n but a
+    # power of two: the shuffle's first draw (bound n_train) and its draw for
+    # bound 5, and the fourth negative draw (bound 33, the item count)
+    assert n_train & (n_train - 1) and tiny_split.n_items == 33
+    planted = [seed_drawing(2**64 - 1, at) for at in (0, n_train - 5, n_train + 2)]
+    seeds = [derive_seed(3, "epoch", i) for i in range(30)] + [0, 2**64 - 1] + planted
+    for seed in seeds:
+        for batch_size in (1, 7, 16, 1000):
+            got = [(b.users[:len(b) // 2].tolist(), b.items.tolist())
+                   for b in efm_tiny.epoch_batches(SplitMix64(seed), batch_size)]
+            assert got == _scalar_epoch_batches(efm_tiny, SplitMix64(seed), batch_size)
 
 
 def test_with_params_shares_attachment_with_fresh_tensors(efm_tiny):

@@ -16,9 +16,16 @@ from .robustness import (AttackResult, DefenseConfig, TrainResult, apply_attack,
 
 __version__ = "0.1.0"
 
+# The version of the numbers this package computes, part of every cache key:
+# the first 12 hex digits of the digest of a pinned mini pipeline (split,
+# defended training, attack gradient, evaluation; see tests/test_arithmetic.py).
+# A change that moves any bit of those numbers sets it to the new digest, which
+# keys the whole cache afresh.
+ARITHMETIC = "846e0df4ec99"
+
 __all__ = [
-    "AttackResult", "CER", "CERConfig", "DatasetSplit", "DefenseConfig", "EFM",
-    "EFMConfig", "EvalReport", "IngestError", "SplitConfig", "SplitError",
+    "ARITHMETIC", "AttackResult", "CER", "CERConfig", "DatasetSplit", "DefenseConfig",
+    "EFM", "EFMConfig", "EvalReport", "IngestError", "SplitConfig", "SplitError",
     "TrainResult", "apply_attack", "attack_weights", "attacked_copy",
     "build_matrices", "build_model", "build_split", "build_x", "build_y",
     "clip_perturbed_y", "dataset_stats", "defense_loss", "evaluate",

@@ -23,19 +23,21 @@ from .training import hyperparameter_search
 
 
 def parse_override_tokens(tokens: list[str]) -> list[tuple[str, str]]:
+    """`--section.key VALUE` or `--section.key=VALUE` pairs; a stray argument
+    or an override without a value raises ConfigError."""
     pairs: list[tuple[str, str]] = []
     i = 0
     while i < len(tokens):
         tok = tokens[i]
         if not tok.startswith("--"):
-            raise SystemExit(f"unexpected argument: {tok!r}")
+            raise ConfigError(f"unexpected argument: {tok!r}")
         body = tok[2:]
         if "=" in body:
             path, raw = body.split("=", 1)
             i += 1
         else:
             if i + 1 >= len(tokens):
-                raise SystemExit(f"missing value for override {tok!r}")
+                raise ConfigError(f"missing value for override {tok!r}")
             path, raw = body, tokens[i + 1]
             i += 2
         pairs.append((path, raw))

@@ -120,7 +120,10 @@ def load_config(path: str | Path | None = None) -> dict:
     """Defaults, deep-merged with the JSON document at `path` if given."""
     cfg = default_config()
     if path is not None:
-        doc = json.loads(Path(path).read_text())
+        try:
+            doc = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as e:  # unreadable, not UTF-8 or not JSON
+            raise ConfigError(f"config file {path}: {e}") from None
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
         _merge(cfg, doc)

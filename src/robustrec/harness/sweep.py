@@ -37,6 +37,7 @@ from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
+from .. import ARITHMETIC
 from ..aspects import build_matrices
 from ..dataset import (DatasetSplit, SplitConfig, build_split, dataset_stats, ingest_reviews,
                        split_arrays, split_from_arrays)
@@ -189,8 +190,10 @@ class Dataset(NamedTuple):
 
 
 def _dataset_source(cfg: dict, sha256: str) -> dict:
-    """What a dataset depends on: its settings bar the path, and the review bytes."""
-    return {**{k: v for k, v in cfg["dataset"].items() if k != "path"}, "sha256": sha256}
+    """What a dataset depends on: its settings bar the path, the review bytes
+    and the package's `ARITHMETIC`, through which every later key does too."""
+    return {**{k: v for k, v in cfg["dataset"].items() if k != "path"}, "sha256": sha256,
+            "arithmetic": ARITHMETIC}
 
 
 def review_sha256(cfg: dict) -> str:

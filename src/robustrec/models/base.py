@@ -7,8 +7,9 @@ weight attack run on; `penalty_grad`, the part of that objective that depends
 on the parameters alone, computed once per parameter set and shared by every
 `loss_grad` pass on it; `loss`, the same objective on the autodiff tape over
 the attached X and Y, whose Y may be replaced by a gradient-tracked Tensor, the
-gradient reference; fast numpy `scores` for ranking, per-pair `explain`, and
-`explain_pairs` for many pairs in one call.
+gradient reference; fast numpy `scores` for ranking; and `explain_pairs`, the
+one explanation method, which explains many pairs in one call. `explain` is
+its single-pair case.
 
 A clean `loss_grad` pass may share its Y-free work with the adversarial pass
 after it, and a ranking pass builds `score_table` once for all its users;
@@ -193,21 +194,20 @@ class Recommender(ABC):
         return None
 
     @abstractmethod
-    def explain(self, u: int, v: int, top_n: int = 1,
-                require_recommended: bool = True) -> Explanation:
-        """Ranked feature ids explaining why v is recommended to u."""
-
     def explain_pairs(self, pairs: Sequence[tuple[int, int]], top_n: int = 1,
                       require_recommended: bool = True,
                       candidate_scores: dict[int, np.ndarray] | None = None
                       ) -> list[Explanation]:
-        """`explain` for every (u, v) of `pairs`, in order. Models whose
-        explanations share work across pairs override this. A caller that
-        has scored users' `candidate_items` on the current parameters may pass
-        those scores by user as `candidate_scores`; models that rank the
-        candidates use them instead of scoring again."""
-        return [self.explain(u, v, top_n=top_n, require_recommended=require_recommended)
-                for u, v in pairs]
+        """Ranked feature ids explaining why each v of `pairs` is recommended
+        to its u, in order. A caller that has scored users' `candidate_items`
+        on the current parameters may pass those scores by user as
+        `candidate_scores`; models that rank the candidates use them instead
+        of scoring again."""
+
+    def explain(self, u: int, v: int, top_n: int = 1,
+                require_recommended: bool = True) -> Explanation:
+        """The single-pair case of `explain_pairs`."""
+        return self.explain_pairs([(u, v)], top_n, require_recommended)[0]
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}

@@ -5,11 +5,11 @@ rows [X_u | Y_v]. Explanations answer "which aspects of v, weakened as
 little as possible, would push v out of u's top K" (Tan et al., CIKM 2021):
 a delta over Y_v is optimized to drop the score below the (K+1)-th
 candidate's, and the most negatively perturbed features form the
-explanation. Training and explanation both run in plain numpy on
-hand-derived gradients: `loss_grad` backpropagates the training loss through
-the same forward as scoring, and an explanation call solves every pair
-together as one [B, F] problem. The taped `loss` and `_forward` are the
-reference these gradients are tested against.
+explanation. Training, scoring and the counterfactual solve (every pair at
+once, as one [B, F] problem) run in plain numpy on hand-derived gradients
+through one forward, `_activations` over layer 1's user half `_user_half`;
+only W1's gradient concatenates [X_u | Y_v]. The taped `loss` and `_forward`
+are the reference they are tested against.
 """
 from __future__ import annotations
 
@@ -122,12 +122,17 @@ class CER(Recommender):
             reg = term if reg is None else reg + term
         return bce + self.config.lam_reg * reg
 
-    def _activations(self, pre1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Numpy forward from the layer-1 pre-activation [B, h1]: the two
-        hidden activations and the scores [B]."""
+    def _user_half(self, x_rows: np.ndarray) -> np.ndarray:
+        """Layer 1's user half, x_rows·W1[:F] + b1, which a solve holds fixed."""
+        return x_rows @ self.params["W1"].data[:self.n_features] + self.params["b1"].data
+
+    def _activations(self, user_half: np.ndarray, y_rows: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Layer 1 as its user half plus y_rows·W1[F:], then both sigmoid
+        layers: the two hidden activations and the scores [B]."""
         p = self.params
         with np.errstate(over="ignore"):
-            h1 = 1.0 / (1.0 + np.exp(-pre1))
+            h1 = 1.0 / (1.0 + np.exp(-(user_half + y_rows @ p["W1"].data[self.n_features:])))
             h2 = 1.0 / (1.0 + np.exp(-(h1 @ p["W2"].data + p["b2"].data)))
         return h1, h2, (h2 @ p["W3"].data + p["b3"].data)[:, 0]
 
@@ -148,8 +153,8 @@ class CER(Recommender):
         through the two sigmoid layers of one `_activations` forward."""
         Y = self.Y if Y is None else Y
         p = {name: t.data for name, t in self.params.items()}
-        z = np.hstack([self.X[batch.users], Y[batch.items]])
-        h1, h2, s = self._activations(z @ p["W1"] + p["b1"])
+        x_rows, y_rows = self.X[batch.users], Y[batch.items]
+        h1, h2, s = self._activations(self._user_half(x_rows), y_rows)
         logits, targets = s[:, None], batch.targets
         softplus = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))
         (reg,) = penalty.terms
@@ -159,8 +164,8 @@ class CER(Recommender):
             g3 = (1.0 / (1.0 + np.exp(-logits)) - targets) / len(batch)
         g2 = (g3 @ p["W3"].T) * h2 * (1.0 - h2)
         g1 = (g2 @ p["W2"].T) * h1 * (1.0 - h1)
-        grads = {"W1": z.T @ g1, "b1": g1.sum(axis=0), "W2": h1.T @ g2, "b2": g2.sum(axis=0),
-                 "W3": h2.T @ g3, "b3": g3.sum(axis=0)}
+        grads = {"W1": np.hstack([x_rows, y_rows]).T @ g1, "b1": g1.sum(axis=0),
+                 "W2": h1.T @ g2, "b2": g2.sum(axis=0), "W3": h2.T @ g3, "b3": g3.sum(axis=0)}
         for name, g in grads.items():
             g += penalty.grads[name]
 
@@ -173,9 +178,7 @@ class CER(Recommender):
 
     def scores(self, u: int, items: np.ndarray, table=None) -> np.ndarray:
         items = np.asarray(items, dtype=np.int64)
-        x_rows = np.repeat(self.X[u:u + 1], len(items), axis=0)
-        z = np.hstack([x_rows, self.Y[items]])
-        return self._activations(z @ self.params["W1"].data + self.params["b1"].data)[2]
+        return self._activations(self._user_half(self.X[u]), self.Y[items])[2]
 
     def _cf_score_grad(self, pairs: Sequence[tuple[int, int]]
                        ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -184,15 +187,14 @@ class CER(Recommender):
         the sigmoid layers. The user half of layer 1 is fixed over a solve."""
         p = self.params
         users, items = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-        W1_item = p["W1"].data[self.n_features:]
-        pre1_user = self.X[users] @ p["W1"].data[:self.n_features] + p["b1"].data
+        user_half = self._user_half(self.X[users])
         y_rows = self.Y[items]
 
         def score_grad(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            h1, h2, s = self._activations(pre1_user + (y_rows + delta) @ W1_item)
+            h1, h2, s = self._activations(user_half, y_rows + delta)
             g2 = p["W3"].data[:, 0] * h2 * (1.0 - h2)
             g1 = (g2 @ p["W2"].data.T) * h1 * (1.0 - h1)
-            return s, g1 @ W1_item.T
+            return s, g1 @ p["W1"].data[self.n_features:].T
 
         return score_grad
 
@@ -238,8 +240,3 @@ class CER(Recommender):
             chosen = negative[:top_n] if negative else order[:top_n]
             out.append(Explanation(tuple(chosen), non_counterfactual=not ok))
         return out
-
-    def explain(self, u: int, v: int, top_n: int = 1,
-                require_recommended: bool = True) -> Explanation:
-        """The single-pair case of `explain_pairs`."""
-        return self.explain_pairs([(u, v)], top_n, require_recommended)[0]

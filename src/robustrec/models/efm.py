@@ -8,6 +8,7 @@ rating; explanations are the item's strongest features among that pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -186,15 +187,11 @@ class EFM(Recommender):
             dy[items] = gy
         return float(loss), {"U2": g_u2, "V": g_v}, dy
 
-    def _user_feature_scores(self, u: int) -> np.ndarray:
-        return self.params["U1"].data[u] @ self.params["V"].data.T
-
-    def _item_feature_scores(self, v: int) -> np.ndarray:
-        return self.params["U2"].data[v] @ self.params["V"].data.T
-
-    def _top_features(self, feature_scores: np.ndarray, k: int) -> np.ndarray:
-        # stable argsort on the negated scores: ties go to the lower index
-        return np.argsort(-feature_scores, kind="stable")[:k]
+    def _user_pool(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """User u's feature scores U1[u] V^T and its k favourite features, best
+        first: a stable argsort on the negated scores, so ties go to the lower index."""
+        x_u = self.params["U1"].data[u] @ self.params["V"].data.T
+        return x_u, np.argsort(-x_u, kind="stable")[:self.config.top_k_features]
 
     def score_table(self) -> np.ndarray:
         """Every item's feature scores, U2 V^T [n_items, F], from which the
@@ -204,18 +201,22 @@ class EFM(Recommender):
     def scores(self, u: int, items: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
         cfg = self.config
         items = np.asarray(items, dtype=np.int64)
-        x_u = self._user_feature_scores(u)
-        top = self._top_features(x_u, cfg.top_k_features)
+        x_u, top = self._user_pool(u)
         y_items = (self.score_table() if table is None else table)[items]
         match = y_items[:, top] @ x_u[top] / (cfg.top_k_features * self.n_rating)
         a_hat = self.params["U1"].data[u] @ self.params["U2"].data[items].T \
             + self.params["H1"].data[u] @ self.params["H2"].data[items].T
         return cfg.alpha * match + (1.0 - cfg.alpha) * a_hat
 
-    def explain(self, u: int, v: int, top_n: int = 1,
-                require_recommended: bool = True) -> Explanation:
-        """The item's strongest features among the user's favourite pool."""
-        pool = self._top_features(self._user_feature_scores(u), self.config.top_k_features)
-        y_v = self._item_feature_scores(v)
-        ranked = sorted((int(f) for f in pool), key=lambda f: (-y_v[f], f))
-        return Explanation(tuple(ranked[:top_n]))
+    def explain_pairs(self, pairs: Sequence[tuple[int, int]], top_n: int = 1,
+                      require_recommended: bool = True,
+                      candidate_scores: dict[int, np.ndarray] | None = None
+                      ) -> list[Explanation]:
+        """Each item's strongest features among its user's favourite pool, read
+        from the rows of the `score_table` that ranking reads."""
+        table = self.score_table()
+        out = []
+        for u, v in pairs:
+            ranked = sorted(self._user_pool(u)[1].tolist(), key=lambda f: (-table[v, f], f))
+            out.append(Explanation(tuple(ranked[:top_n])))
+        return out

@@ -179,9 +179,9 @@ def test_every_call_setting_reaches_its_call(corpus, tmp_path, monkeypatch):
 def test_parse_override_tokens_forms():
     assert parse_override_tokens([]) == []
     assert parse_override_tokens(["--a.b", "1", "--c.d=2"]) == [("a.b", "1"), ("c.d", "2")]
-    with pytest.raises(SystemExit):
+    with pytest.raises(ConfigError, match="unexpected argument: 'stray'"):
         parse_override_tokens(["stray"])
-    with pytest.raises(SystemExit):
+    with pytest.raises(ConfigError, match="missing value for override '--a.b'"):
         parse_override_tokens(["--a.b"])
 
 
@@ -572,6 +572,25 @@ def test_cli_input_errors_end_in_one_line_with_status_2(case, text, tmp_path, ca
         assert _files(cache) == []
 
 
+@pytest.mark.parametrize("case, argv, text", [
+    ("override without a value", ["ingest", "--dataset.path"],
+     "missing value for override '--dataset.path'"),
+    ("stray argument", ["ingest", "stray"], "unexpected argument: 'stray'"),
+    ("missing config file", ["--config", "{tmp}/nope.json", "ingest"], "No such file"),
+    ("malformed config file", ["--config", "{tmp}/bad.json", "ingest"], "Expecting"),
+])
+def test_cli_usage_errors_exit_2_without_a_traceback(case, argv, text, tmp_path, capsys):
+    (tmp_path / "bad.json").write_text('{"dataset": ')
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["--cache", str(tmp_path / "cache"),
+                  *(a.format(tmp=tmp_path) for a in argv)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("robustrec: error: ") and text in err, err
+    assert _files(tmp_path / "cache") == []
+
+
 def test_sweep_without_the_vanilla_cell_scores_on_its_bed(corpus, warm_cache, tmp_path):
     cfg = _sweep_config(corpus)
     cfg["sweep"]["lambdas"] = [0.5]
@@ -606,6 +625,34 @@ def test_warm_rerun_after_an_input_change_matches_a_fresh_run(change, corpus, wa
     fresh = run_sweep(cfg, tmp_path / "fresh").read_bytes()
     assert warm == fresh
     assert warm != (warm_cache / "results.csv").read_bytes()  # the change matters
+
+
+def test_another_arithmetic_reuses_nothing_of_a_warm_cache(corpus, warm_cache, tmp_path,
+                                                           monkeypatch):
+    cache = tmp_path / "cache"
+    shutil.copytree(warm_cache, cache)
+    cfg = _sweep_config(corpus)
+    old_dirs = [*(cache / "datasets").iterdir(), *(cache / "runs").iterdir()]
+    with open(warm_cache / "results.csv", newline="") as fh:
+        old_ids = {r["run_id"] for r in csv.DictReader(fh)}
+    opened = []
+    real_load = sweep.load_checkpoint
+    monkeypatch.setattr(sweep, "load_checkpoint", lambda path: opened.append(path) or
+                        real_load(path))
+    monkeypatch.setattr(sweep, "ARITHMETIC", "0123456789ab")
+    with open(run_sweep(cfg, cache), newline="") as fh:
+        new_ids = {r["run_id"] for r in csv.DictReader(fh)}
+    assert len(new_ids) == len(old_ids) == 2 and not new_ids & old_ids
+    assert opened and not [p for p in opened if any(p.is_relative_to(d) for d in old_dirs)]
+    assert len(list((cache / "datasets").iterdir())) == 2
+    for old in _files(warm_cache):  # every old artifact is left as it was
+        if old.name != "results.csv":
+            assert (cache / old.relative_to(warm_cache)).read_bytes() == old.read_bytes()
+
+    monkeypatch.undo()  # the package's own value reuses the old cache whole
+    monkeypatch.setattr(sweep, "train_defended", lambda *a: pytest.fail("retrained"))
+    monkeypatch.setattr(sweep, "evaluate", lambda *a, **k: pytest.fail("row evaluated"))
+    assert run_sweep(cfg, cache).read_bytes() == (warm_cache / "results.csv").read_bytes()
 
 
 def _truncate(path):

@@ -111,6 +111,17 @@ def test_numpy_forward_matches_tape(cer_tiny):
                               Tensor(cer_tiny.Y[cands]), cer_tiny.params)
     np.testing.assert_allclose(cer_tiny.scores(u, cands), taped.data[:, 0], rtol=0.0, atol=1e-12)
 
+    # at delta = 0 the solve starts from the scores that set its thresholds.
+    # Both use one layer-1 form, but scores() takes a user's half as a
+    # matrix-vector product and the solve as a matrix product, whose sums may
+    # run in another order
+    s0, _ = cer_tiny._cf_score_grad(pairs)(np.zeros(delta.shape))
+    want = {}
+    for u in set(users.tolist()):
+        cands = cer_tiny.candidate_items(u)
+        want.update(zip([(u, v) for v in cands.tolist()], cer_tiny.scores(u, cands)))
+    np.testing.assert_allclose(s0, [want[pair] for pair in pairs], rtol=0.0, atol=1e-12)
+
 
 def test_hand_gradient_matches_tape(cer_tiny):
     pairs = _bed_like_pairs(cer_tiny)

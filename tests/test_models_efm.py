@@ -131,6 +131,20 @@ def test_explain_ties_go_to_lower_feature_index(tiny_split, tiny_matrices):
     assert model.explain(0, 3, top_n=3).features == (6, 8, 2)
 
 
+def test_explanations_read_the_ranking_table(efm_tiny, tiny_split):
+    # explanations rank the pool on the same item-feature rows as scoring
+    pairs = [(u, int(v)) for u in tiny_split.test_users.tolist()
+             for v in efm_tiny.candidate_items(u)[:3]]
+    table = efm_tiny.score_table()
+    k = efm_tiny.config.top_k_features
+    U1, V = efm_tiny.params["U1"].data, efm_tiny.params["V"].data
+    got = efm_tiny.explain_pairs(pairs, top_n=3)
+    for (u, v), expl in zip(pairs, got, strict=True):
+        pool = np.argsort(-(U1[u] @ V.T), kind="stable")[:k].tolist()
+        assert expl.features == tuple(sorted(pool, key=lambda f: (-table[v, f], f))[:3])
+        assert efm_tiny.explain(u, v, top_n=3) == expl  # the single-pair case
+
+
 def test_rank_items_tie_rule():
     assert rank_items(np.array([1.0, 3.0, 3.0, 0.5]), np.array([9, 4, 2, 7])) == [2, 4, 9, 7]
 

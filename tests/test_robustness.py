@@ -439,14 +439,16 @@ def _digest(arrays: dict, *extra: np.ndarray) -> str:
     return h.hexdigest()
 
 
-# sha256 of one 1-epoch lambda=0.5, eps_d=0.25 run on tiny_split, recorded
-# from the code that recomputed the penalty on every loss pass: (the epoch's
-# mean loss and the trained parameters, ||Xi|| and Xi). Any moved bit fails.
+# sha256 of one 1-epoch lambda=0.5, eps_d=0.25 run on tiny_split: (the
+# epoch's mean loss and the trained parameters, ||Xi|| and Xi). Any moved bit
+# fails. The efm entry was recorded from the code that recomputed the penalty
+# on every loss pass, the cer entry from the split layer-1 form (X·W1[:F] + b1
+# plus Y·W1[F:]) that scoring and the counterfactual solve share.
 GOLDEN_DEFENDED_RUN = {
     "efm": ("63b0c35d9dffe9664c5dbed6ad56ac6d4470b69ac8de5e675f9a09307a4eeb8f",
             "a784d1c582b3e2fd47645a3e1fc7f9be1521d2ccae83a790c87a3134b3dffcef"),
-    "cer": ("344b8b2f4277b21ca6aa082ab0684d558515ab6763979c1aae6f067d714052ac",
-            "5158bc16827d443836db12f0c07482fcffdf939712fcc377cb0c3baffe286d47"),
+    "cer": ("83fdab51930aece76ab0b76e5758364cf3ee65e26737964c4216ec6ab172524c",
+            "a9cfe0ddaeb838dddfd664825f52d411721b7595f30b867dc1adef76a58efa8b"),
 }
 
 

@@ -130,27 +130,19 @@ class DatasetSplit:
         return pos
 
     @cached_property
-    def test_candidates(self) -> tuple[np.ndarray, np.ndarray]:
-        """([U_test, C] candidate items, [U_test] positive counts). Row r holds
-        the user's n_pos[r] test positives, chronological, then its negatives,
-        then -1 up to the longest row: short users have fewer positives."""
-        rows = np.flatnonzero(self.part == TEST)
-        row_of = np.searchsorted(self.test_users, self.user[rows])
-        n_users, n_neg = self.test_negatives.shape
-        n_pos = np.bincount(row_of, minlength=n_users)
-        rank = np.arange(len(rows)) - (np.cumsum(n_pos) - n_pos)[row_of]  # within the user
-        cands = np.full((n_users, n_pos.max(initial=0) + n_neg), -1, dtype=np.int64)
-        cands[row_of, rank] = self.item[rows]
-        cands[np.arange(n_users)[:, None], n_pos[:, None] + np.arange(n_neg)] = self.test_negatives
-        return cands, n_pos
+    def test_candidates(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """(positives, candidates) by test user, ascending, built once: the
+        positives are the user's test items, chronological, and the candidates
+        those positives followed by the user's negatives."""
+        test = self.part == TEST
+        users, items = self.user[test], self.item[test]
+        positives = np.split(items, np.flatnonzero(np.diff(users)) + 1)
+        return {u: (pos, np.concatenate([pos, neg])) for u, pos, neg
+                in zip(self.test_users.tolist(), positives, self.test_negatives)}
 
     def test_lists(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """(user, positives, candidates) per test user, ascending; the
-        candidates are the positives followed by the negatives."""
-        cands, n_pos = self.test_candidates
-        n_neg = self.test_negatives.shape[1]
-        for u, row, k in zip(self.test_users.tolist(), cands, n_pos.tolist()):
-            yield u, row[:k], row[:k + n_neg]
+        """(user, positives, candidates) per test user, ascending."""
+        return ((u, *lists) for u, lists in self.test_candidates.items())
 
 
 @dataclass(frozen=True)

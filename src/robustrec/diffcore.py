@@ -363,15 +363,13 @@ class Adam:
         self._m = [np.zeros_like(p) for p in self.params]
         self._v = [np.zeros_like(p) for p in self.params]
 
-    def step(self, grads: list[np.ndarray | None]) -> None:
-        """Update each array in place by its gradient; a None gradient skips it."""
+    def step(self, grads: list[np.ndarray]) -> None:
+        """Update each array in place by its gradient."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for p, g, m, v in zip(self.params, grads, self._m, self._v, strict=True):
-            if g is None:
-                continue
             if self.weight_decay != 0.0:
                 p -= self.lr * self.weight_decay * p
             m *= b1

@@ -125,21 +125,14 @@ def evaluate(model: Recommender, split: DatasetSplit, bed: dict[int, list[int]],
     with nonempty gold. Explanations never enforce the top-K precondition
     here: the bed is fixed by the reference model, not the one under test."""
     ndcg_total = 0.0
-    n_users = 0
-    n_skipped = 0
+    n_users = len(split.test_users)
     table = model.score_table()
     bed_scores: dict[int, np.ndarray] = {}  # each bed user's candidate scores
     for u, positives, cands in split.test_lists():
-        relevant = set(positives.tolist())
-        if not relevant:
-            n_skipped += 1
-            continue
         scores = model.scores(u, cands, table)
         if u in bed:
             bed_scores[u] = scores
-        ranked = rank_items(scores, cands)
-        ndcg_total += ndcg_at(ranked, relevant, k_ndcg)
-        n_users += 1
+        ndcg_total += ndcg_at(rank_items(scores, cands), set(positives.tolist()), k_ndcg)
 
     pairs = [(u, v) for u in sorted(bed) for v in bed[u] if gold.get((u, v))]
     explanations = model.explain_pairs(pairs, top_n=top_n, require_recommended=False,
@@ -160,7 +153,6 @@ def evaluate(model: Recommender, split: DatasetSplit, bed: dict[int, list[int]],
         expl_f1=f_total / n_pairs if n_pairs else 0.0,
         n_users=n_users,
         n_pairs=n_pairs,
-        n_skipped_users=n_skipped,
         k_ndcg=k_ndcg,
         top_n=top_n,
         n_non_cf=sum(expl.non_counterfactual for expl in explanations),

@@ -17,8 +17,8 @@ from ..dataset import IngestError, SplitError
 from ..robustness import DefenseConfig, fmt_eps, scale_attack
 from .config import ConfigError, apply_override, load_config, training_config
 from .report import write_report
-from .sweep import (Run, Sweep, SweepCell, budgets, ensure_attack, ensure_trained, load_dataset,
-                    new_model, resolve_cache, run_sweep, sweep_cell)
+from .sweep import (Run, Sweep, SweepCell, budgets, check_settings, ensure_attack, ensure_trained,
+                    load_dataset, new_model, resolve_cache, run_sweep, sweep_cell)
 from .training import hyperparameter_search
 
 
@@ -55,6 +55,7 @@ def cmd_ingest(cfg: dict, cache: Path, args) -> None:
 
 
 def cmd_train(cfg: dict, cache: Path, args) -> None:
+    check_settings(cfg, args.search_epochs if args.search else None)
     sweep, cell = Sweep(cfg, cache), _cell(cfg)
     if args.search:
         lr, wd, _ = hyperparameter_search(lambda: new_model(cfg, cell, sweep.data),
@@ -96,8 +97,7 @@ def cmd_evaluate(cfg: dict, cache: Path, args) -> None:
 
 
 def cmd_sweep(cfg: dict, cache: Path, args) -> None:
-    out = run_sweep(cfg, cache)
-    print(out)
+    print(run_sweep(cfg, cache))
 
 
 def cmd_report(cfg: dict, cache: Path, args) -> None:

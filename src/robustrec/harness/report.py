@@ -5,20 +5,13 @@ import csv
 from pathlib import Path
 
 from ..robustness import fmt_eps
+from .sweep import RESULT_TABLE
 
 
 def read_results(path: str | Path) -> list[dict]:
-    """results.csv rows with numeric columns parsed; an empty grad_norm
-    (clean rows) reads as None."""
+    """results.csv rows, each cell parsed by its column of `RESULT_TABLE`."""
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        for key in ("lambda", "eps_d", "eps_a", "ndcg", "expl_pr", "expl_re", "expl_f1"):
-            row[key] = float(row[key])
-        for key in ("n_users", "n_pairs", "n_non_cf"):
-            row[key] = int(row[key])
-        row["grad_norm"] = float(row["grad_norm"]) if row["grad_norm"] else None
-    return rows
+        return [{c: RESULT_TABLE[c].parse(v) for c, v in row.items()} for row in csv.DictReader(fh)]
 
 
 def write_report(results_path: str | Path, out_dir: str | Path,

@@ -53,14 +53,31 @@ from .config import ConfigError, config_hash, training_config
 
 CACHE_ENV = "ROBUSTREC_CACHE"
 
-# the EvalReport fields a results row carries, under the same names
+# the EvalReport fields a results row carries, under the same names: 4 scores, 3 counts
 REPORT_COLUMNS = ["ndcg", "expl_pr", "expl_re", "expl_f1", "n_users", "n_pairs", "n_non_cf"]
-RESULT_COLUMNS = ["run_id", "algo", "dataset", "lambda", "eps_d", "eps_a", "condition",
-                  *REPORT_COLUMNS, "grad_norm"]
-# the JSON types of the results row columns that are not int or float
-COLUMN_TYPES = {**dict.fromkeys(["run_id", "algo", "dataset", "condition"], (str,)),
-                **dict.fromkeys(["n_users", "n_pairs", "n_non_cf"], (int,)),
-                "grad_norm": (int, float, type(None))}
+
+
+class Column(NamedTuple):
+    """A results.csv column: the JSON types a cached results row may hold in
+    it, the last of them the type its cell reads back as, and a value's text."""
+    types: tuple[type, ...]
+    text: Callable[..., str] = str
+
+    def parse(self, cell: str):
+        """An empty cell reads as None where None is one of the types."""
+        return None if not cell and type(None) in self.types else self.types[-1](cell)
+
+
+# results.csv's columns in order: the one place that types, writes and reads them
+RESULT_TABLE: dict[str, Column] = {
+    **dict.fromkeys(["run_id", "algo", "dataset"], Column((str,))),
+    **dict.fromkeys(["lambda", "eps_d", "eps_a"], Column((int, float), fmt_eps)),
+    "condition": Column((str,)),
+    **dict.fromkeys(REPORT_COLUMNS[:4], Column((int, float), "{:.6f}".format)),
+    **dict.fromkeys(REPORT_COLUMNS[4:], Column((int,))),
+    "grad_norm": Column((type(None), int, float), lambda v: "" if v is None else f"{v:.6e}"),
+}
+RESULT_COLUMNS = list(RESULT_TABLE)
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -182,6 +199,21 @@ def budgets(values) -> list[float]:
         raise ConfigError(str(e)) from None
 
 
+def check_settings(cfg: dict, search_epochs: int | None = None) -> None:
+    """Like `budgets`, before any artifact: an algo without a model section, or
+    a batch size, NDCG cutoff or search length below 1, raises ConfigError."""
+    models = sorted(k for k, v in cfg["model"].items() if isinstance(v, dict))
+    algos = {"model.algo": [cfg["model"]["algo"]], "sweep.algos": cfg["sweep"]["algos"]}
+    counts = {f"{s}.{k}": cfg[s][k] for s, k in [("training", "batch_size"), ("training", "val_k"),
+                                                 ("attack", "batch_size"), ("eval", "k_ndcg")]}
+    for key, names in algos.items():
+        if unknown := [a for a in names if a not in models]:
+            raise ConfigError(f"{key}: unknown algo {unknown[0]!r}, expected one of {models}")
+    for key, n in {**counts, "--search-epochs": search_epochs}.items():
+        if n is not None and n < 1:
+            raise ConfigError(f"{key} must be >= 1, got {n}")
+
+
 class Dataset(NamedTuple):
     split: DatasetSplit
     X: np.ndarray
@@ -262,6 +294,7 @@ class Sweep:
     far, by bed key."""
 
     def __init__(self, cfg: dict, cache: str | Path | None = None):
+        check_settings(cfg)
         self.cfg, self.cache = cfg, resolve_cache(cache)
         self.sha256 = review_sha256(cfg)
         self.beds: dict[str, dict[int, list[int]]] = {}
@@ -437,7 +470,7 @@ def ensure_eval(sweep: Sweep, cell: SweepCell, run: Run, bed: dict[int, list[int
         missing = [c for c in RESULT_COLUMNS if c not in row]
         if missing:
             raise KeyError(f"results row lacks {missing}")
-        bad = [c for c in RESULT_COLUMNS if type(row[c]) not in COLUMN_TYPES.get(c, (int, float))]
+        bad = [c for c, column in RESULT_TABLE.items() if type(row[c]) not in column.types]
         if bad:
             raise ValueError(f"{path}: results row has wrong-typed {bad}")
         return row
@@ -448,9 +481,8 @@ def ensure_eval(sweep: Sweep, cell: SweepCell, run: Run, bed: dict[int, list[int
 
 
 def write_results(path: Path, rows: list[dict]) -> None:
-    """Deterministic CSV: fixed column order, sorted rows, fixed float formats.
-    grad_norm is empty on clean rows (and rows without one). A file that
-    already holds these bytes is left as it is."""
+    """Deterministic CSV: `RESULT_TABLE`'s columns and cell texts, rows
+    sorted. A file that already holds these bytes is left as it is."""
     def key(row):
         return (row["algo"], row["dataset"], row["lambda"], row["eps_d"],
                 row["run_id"], row["eps_a"])
@@ -459,15 +491,7 @@ def write_results(path: Path, rows: list[dict]) -> None:
     writer = csv.writer(text)
     writer.writerow(RESULT_COLUMNS)
     for row in sorted(rows, key=key):
-        writer.writerow([
-            row["run_id"], row["algo"], row["dataset"],
-            fmt_eps(row["lambda"]), fmt_eps(row["eps_d"]), fmt_eps(row["eps_a"]),
-            row["condition"],
-            f"{row['ndcg']:.6f}", f"{row['expl_pr']:.6f}",
-            f"{row['expl_re']:.6f}", f"{row['expl_f1']:.6f}",
-            row["n_users"], row["n_pairs"], row["n_non_cf"],
-            "" if row.get("grad_norm") is None else f"{row['grad_norm']:.6e}",
-        ])
+        writer.writerow([column.text(row[c]) for c, column in RESULT_TABLE.items()])
     data = text.getvalue().encode("utf-8")
     try:
         if path.read_bytes() == data:

@@ -57,10 +57,10 @@ def hyperparameter_search(make_model: Callable, split, defense, training: Traini
 
     best: tuple[float, float, float] | None = None
     table: list[tuple[float, float, float]] = []
+    epochs = training.max_epochs if search_epochs is None else search_epochs
     for lr in grid:
         for wd in grid:
-            cfg = replace(training, lr=lr, weight_decay=wd,
-                          max_epochs=search_epochs if search_epochs else training.max_epochs)
+            cfg = replace(training, lr=lr, weight_decay=wd, max_epochs=epochs)
             model = make_model()
             result = train_defended(model, split, defense, cfg, seed)
             score = max(result.history)

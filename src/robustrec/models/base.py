@@ -99,13 +99,12 @@ class Recommender(ABC):
         self.n_rating = split.n_rating
 
     def candidate_items(self, u: int) -> np.ndarray:
-        """Test user u's candidate items: its positives, then its negatives."""
-        split = self._split
-        r = int(np.searchsorted(split.test_users, u))
-        if r == len(split.test_users) or split.test_users[r] != u:
-            raise KeyError(f"user {u} has no held-out candidate list")
-        cands, n_pos = split.test_candidates
-        return cands[r, :n_pos[r] + split.test_negatives.shape[1]]
+        """Test user u's candidates of `DatasetSplit.test_candidates`: its
+        positives, then its negatives. A user without one raises KeyError."""
+        try:
+            return self._split.test_candidates[u][1]
+        except KeyError:
+            raise KeyError(f"user {u} has no held-out candidate list") from None
 
     def epoch_batches(self, rng: SplitMix64, batch_size: int) -> Iterator[PairBatch]:
         """Shuffled minibatches of train interactions plus 1:1 sampled negatives.

@@ -48,8 +48,9 @@ class CERConfig:
 
 def counterfactual_deltas(score_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                           pairs: Sequence[tuple[int, int]], n_features: int,
-                          thresholds: np.ndarray, margins: np.ndarray, gamma: float = 100.0,
-                          steps: int = 200, lr: float = 0.01
+                          thresholds: np.ndarray, margins: np.ndarray,
+                          gamma: float = CERConfig.cf_gamma, steps: int = CERConfig.cf_steps,
+                          lr: float = CERConfig.cf_lr
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize ||delta_i||^2 + gamma * max(0, margin_i + score_i(delta_i) - threshold_i)
     for every row i of a [B, n_features] delta at once.

@@ -118,11 +118,11 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(description="Write a synthetic review corpus.")
     parser.add_argument("out", help="output .jsonl path")
-    parser.add_argument("--users", type=int, default=200)
-    parser.add_argument("--items", type=int, default=500)
-    parser.add_argument("--features", type=int, default=30)
-    parser.add_argument("--reviews-per-user", type=int, default=26)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--users", type=int, default=SynthConfig.n_users)
+    parser.add_argument("--items", type=int, default=SynthConfig.n_items)
+    parser.add_argument("--features", type=int, default=SynthConfig.n_features)
+    parser.add_argument("--reviews-per-user", type=int, default=SynthConfig.reviews_per_user)
+    parser.add_argument("--seed", type=int, default=SynthConfig.seed)
     args = parser.parse_args(argv)
     cfg = SynthConfig(n_users=args.users, n_items=args.items,
                       n_features=args.features,

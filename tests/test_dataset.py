@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustrec.aspects import count_mentions
+from robustrec.aspects import build_matrices, count_mentions
 from robustrec.dataset import (SPLIT_ARRAYS, TEST, TRAIN, VAL, IngestError, SplitConfig,
                                SplitError, build_split, dataset_stats, ingest_reviews,
                                split_arrays, split_from_arrays)
 from robustrec.evalkit import gold_explanations, train_feature_sets
 from robustrec.harness.config import default_config
 from robustrec.harness.sweep import load_dataset
+from robustrec.models import build_model
 from robustrec.rng import SplitMix64, derive_seed
 from robustrec.synth import SynthConfig, synth_jsonl
 from splits import interactions
@@ -78,6 +79,27 @@ def test_short_user_rules(caplog):
     u1 = split.users.index("u1")   # 1 interaction: train only
     assert u1 not in split.test_users and u1 not in split.val_users
     assert len(interactions(split, TRAIN, u1)) == 1
+
+
+def test_candidate_items_are_the_split_test_lists(tiny_split, efm_tiny, cer_tiny):
+    lists = list(tiny_split.test_lists())
+    assert [u for u, _, _ in lists] == tiny_split.test_users.tolist()
+    for model in (efm_tiny, cer_tiny):
+        for u, positives, cands in lists:
+            got = model.candidate_items(u).tolist()
+            assert got == cands.tolist() and got[:len(positives)] == positives.tolist()
+        with pytest.raises(KeyError, match=f"user {tiny_split.n_users} has no held-out"):
+            model.candidate_items(tiny_split.n_users)
+    # a user of the split with a validation but no test interaction
+    lines = [_line("u2", "a", 3, 1), _line("u2", "b", 3, 2)] + _filler_lines()
+    split = build_split(ingest_reviews(lines), SplitConfig(seed=0))
+    u2 = split.users.index("u2")
+    assert u2 in split.val_users and u2 not in split.test_users
+    for algo in ("efm", "cer"):
+        model = build_model(algo, split, {})
+        model.attach(split, *build_matrices(split))
+        with pytest.raises(KeyError, match=f"user {u2} has no held-out"):
+            model.candidate_items(u2)
 
 
 def test_duplicate_pair_merges_latest_rating_all_mentions():

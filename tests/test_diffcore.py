@@ -214,11 +214,3 @@ def test_adam_two_steps_frozen():
         v = 0.999 * v + 0.001 * g * g
         x -= 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
     np.testing.assert_allclose(p, [x], rtol=0, atol=0)
-
-
-def test_adam_skips_gradless_params():
-    p = np.array([1.0])
-    q = np.array([5.0])
-    opt = Adam([p, q], lr=0.1, weight_decay=0.5)
-    opt.step([np.array([1.0]), None])
-    assert q[0] == 5.0  # untouched, decay included

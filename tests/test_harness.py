@@ -24,7 +24,7 @@ from robustrec.harness.config import (ConfigError, DEFAULTS, apply_override,
                                       config_hash, default_config, load_config,
                                       training_config)
 from robustrec.harness.report import read_results, write_report
-from robustrec.harness.sweep import (CACHE_ENV, RESULT_COLUMNS, SweepCell,
+from robustrec.harness.sweep import (CACHE_ENV, RESULT_COLUMNS, RESULT_TABLE, SweepCell,
                                      enumerate_cells, resolve_cache, run_sweep,
                                      write_results)
 from robustrec.harness.training import (EarlyStopper, TrainingConfig,
@@ -557,6 +557,14 @@ def _review_line(user, item, ts):
     ("missing review file", "No such file or directory"),
     ("IngestError", "line 2: missing key 'user_id'"),
     ("SplitError", "user u0: need 100 test negatives, only 0 never-interacted items"),
+    ("train --model.algo xyz", "model.algo: unknown algo 'xyz', expected one of ['cer', 'efm']"),
+    ('sweep --sweep.algos ["efm","xyz"]', "sweep.algos: unknown algo 'xyz'"),
+    ("train --training.batch_size 0", "training.batch_size must be >= 1, got 0"),
+    ("attack --attack.batch_size 0", "attack.batch_size must be >= 1, got 0"),
+    ("train --training.val_k 0", "training.val_k must be >= 1, got 0"),
+    ("evaluate --eval.k_ndcg 0", "eval.k_ndcg must be >= 1, got 0"),
+    ("train --search --search-epochs 0", "--search-epochs must be >= 1, got 0"),
+    ("train --search --search-epochs -1", "--search-epochs must be >= 1, got -1"),
 ])
 def test_cli_input_errors_end_in_one_line_with_status_2(case, text, tmp_path, capsys):
     reviews = tmp_path / "reviews.jsonl"
@@ -566,7 +574,10 @@ def test_cli_input_errors_end_in_one_line_with_status_2(case, text, tmp_path, ca
         reviews.write_text("".join(_review_line("u0", f"i{t}", t) for t in range(8)))
     path = [] if case == "no dataset.path" else ["--dataset.path", str(reviews)]
     cache = tmp_path / "cache"
-    for command in (["ingest"], ["sweep"], ["evaluate"]):
+    # a bad setting's case is its command line; the review file it names does
+    # not exist, so its own error shows the check comes before the file is read
+    commands = [case.split()] if " --" in case else [["ingest"], ["sweep"], ["evaluate"]]
+    for command in commands:
         assert cli_main(["--cache", str(cache), *command, *path]) == 2
         _assert_one_line_error(capsys, text)
         assert _files(cache) == []
@@ -1140,6 +1151,26 @@ def test_two_sweeps_fill_one_cache_at_once(corpus, warm_cache, tmp_path):
     assert got == [expected, expected]
     assert (cache / "results.csv").read_bytes() == expected
     assert not list(cache.rglob("*.partial"))
+
+
+def test_read_results_returns_every_column_as_written(tmp_path):
+    run = {"run_id": "0123456789ab", "algo": "cer", "dataset": "d", "lambda": 0.5,
+           "eps_d": 0.25, "ndcg": 0.123456789, "expl_pr": 1 / 3, "expl_re": 0.5,
+           "expl_f1": 2 / 7, "n_users": 200, "n_pairs": 95, "n_non_cf": 45}
+    rows = [{**run, "eps_a": 0.0, "condition": "clean", "grad_norm": None},
+            {**run, "eps_a": 0.75, "condition": "attacked", "grad_norm": 10.649138179843689}]
+    results = tmp_path / "results.csv"
+    write_results(results, rows)
+    printed = {"ndcg": 0.123457, "expl_pr": 0.333333, "expl_f1": 0.285714}
+    want = [{**row, **printed} for row in rows]
+    want[1]["grad_norm"] = 10.64914  # 1.064914e+01
+    got = read_results(results)
+    assert got == want
+    for got_row, want_row in zip(got, want):
+        assert list(got_row) == RESULT_COLUMNS
+        for column, value in got_row.items():
+            assert type(value) is type(want_row[column]), column
+            assert type(value) in RESULT_TABLE[column].types, column
 
 
 def test_write_report_aggregates_and_curves(tmp_path):

@@ -5,6 +5,10 @@ Input is JSON lines, one review per line:
     {"user_id": ..., "item_id": ..., "rating": 1..N, "timestamp": int,
      "triples": [{"feature": ..., "opinion": ... (ignored), "sentiment": +1|-1}, ...]}
 
+Reviews stay columns from parse to split: `ingest_reviews` appends each
+validated line to int64 columns and recodes their ids in sorted order
+(`Reviews`); `build_split` merges and orders them with array operations.
+
 The split is per user, chronological: the 6 latest interactions become test
 positives, the latest remaining one the validation positive, the rest train.
 Test negatives (100) and validation negatives (10) are drawn independently
@@ -41,38 +45,39 @@ class SplitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ReviewRecord:
-    user_id: str
-    item_id: str
-    rating: int
-    timestamp: int
-    mentions: tuple[tuple[str, int], ...]  # (feature, sentiment +1|-1), in file order
-
-
 @dataclass(eq=False)
-class DatasetSplit:
-    """The split as the arrays the dataset artifact stores.
-
-    One table holds every interaction: train in split order, then each
-    validation positive (in `val_users` order), then each test user's
-    positives, chronological (users in `test_users` order), told apart by
-    `part`. Row i's (feature, sentiment) mentions are
-    mentions[mention_offsets[i]:mention_offsets[i + 1]]. Validation and test
-    users, ascending, come with their negatives as [users, n_neg] matrices.
-    Arrays that disagree in length or order raise ValueError.
-    """
+class Reviews:
+    """Reviews as a table of columns, sorted by (user_id, timestamp), file
+    order within ties. `user`, `item` and the mentions' features index the
+    sorted ids the rows use; row i's (feature, sentiment) mentions, in file
+    order, are mentions[mention_offsets[i]:mention_offsets[i + 1]]."""
     users: list[str]
     items: list[str]
     features: list[str]
-    n_rating: int
     user: np.ndarray             # int64 [N]
     item: np.ndarray             # int64 [N]
     rating: np.ndarray           # float64 [N]
     timestamp: np.ndarray        # int64 [N]
-    part: np.ndarray             # int64 [N]: TRAIN, VAL or TEST
     mention_offsets: np.ndarray  # int64 [N + 1]
     mentions: np.ndarray         # int64 [M, 2]: feature, sentiment
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+
+@dataclass(eq=False)
+class DatasetSplit(Reviews):
+    """The split as the arrays the dataset artifact stores.
+
+    One table holds every interaction, one row per (user, item): train in
+    split order, then each validation positive (in `val_users` order), then
+    each test user's positives, chronological (users in `test_users` order),
+    told apart by `part`. Validation and test users, ascending, come with
+    their negatives as [users, n_neg] matrices. Arrays that disagree in
+    length or order raise ValueError.
+    """
+    n_rating: int
+    part: np.ndarray             # int64 [N]: TRAIN, VAL or TEST
     val_users: np.ndarray        # int64 [U_val]
     val_negatives: np.ndarray    # int64 [U_val, n_val_neg]
     test_users: np.ndarray       # int64 [U_test]
@@ -153,39 +158,17 @@ class SplitConfig:
     n_val_neg: int = 10
 
 
-def _parse_record(obj: dict, line_no: int, max_rating: int) -> ReviewRecord:
-    try:
-        user_id = str(obj["user_id"])
-        item_id = str(obj["item_id"])
-        rating = obj["rating"]
-        timestamp = obj["timestamp"]
-        raw_triples = obj["triples"]
-    except KeyError as e:
-        raise IngestError(f"line {line_no}: missing key {e.args[0]!r}") from None
-    if not isinstance(rating, (int, float)) or float(rating) != int(rating):
-        raise IngestError(f"line {line_no}: rating must be an integer, got {rating!r}")
-    rating = int(rating)
-    if not (1 <= rating <= max_rating):
-        raise IngestError(f"line {line_no}: rating {rating} outside [1, {max_rating}]")
-    if not isinstance(timestamp, int):
-        raise IngestError(f"line {line_no}: timestamp must be an integer, got {timestamp!r}")
-    if not (-2**63 <= timestamp < 2**63):  # the dataset artifact stores int64
-        raise IngestError(f"line {line_no}: timestamp {timestamp} does not fit "
-                          "a signed 64-bit integer")
-    mentions = []
-    for t in raw_triples:
-        try:
-            sentiment = t["sentiment"]
-        except (KeyError, TypeError):
-            raise IngestError(f"line {line_no}: triple missing 'sentiment'") from None
-        if sentiment not in (1, -1):
-            raise IngestError(f"line {line_no}: sentiment must be +1 or -1, got {sentiment!r}")
-        mentions.append((str(t.get("feature", "")), int(sentiment)))
-    return ReviewRecord(user_id, item_id, rating, timestamp, tuple(mentions))
+def _sorted_ids(ids: dict[str, int], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The ids `codes` (values of `ids`) use, sorted, and `codes` as indices into them."""
+    names = list(ids)  # in code order
+    used = sorted(set(codes.tolist()), key=names.__getitem__)
+    index = np.zeros(len(names), dtype=np.int64)
+    index[used] = np.arange(len(used))
+    return [names[c] for c in used], index[codes]
 
 
 def ingest_reviews(source: str | Path | Iterable[str], min_reviews_per_user: int = 1,
-                   max_rating: int = MAX_RATING) -> list[ReviewRecord]:
+                   max_rating: int = MAX_RATING) -> Reviews:
     """Parse JSON-lines reviews, drop sparse users, sort by (user_id, timestamp).
 
     Dropping a user never changes any other user's review count, so one
@@ -193,46 +176,72 @@ def ingest_reviews(source: str | Path | Iterable[str], min_reviews_per_user: int
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = list(source)
-    records: list[ReviewRecord] = []
-    for i, line in enumerate(lines, start=1):
+            return ingest_reviews(fh, min_reviews_per_user, max_rating)
+    users, items, features = {}, {}, {}  # id -> code, in order of first sight
+    rows, mentions = [], []  # (user, item, rating, timestamp, n_mentions); feature, sentiment
+    decode = json.JSONDecoder().raw_decode
+    for i, line in enumerate(source, start=1):
         if not line.strip():
             continue
+        text = line.strip(" \t\n\r")  # the whitespace json.loads skips
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise IngestError(f"line {i}: malformed JSON: {e.msg}") from None
-        records.append(_parse_record(obj, i, max_rating))
-    counts: dict[str, int] = {}
-    for r in records:
-        counts[r.user_id] = counts.get(r.user_id, 0) + 1
-    records = [r for r in records if counts[r.user_id] >= min_reviews_per_user]
-    records.sort(key=lambda r: (r.user_id, r.timestamp))
-    return records
+            obj, end = decode(text)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(text):  # json.loads decides, and words the error
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise IngestError(f"line {i}: malformed JSON: {e.msg}") from None
+        try:
+            user_id, item_id = str(obj["user_id"]), str(obj["item_id"])
+            rating, timestamp, triples = obj["rating"], obj["timestamp"], obj["triples"]
+        except KeyError as e:
+            raise IngestError(f"line {i}: missing key {e.args[0]!r}") from None
+        if not isinstance(rating, (int, float)) or float(rating) != int(rating):
+            raise IngestError(f"line {i}: rating must be an integer, got {rating!r}")
+        rating = int(rating)
+        if not (1 <= rating <= max_rating):
+            raise IngestError(f"line {i}: rating {rating} outside [1, {max_rating}]")
+        if not isinstance(timestamp, int):
+            raise IngestError(f"line {i}: timestamp must be an integer, got {timestamp!r}")
+        if not (-2**63 <= timestamp < 2**63):  # the dataset artifact stores int64
+            raise IngestError(f"line {i}: timestamp {timestamp} does not fit "
+                              "a signed 64-bit integer")
+        for t in triples:
+            try:
+                sentiment = t["sentiment"]
+            except (KeyError, TypeError):
+                raise IngestError(f"line {i}: triple missing 'sentiment'") from None
+            if sentiment not in (1, -1):
+                raise IngestError(f"line {i}: sentiment must be +1 or -1, got {sentiment!r}")
+            feature = str(t.get("feature", ""))
+            mentions += (features.setdefault(feature, len(features)), int(sentiment))
+        rows.append((users.setdefault(user_id, len(users)), items.setdefault(item_id, len(items)),
+                     rating, timestamp, len(triples)))  # the loop passed every triple
+    user, item, ratings, timestamps, n_mentions = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    keep = np.bincount(user)[user] >= min_reviews_per_user
+    mentions = np.array(mentions, dtype=np.int64).reshape(-1, 2)[np.repeat(keep, n_mentions)]
+    users, user = _sorted_ids(users, user[keep])
+    items, item = _sorted_ids(items, item[keep])
+    features, mentions[:, 0] = _sorted_ids(features, mentions[:, 0])
+    order = np.lexsort((timestamps[keep], user))  # stable: file order within ties
+    # each mention moves with its review, in file order among the review's own
+    by_review = np.argsort(np.repeat(np.argsort(order), n_mentions[keep]), kind="stable")
+    return Reviews(users, items, features, user[order], item[order],
+                   ratings[keep][order].astype(np.float64), timestamps[keep][order],
+                   np.concatenate([[0], np.cumsum(n_mentions[keep][order])]), mentions[by_review])
 
 
-def dataset_stats(records: list[ReviewRecord]) -> dict:
+def dataset_stats(reviews: Reviews) -> dict:
     """Corpus-level counts plus sparsity% = 100*reviews/(users*items), 5 significant digits."""
-    users = {r.user_id for r in records}
-    items = {r.item_id for r in records}
-    features = {f for r in records for f, _ in r.mentions}
-    n_reviews = len(records)
-    if users and items:
-        sparsity = float(f"{100.0 * n_reviews / (len(users) * len(items)):.5g}")
-    else:
-        sparsity = 0.0
-    return {
-        "n_users": len(users),
-        "n_items": len(items),
-        "n_features": len(features),
-        "n_reviews": n_reviews,
-        "sparsity_pct": sparsity,
-    }
+    n_users, n_items = len(reviews.users), len(reviews.items)
+    sparsity = 100.0 * len(reviews) / (n_users * n_items) if n_users and n_items else 0.0
+    return {"n_users": n_users, "n_items": n_items, "n_features": len(reviews.features),
+            "n_reviews": len(reviews), "sparsity_pct": float(f"{sparsity:.5g}")}
 
 
-def build_split(records: list[ReviewRecord], config: SplitConfig = SplitConfig(),
+def build_split(reviews: Reviews, config: SplitConfig = SplitConfig(),
                 max_rating: int = MAX_RATING) -> DatasetSplit:
     """Temporal per-user split with seeded negative sampling.
 
@@ -241,86 +250,54 @@ def build_split(records: list[ReviewRecord], config: SplitConfig = SplitConfig()
     naming the user when the never-interacted pool cannot cover the negative
     sample sizes.
     """
-    if not records:
+    if not len(reviews):
         raise SplitError("no records to split")
-    users = sorted({r.user_id for r in records})
-    items = sorted({r.item_id for r in records})
-    features = sorted({f for r in records for f, _ in r.mentions})
-    uidx = {u: i for i, u in enumerate(users)}
-    iidx = {v: i for i, v in enumerate(items)}
-    fidx = {f: i for i, f in enumerate(features)}
+    users, n_items = reviews.users, len(reviews.items)
+    # one interaction per (user, item), with its last review's rating and timestamp
+    _, last, pair = np.unique((reviews.user * n_items + reviews.item)[::-1],
+                              return_index=True, return_inverse=True)
+    last, pair = len(reviews) - 1 - last, pair[::-1]
+    # each user's interactions by time, then item id
+    order = np.lexsort((reviews.item[last], reviews.timestamp[last], reviews.user[last]))
+    user = reviews.user[last[order]]
+    n = np.bincount(user, minlength=len(users))
+    n_test = np.minimum(config.n_test_pos, np.maximum(n - 2, 0))
+    n_val = (n - n_test >= 2).astype(np.int64)
+    rank = np.arange(len(user)) - np.repeat(np.cumsum(n) - n, n)  # within the user's own
+    part = (rank >= (n - n_test - n_val)[user]).astype(np.int64) + (rank >= (n - n_test)[user])
 
-    # collapse multiple reviews of one (u, v): latest rating/timestamp wins,
-    # sentiment mentions from all of them are kept
-    merged: dict[tuple[str, str], dict] = {}
-    for r in records:  # records come sorted by (user, time)
-        key = (r.user_id, r.item_id)
-        mentions = [(fidx[f], sentiment) for f, sentiment in r.mentions]
-        slot = merged.get(key)
-        if slot is None:
-            merged[key] = {"rating": r.rating, "ts": r.timestamp, "mentions": mentions}
-        else:
-            slot["rating"] = r.rating
-            slot["ts"] = r.timestamp
-            slot["mentions"].extend(mentions)
-
-    by_user: dict[str, list[tuple[str, dict]]] = {}
-    for (u, v), slot in merged.items():
-        by_user.setdefault(u, []).append((v, slot))
-
-    rows: dict[int, list[tuple[int, int, dict]]] = {TRAIN: [], VAL: [], TEST: []}
-    held_out: dict[str, tuple[list, list]] = {"test": ([], []), "val": ([], [])}
-    draws: list[tuple[str, tuple[int, set[int], int]]] = []  # (name, (seed, interacted, n_neg))
-    n_items = len(items)
-    for u in users:
-        pairs = by_user.get(u, [])
-        pairs.sort(key=lambda p: (p[1]["ts"], p[0]))  # time, then item id
-        n = len(pairs)
-        n_test = min(config.n_test_pos, max(n - 2, 0))
-        n_val = 1 if n - n_test >= 2 else 0
-        if n_test < config.n_test_pos or n_val == 0:
+    pool = n_items - n  # never-interacted items
+    held_out = (("test", n_test, config.n_test_neg), ("val", n_val, config.n_val_neg))
+    odd = (n_test < config.n_test_pos) | (n_val == 0)  # each warned, then checked, in order
+    for u in np.flatnonzero(odd | (pool < max(config.n_test_neg, config.n_val_neg))).tolist():
+        if n_test[u] < config.n_test_pos or not n_val[u]:
             log.warning("user %s has only %d interactions; split reduced to "
-                        "%d test / %d val", u, n, n_test, n_val)
-        inters = [(uidx[u], iidx[v], slot) for v, slot in pairs]
-        n_train = n - n_test - n_val
-        rows[TRAIN].extend(inters[:n_train])
-        rows[VAL].extend(inters[n_train:n_train + n_val])
-        rows[TEST].extend(inters[n_train + n_val:])
-
-        interacted = {v for _, v, _ in inters}
-        pool_size = n_items - len(interacted)
-        for name, n_pos, n_neg in (("test", n_test, config.n_test_neg),
-                                   ("val", n_val, config.n_val_neg)):
-            if not n_pos:
-                continue
-            if pool_size < n_neg:
+                        "%d test / %d val", users[u], n[u], n_test[u], n_val[u])
+        for name, n_pos, n_neg in held_out:
+            if n_pos[u] and pool[u] < n_neg:
                 what = "test" if name == "test" else "validation"
-                raise SplitError(f"user {u}: need {n_neg} {what} negatives, "
-                                 f"only {pool_size} never-interacted items available")
-            held_out[name][0].append(uidx[u])
-            draws.append((name, (derive_seed(config.seed, f"{name}-neg", u), interacted, n_neg)))
-    # SplitMix64(seed).sample_range_excluding(n_items, interacted, n_neg) for
-    # every (user, split), all drawn at once
-    negatives = samples_excluding(n_items, [row for _, row in draws])
-    for (name, _), picked in zip(draws, negatives):
-        held_out[name][1].append(picked)
+                raise SplitError(f"user {users[u]}: need {n_neg} {what} negatives, "
+                                 f"only {pool[u]} never-interacted items available")
+    interacted = np.split(reviews.item[last[order]], np.cumsum(n)[:-1])
+    arrays = {}
+    for name, n_pos, n_neg in held_out:
+        held = arrays[f"{name}_users"] = np.flatnonzero(n_pos)
+        # SplitMix64(seed).sample_range_excluding(n_items, interacted, n_neg) per user
+        negatives = samples_excluding(n_items, [
+            (derive_seed(config.seed, f"{name}-neg", users[u]), interacted[u].tolist(), n_neg)
+            for u in held.tolist()])
+        arrays[f"{name}_negatives"] = np.array(negatives or np.zeros((0, 0)), dtype=np.int64)
 
-    table = rows[TRAIN] + rows[VAL] + rows[TEST]
-    arrays = {"user": np.array([u for u, _, _ in table], dtype=np.int64),
-              "item": np.array([v for _, v, _ in table], dtype=np.int64)}
-    arrays["rating"] = np.array([float(s["rating"]) for _, _, s in table], dtype=np.float64)
-    arrays["timestamp"] = np.array([s["ts"] for _, _, s in table], dtype=np.int64)
-    arrays["part"] = np.repeat(np.array([TRAIN, VAL, TEST], dtype=np.int64),
-                               [len(rows[TRAIN]), len(rows[VAL]), len(rows[TEST])])
-    arrays["mention_offsets"] = np.cumsum([0] + [len(s["mentions"]) for _, _, s in table],
-                                          dtype=np.int64)
-    arrays["mentions"] = np.array([m for _, _, s in table for m in s["mentions"]],
-                                  dtype=np.int64).reshape(-1, 2)
-    for name, (part_users, negatives) in held_out.items():
-        arrays[f"{name}_users"] = np.array(part_users, dtype=np.int64)
-        arrays[f"{name}_negatives"] = np.array(negatives, dtype=np.int64).reshape(
-            len(part_users), -1 if part_users else 0)
-    return DatasetSplit(users=users, items=items, features=features, n_rating=max_rating,
+    # the table: train rows, then validation, then test, each in user order
+    by_part = order[np.argsort(part, kind="stable")]
+    row = np.argsort(by_part)  # of each interaction
+    # each mention goes to its interaction's row, after those of earlier reviews
+    mention_row = row[pair[np.repeat(np.arange(len(reviews)), np.diff(reviews.mention_offsets))]]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(mention_row, minlength=len(row)))])
+    return DatasetSplit(users=users, items=reviews.items, features=reviews.features,
+                        n_rating=max_rating, part=np.sort(part), mention_offsets=offsets,
+                        mentions=reviews.mentions[np.argsort(mention_row, kind="stable")],
+                        **{name: getattr(reviews, name)[last[by_part]] for name in _COLUMNS},
                         **arrays)
 
 

@@ -42,7 +42,7 @@ from ..aspects import build_matrices
 from ..dataset import (DatasetSplit, SplitConfig, build_split, dataset_stats, ingest_reviews,
                        split_arrays, split_from_arrays)
 from ..evalkit import build_bed, evaluate, gold_explanations, train_feature_sets
-from ..models import build_model, load_checkpoint, save_checkpoint
+from ..models import build_model, load_checkpoint, model_config, save_checkpoint
 from ..models.base import Recommender
 # attack_weights is not called here; it stays importable from this module
 # because bench/tracing.py patches it by this name
@@ -200,8 +200,9 @@ def budgets(values) -> list[float]:
 
 
 def check_settings(cfg: dict, search_epochs: int | None = None) -> None:
-    """Like `budgets`, before any artifact: an algo without a model section, or
-    a batch size, NDCG cutoff or search length below 1, raises ConfigError."""
+    """Like `budgets`, before any artifact: an algo without a model section or
+    with settings its model cannot use, or a batch size, NDCG cutoff or search
+    length below 1, raises ConfigError."""
     models = sorted(k for k, v in cfg["model"].items() if isinstance(v, dict))
     algos = {"model.algo": [cfg["model"]["algo"]], "sweep.algos": cfg["sweep"]["algos"]}
     counts = {f"{s}.{k}": cfg[s][k] for s, k in [("training", "batch_size"), ("training", "val_k"),
@@ -209,6 +210,11 @@ def check_settings(cfg: dict, search_epochs: int | None = None) -> None:
     for key, names in algos.items():
         if unknown := [a for a in names if a not in models]:
             raise ConfigError(f"{key}: unknown algo {unknown[0]!r}, expected one of {models}")
+        for algo in names:
+            try:
+                model_config(algo, cfg["model"])
+            except ValueError as e:
+                raise ConfigError(f"model.{algo}: {e}") from None
     for key, n in {**counts, "--search-epochs": search_epochs}.items():
         if n is not None and n < 1:
             raise ConfigError(f"{key} must be >= 1, got {n}")
@@ -250,13 +256,13 @@ def load_dataset(cfg: dict, cache: Path, sha256: str | None = None) -> Dataset:
         raw = Path(dcfg["path"]).read_bytes()
         if hashlib.sha256(raw).hexdigest() != sha256:
             raise ValueError(f"{dcfg['path']} changed while it was being read")
-        records = ingest_reviews(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
+        reviews = ingest_reviews(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
                                  min_reviews_per_user=int(dcfg["min_reviews_per_user"]),
                                  max_rating=int(dcfg["max_rating"]))
-        split = build_split(records, SplitConfig(seed=dcfg["seed"]),
+        split = build_split(reviews, SplitConfig(seed=dcfg["seed"]),
                             max_rating=int(dcfg["max_rating"]))
         X, Y = build_matrices(split)
-        return Dataset(split, X, Y, {**dataset_stats(records), "sha256": sha256})
+        return Dataset(split, X, Y, {**dataset_stats(reviews), "sha256": sha256})
 
     def save(path: Path, data: Dataset) -> None:
         split = data.split

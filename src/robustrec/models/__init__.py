@@ -10,15 +10,20 @@ from .efm import EFM, EFMConfig
 __all__ = [
     "CER", "CERConfig", "EFM", "EFMConfig", "Explanation", "NotRecommendedError",
     "PairBatch", "Recommender", "build_model", "counterfactual_deltas",
-    "load_checkpoint", "rank_items", "save_checkpoint",
+    "load_checkpoint", "model_config", "rank_items", "save_checkpoint",
 ]
+MODELS = {"efm": (EFM, EFMConfig), "cer": (CER, CERConfig)}
+
+
+def model_config(kind: str, model_cfg: dict) -> EFMConfig | CERConfig:
+    """The EFM or CER config from a config section dict; a setting the model
+    cannot use raises ValueError."""
+    if kind not in MODELS:
+        raise ValueError(f"unknown model kind {kind!r} (expected 'efm' or 'cer')")
+    return MODELS[kind][1](**model_cfg.get(kind, {}))
 
 
 def build_model(kind: str, split: DatasetSplit, model_cfg: dict) -> Recommender:
     """Construct an EFM or CER sized for `split` from a config section dict."""
-    dims = (split.n_users, split.n_items, split.n_features)
-    if kind == "efm":
-        return EFM(*dims, config=EFMConfig(**model_cfg.get("efm", {})))
-    if kind == "cer":
-        return CER(*dims, config=CERConfig(**model_cfg.get("cer", {})))
-    raise ValueError(f"unknown model kind {kind!r} (expected 'efm' or 'cer')")
+    config = model_config(kind, model_cfg)
+    return MODELS[kind][0](split.n_users, split.n_items, split.n_features, config=config)

@@ -151,11 +151,17 @@ class CER(Recommender):
                   want_dy: bool = False, reuse: dict | None = None
                   ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
         """`loss` and its gradients, with the BCE backpropagated by hand
-        through the two sigmoid layers of one `_activations` forward."""
+        through the two sigmoid layers of one `_activations` forward. Layer
+        1's user half does not depend on Y: a filled `reuse` holds the clean
+        pass's, and every gradient is recomputed from it."""
         Y = self.Y if Y is None else Y
         p = {name: t.data for name, t in self.params.items()}
-        x_rows, y_rows = self.X[batch.users], Y[batch.items]
-        h1, h2, s = self._activations(self._user_half(x_rows), y_rows)
+        shared = {} if reuse is None else reuse
+        if not shared:
+            x_rows = self.X[batch.users]
+            shared.update(x_rows=x_rows, user_half=self._user_half(x_rows))
+        x_rows, y_rows = shared["x_rows"], Y[batch.items]
+        h1, h2, s = self._activations(shared["user_half"], y_rows)
         logits, targets = s[:, None], batch.targets
         softplus = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))
         (reg,) = penalty.terms

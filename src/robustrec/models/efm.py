@@ -29,6 +29,12 @@ class EFMConfig:
     lam_reg: float = 1e-3
     lam_nn: float = 1.0
 
+    def __post_init__(self):
+        for name in ("n_factors", "n_hidden", "top_k_features"):
+            width = getattr(self, name)
+            if type(width) is not int or width < 1:
+                raise ValueError(f"EFMConfig.{name} must be a positive integer, got {width!r}")
+
 
 class EFM(Recommender):
     kind = "efm"

@@ -8,19 +8,20 @@ rebuilding this codebase from the same seeds yields identical streams.
 SplitMix64 is counter-based: its k-th output is a fixed bit mix of
 `seed + k * gamma`. So `outputs` and `SplitMix64.block` compute many outputs
 in a few uint64 numpy operations, bit for bit the `next_u64` values, and the
-bulk draws use them. The block path is exact: `shuffle`, `sample` and
-`samples_excluding` return what one `randrange` call per draw would, and they
-take that scalar path whenever a block holds a draw `randrange` would reject.
-`randranges` also returns the scalar values, but over-draws: its generator
-runs up to one block ahead of the values taken. That is safe only because
-every epoch, every attack pass and every (user, split) negative sample seeds
-a generator of its own and uses it for nothing else.
+bulk draws use them; `samples_excluding` sorts the row * n + value keys of
+one [rows, 2k] block per sample size k. The block path is exact: `shuffle`,
+`sample` and `samples_excluding` return what one `randrange` call per draw
+would, taking that scalar path whenever a block holds a draw `randrange`
+would reject. `randranges` also returns the scalar values, but over-draws:
+its generator runs up to one block ahead of the values taken. That is safe
+only because every epoch, every attack pass and every (user, split) negative
+sample seeds a generator of its own and uses it for nothing else.
 """
 from __future__ import annotations
 
 import hashlib
 from itertools import chain
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Collection, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -153,7 +154,7 @@ class SplitMix64:
         return _distinct(iter(lambda: self.randrange(n), None), banned, k)
 
 
-def _distinct(draws: Iterable[int], banned: set[int], k: int) -> list[int]:
+def _distinct(draws: Iterable[int], banned: Collection[int], k: int) -> list[int]:
     """The first k distinct values of `draws` outside `banned`."""
     picked: list[int] = []
     seen = set(banned)
@@ -166,22 +167,44 @@ def _distinct(draws: Iterable[int], banned: set[int], k: int) -> list[int]:
     return picked
 
 
-def samples_excluding(n: int, rows: Sequence[tuple[int, set[int], int]]) -> list[list[int]]:
+def samples_excluding(n: int, rows: Sequence[tuple[int, Collection[int], int]]) -> list[list[int]]:
     """`SplitMix64(seed).sample_range_excluding(n, banned, k)` for each
-    (seed, banned, k) of `rows`, in order. One [rows, 2 * max k] block holds
-    every row's first draws; a row reads its first 2k and, if it needs more,
-    continues from its generator's state after them. A row whose block holds
-    a draw `randrange(n)` rejects, or that takes the small-pool branch, takes
-    the scalar path."""
-    u = outputs([seed for seed, _, _ in rows], 2 * max((k for _, _, k in rows), default=0))
-    rejects = (u > np.uint64(limit(n) - 1)).any(axis=1).tolist()
-    if n < 1 << 64:
-        u %= np.uint64(n)
-    picked = []
-    for (seed, banned, k), row, rejected in zip(rows, u, rejects):
-        if rejected or 3 * k >= n - len(banned):
-            picked.append(SplitMix64(seed).sample_range_excluding(n, banned, k))
-        else:  # one row at a time: its values are Python ints only while in use
-            rest = SplitMix64(seed + 2 * k * _GOLDEN)
-            picked.append(_distinct(chain(row[:2 * k].tolist(), rest.randranges(n)), banned, k))
-    return picked
+    (seed, banned, k) of `rows`, in order; `banned` holds distinct values in
+    [0, n). A row short of k in its block draws on from its state after it;
+    one with a draw `randrange(n)` rejects, or on the small-pool branch,
+    takes the scalar path."""
+    last = np.uint64(limit(n) - 1)
+    picked: dict[int, list[int]] = {}  # by row; a row left out takes the scalar path
+    by_k: dict[int, list[int]] = {}
+    for r, (_, banned, k) in enumerate(rows):
+        if k and 3 * k < n - len(banned):
+            by_k.setdefault(k, []).append(r)
+    for k, group in by_k.items():
+        seeds, bans, _ = zip(*(rows[r] for r in group))
+        u = outputs(seeds, 2 * k)
+        accepted = (u <= last).all(axis=1)
+        u = u % np.uint64(n) if n < 1 << 64 else u
+        sizes = [len(b) for b in bans]
+        fresh = np.zeros(sum(sizes) + u.size, dtype=bool)
+        shift = np.uint64(len(fresh).bit_length())
+        if len(group) * n <= 1 << (64 - int(shift)):  # else every row draws on
+            # keys row * n + value, a row's banned ones first, each shifted over its
+            # position: sorted, each key's first occurrence leads its run
+            base = np.arange(len(group), dtype=np.uint64) * np.uint64(n)
+            banned = np.fromiter(chain.from_iterable(bans), np.uint64, sum(sizes))
+            keys = np.concatenate([np.repeat(base, sizes) + banned, (u + base[:, None]).ravel()])
+            keys = np.sort(keys << shift | np.arange(len(fresh), dtype=np.uint64))
+            run = keys >> shift
+            first = keys[np.concatenate([[True], run[1:] != run[:-1]])]
+            fresh[first & ((np.uint64(1) << shift) - np.uint64(1))] = True
+        fresh = fresh[sum(sizes):].reshape(u.shape)
+        taken = fresh & (np.cumsum(fresh, axis=1) <= k)
+        full = accepted & (taken.sum(axis=1) == k)
+        values = u[taken & full[:, None]].reshape(-1, k).tolist()
+        picked.update(zip(np.array(group)[full].tolist(), values))
+        for i in np.flatnonzero(accepted & ~full).tolist():  # on past the block
+            seed, banned, _ = rows[group[i]]
+            rest = SplitMix64(seed + 2 * k * _GOLDEN).randranges(n)
+            picked[group[i]] = _distinct(chain(u[i].tolist(), rest), banned, k)
+    return [picked[r] if r in picked else SplitMix64(seed).sample_range_excluding(n, banned, k)
+            for r, (seed, banned, k) in enumerate(rows)]

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import logging
+import random
 
 import numpy as np
 import pytest
@@ -182,25 +183,69 @@ def test_ingest_keeps_feature_and_sentiment_in_file_order_whatever_the_opinion()
                {"feature": "screen", "opinion": None, "sentiment": -1},
                {"feature": "price", "opinion": {"not": "text"}, "sentiment": 1},
                {"feature": "battery", "opinion": 7, "sentiment": 1}]
-    [record] = ingest_reviews([json.dumps({"user_id": "a", "item_id": "b", "rating": 3,
-                                           "timestamp": 1, "triples": triples})])
-    assert record.mentions == (("screen", 1), ("battery", -1), ("screen", -1),
-                               ("price", 1), ("battery", 1))
+    reviews = ingest_reviews([json.dumps({"user_id": "a", "item_id": "b", "rating": 3,
+                                          "timestamp": 1, "triples": triples})])
+    assert len(reviews) == 1 and reviews.mention_offsets.tolist() == [0, 5]
+    assert [(reviews.features[f], s) for f, s in reviews.mentions.tolist()] == [
+        ("screen", 1), ("battery", -1), ("screen", -1), ("price", 1), ("battery", 1)]
 
 
 def test_min_reviews_filter_is_single_pass():
     lines = [_line("u1", "a", 3, 1), _line("u1", "b", 3, 2),
              _line("u2", "a", 3, 1)]
-    records = ingest_reviews(lines, min_reviews_per_user=2)
-    assert {r.user_id for r in records} == {"u1"}
+    reviews = ingest_reviews(lines, min_reviews_per_user=2)
+    assert {reviews.users[u] for u in reviews.user.tolist()} == {"u1"}
     # u2's removal does not re-lower u1's count below the threshold
-    assert len(records) == 2
+    assert len(reviews) == 2
 
 
 def test_records_sorted_by_user_then_time():
     lines = [_line("u2", "a", 3, 5), _line("u1", "b", 3, 9), _line("u1", "a", 3, 2)]
-    records = ingest_reviews(lines)
-    assert [(r.user_id, r.timestamp) for r in records] == [("u1", 2), ("u1", 9), ("u2", 5)]
+    reviews = ingest_reviews(lines)
+    assert [(reviews.users[u], t) for u, t in zip(reviews.user.tolist(),
+                                                  reviews.timestamp.tolist())] == [
+        ("u1", 2), ("u1", 9), ("u2", 5)]
+
+
+_GOOD = _line("a", "b", 3, 1, [("screen", "ok", 1)])
+
+
+@pytest.mark.parametrize("line", [
+    _GOOD + " x", _GOOD + _GOOD, _GOOD + " " + _GOOD, _GOOD + "\n" + _GOOD,
+    "\t" + _GOOD, _GOOD + "\t", "\r" + _GOOD, _GOOD + "\r\n", " \t\r" + _GOOD + " \n",
+    "\f" + _GOOD, _GOOD + "\f", "\x0b" + _GOOD, "\xa0" + _GOOD, "\ufeff" + _GOOD,
+    " \t\r\n", "\f", "", "{", "nul", _GOOD[:-1],
+])
+def test_ingest_accepts_and_rejects_what_json_loads_does(line):
+    # the edge line follows a good one, so a rejection names line 2 and words
+    # it as json.loads does; a blank line is skipped
+    try:
+        json.loads(line)
+    except json.JSONDecodeError as e:
+        if line.strip():
+            with pytest.raises(IngestError) as err:
+                ingest_reviews([_GOOD, line])
+            assert str(err.value) == f"line 2: malformed JSON: {e.msg}"
+            return
+    reviews = ingest_reviews([_GOOD, line])
+    assert len(reviews) == (2 if line.strip() else 1)
+    assert reviews.mentions.tolist() == [[0, 1]] * len(reviews)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shuffled_corpus_file_reproduces_the_pinned_split(seed, tmp_path):
+    # the benchmark shuffles the default corpus's lines and relies on this
+    synth, config, digest = ARTIFACT_DIGESTS[1]
+    lines = synth_jsonl(SynthConfig(**synth))
+    random.Random(seed).shuffle(lines)
+    path = tmp_path / "reviews.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    split = build_split(ingest_reviews(path), SplitConfig(**config))
+    h = hashlib.sha256()
+    for name, arr in sorted(split_arrays(split).items()):
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_dataset_stats_sparsity_five_significant_digits():
@@ -214,7 +259,7 @@ def test_dataset_stats_sparsity_five_significant_digits():
 
 def test_timestamps_must_fit_int64():
     for ts in (-2**63, 2**63 - 1):
-        assert ingest_reviews([_line("a", "b", 3, ts)])[0].timestamp == ts
+        assert ingest_reviews([_line("a", "b", 3, ts)]).timestamp.tolist() == [ts]
     for ts in (-2**63 - 1, 2**63):
         with pytest.raises(IngestError, match="line 2: timestamp"):
             ingest_reviews([_line("a", "b", 3, 1), _line("a", "c", 3, ts)])

@@ -565,6 +565,10 @@ def _review_line(user, item, ts):
     ("evaluate --eval.k_ndcg 0", "eval.k_ndcg must be >= 1, got 0"),
     ("train --search --search-epochs 0", "--search-epochs must be >= 1, got 0"),
     ("train --search --search-epochs -1", "--search-epochs must be >= 1, got -1"),
+    ("evaluate --model.efm.n_factors 0",
+     "model.efm: EFMConfig.n_factors must be a positive integer, got 0"),
+    ("train --model.efm.n_hidden 0",
+     "model.efm: EFMConfig.n_hidden must be a positive integer, got 0"),
 ])
 def test_cli_input_errors_end_in_one_line_with_status_2(case, text, tmp_path, capsys):
     reviews = tmp_path / "reviews.jsonl"

@@ -313,3 +313,11 @@ def test_validation_ndcg_follows_an_adam_step(efm_tiny, tiny_split):
     after = validation_ndcg(efm_tiny, tiny_split)
     assert after == validation_ndcg(fresh, tiny_split)
     assert after != before
+
+
+@pytest.mark.parametrize("name", ["n_factors", "n_hidden", "top_k_features"])
+@pytest.mark.parametrize("width", [0, 2.0, True])
+def test_config_rejects_widths_the_model_cannot_use(name, width):
+    # the widths come from JSON config; a bad one must fail here, not in reinit
+    with pytest.raises(ValueError, match=f"EFMConfig.{name} must be a positive integer"):
+        EFMConfig(**{name: width})

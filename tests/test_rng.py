@@ -303,6 +303,29 @@ def test_samples_excluding_planted_rejection_takes_the_scalar_row():
     assert samples_excluding(500, rows) == _scalar_samples(500, rows)
 
 
+def test_samples_excluding_mixed_k_in_one_call(monkeypatch):
+    # k = 0, 1, 4, 10 and 100 side by side, with rows that run past their 2k
+    # draws (600 or 650 of 1000 banned), planted rejections inside a row's
+    # first 2k draws and small-pool rows (3k >= pool); the rows of one k share
+    # one block 2k wide
+    widths, continued = [], []
+    block, randranges = rng_mod.outputs, SplitMix64.randranges
+    monkeypatch.setattr(rng_mod, "outputs",
+                        lambda seeds, width: widths.append((len(seeds), width))
+                        or block(seeds, width))
+    monkeypatch.setattr(SplitMix64, "randranges",
+                        lambda self, n: continued.append(n) or randranges(self, n))
+    shapes = [(0, 0), (3, 1), (20, 4), (100, 10), (0, 100), (600, 100), (650, 100),
+              (900, 100), (990, 4)]
+    rows = _rows(1000, shapes) + [(seed_drawing(MAX_DRAW, at), {1, 2}, k)
+                                  for at, k in [(0, 1), (5, 4), (19, 10), (150, 100)]]
+    got = samples_excluding(1000, rows)
+    blocks = sorted(w for w in widths if w[0] > 1)  # a generator's own blocks have 1 row
+    assert got == _scalar_samples(1000, rows)
+    assert blocks == [(6, 2), (6, 8), (6, 20), (16, 200)]
+    assert continued
+
+
 def test_samples_excluding_short_pool_raises_like_the_scalar_call():
     with pytest.raises(ValueError, match="only 2 available"):
         samples_excluding(10, [(1, set(range(8)), 3)])

@@ -465,6 +465,25 @@ def test_defended_run_and_attack_gradient_are_pinned(algo, efm_tiny, cer_tiny, t
     assert (trained, attack) == GOLDEN_DEFENDED_RUN[algo]
 
 
+def test_cer_adversarial_pass_from_reuse_equals_a_pass_from_scratch(cer_tiny):
+    # the clean pass hands on layer 1's user half; Y reaches every gradient
+    for seed in range(3):
+        batch = _batch(cer_tiny, seed=seed)
+        penalty = cer_tiny.penalty_grad()
+        reuse = {}
+        _, _, dy = cer_tiny.loss_grad(batch, penalty, want_dy=True, reuse=reuse)
+        assert sorted(reuse) == ["user_half", "x_rows"]
+        y_adv = clip_perturbed_y(cer_tiny.Y, 0.25 * np.sign(dy), cer_tiny.n_rating)
+        adv, adv_grads, adv_dy = cer_tiny.loss_grad(batch, penalty, Y=y_adv, want_dy=True,
+                                                    reuse=reuse)
+        want_adv, want, want_dy = cer_tiny.loss_grad(batch, penalty, Y=y_adv, want_dy=True)
+        assert adv == want_adv
+        assert sorted(adv_grads) == sorted(want) == sorted(cer_tiny.params)
+        for name, g in want.items():
+            assert adv_grads[name].tobytes() == g.tobytes(), name
+        assert adv_dy.tobytes() == want_dy.tobytes()
+
+
 @pytest.mark.parametrize("lam", [0.25, 0.5, 0.9])
 def test_adversarial_pass_reuses_the_clean_pass_bit_for_bit(lam, efm_tiny):
     cfg = DefenseConfig(lam=lam, eps_d=0.25)

@@ -47,10 +47,9 @@ class SplitError(ValueError):
 
 @dataclass(eq=False)
 class Reviews:
-    """Reviews as a table of columns, sorted by (user_id, timestamp), file
-    order within ties. `user`, `item` and the mentions' features index the
-    sorted ids the rows use; row i's (feature, sentiment) mentions, in file
-    order, are mentions[mention_offsets[i]:mention_offsets[i + 1]]."""
+    """Reviews as columns sorted by (user_id, timestamp), file order within
+    ties; codes index the sorted ids. Row i's (feature, sentiment) mentions,
+    in file order, are mentions[mention_offsets[i]:mention_offsets[i + 1]]."""
     users: list[str]
     items: list[str]
     features: list[str]
@@ -66,7 +65,7 @@ class Reviews:
 
 
 @dataclass(eq=False)
-class DatasetSplit(Reviews):
+class DatasetSplit:
     """The split as the arrays the dataset artifact stores.
 
     One table holds every interaction, one row per (user, item): train in
@@ -76,6 +75,15 @@ class DatasetSplit(Reviews):
     their negatives as [users, n_neg] matrices. Arrays that disagree in
     length or order raise ValueError.
     """
+    users: list[str]
+    items: list[str]
+    features: list[str]
+    user: np.ndarray             # int64 [N]
+    item: np.ndarray             # int64 [N]
+    rating: np.ndarray           # float64 [N]
+    timestamp: np.ndarray        # int64 [N]
+    mention_offsets: np.ndarray  # int64 [N + 1]: where row i's merged mentions start
+    mentions: np.ndarray         # int64 [M, 2]: feature, sentiment
     n_rating: int
     part: np.ndarray             # int64 [N]: TRAIN, VAL or TEST
     val_users: np.ndarray        # int64 [U_val]
@@ -179,20 +187,13 @@ def ingest_reviews(source: str | Path | Iterable[str], min_reviews_per_user: int
             return ingest_reviews(fh, min_reviews_per_user, max_rating)
     users, items, features = {}, {}, {}  # id -> code, in order of first sight
     rows, mentions = [], []  # (user, item, rating, timestamp, n_mentions); feature, sentiment
-    decode = json.JSONDecoder().raw_decode
     for i, line in enumerate(source, start=1):
         if not line.strip():
             continue
-        text = line.strip(" \t\n\r")  # the whitespace json.loads skips
         try:
-            obj, end = decode(text)
-        except json.JSONDecodeError:
-            end = -1
-        if end != len(text):  # json.loads decides, and words the error
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise IngestError(f"line {i}: malformed JSON: {e.msg}") from None
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise IngestError(f"line {i}: malformed JSON: {e.msg}") from None
         try:
             user_id, item_id = str(obj["user_id"]), str(obj["item_id"])
             rating, timestamp, triples = obj["rating"], obj["timestamp"], obj["triples"]
@@ -267,20 +268,20 @@ def build_split(reviews: Reviews, config: SplitConfig = SplitConfig(),
     part = (rank >= (n - n_test - n_val)[user]).astype(np.int64) + (rank >= (n - n_test)[user])
 
     pool = n_items - n  # never-interacted items
-    held_out = (("test", n_test, config.n_test_neg), ("val", n_val, config.n_val_neg))
+    held_out = (("test", "test", n_test, config.n_test_neg),
+                ("val", "validation", n_val, config.n_val_neg))
     odd = (n_test < config.n_test_pos) | (n_val == 0)  # each warned, then checked, in order
     for u in np.flatnonzero(odd | (pool < max(config.n_test_neg, config.n_val_neg))).tolist():
         if n_test[u] < config.n_test_pos or not n_val[u]:
             log.warning("user %s has only %d interactions; split reduced to "
                         "%d test / %d val", users[u], n[u], n_test[u], n_val[u])
-        for name, n_pos, n_neg in held_out:
+        for _, what, n_pos, n_neg in held_out:
             if n_pos[u] and pool[u] < n_neg:
-                what = "test" if name == "test" else "validation"
                 raise SplitError(f"user {users[u]}: need {n_neg} {what} negatives, "
                                  f"only {pool[u]} never-interacted items available")
     interacted = np.split(reviews.item[last[order]], np.cumsum(n)[:-1])
     arrays = {}
-    for name, n_pos, n_neg in held_out:
+    for name, _, n_pos, n_neg in held_out:
         held = arrays[f"{name}_users"] = np.flatnonzero(n_pos)
         # SplitMix64(seed).sample_range_excluding(n_items, interacted, n_neg) per user
         negatives = samples_excluding(n_items, [
@@ -311,6 +312,5 @@ def split_from_arrays(manifest: dict, arrays: dict[str, np.ndarray]) -> DatasetS
     """Inverse of `split_arrays`; `manifest` holds users, items, features and
     n_rating. Arrays that disagree raise ValueError."""
     return DatasetSplit(users=list(manifest["users"]), items=list(manifest["items"]),
-                        features=list(manifest["features"]),
-                        n_rating=int(manifest["n_rating"]),
+                        features=list(manifest["features"]), n_rating=int(manifest["n_rating"]),
                         **{name: arrays[name] for name in SPLIT_ARRAYS})

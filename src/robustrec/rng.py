@@ -170,9 +170,9 @@ def _distinct(draws: Iterable[int], banned: Collection[int], k: int) -> list[int
 def samples_excluding(n: int, rows: Sequence[tuple[int, Collection[int], int]]) -> list[list[int]]:
     """`SplitMix64(seed).sample_range_excluding(n, banned, k)` for each
     (seed, banned, k) of `rows`, in order; `banned` holds distinct values in
-    [0, n). A row short of k in its block draws on from its state after it;
-    one with a draw `randrange(n)` rejects, or on the small-pool branch,
-    takes the scalar path."""
+    [0, n). A row short of k in its block, or in a group whose keys would
+    pass 64 bits, draws on from its state after it; one with a draw
+    `randrange(n)` rejects, or on the small-pool branch, takes the scalar path."""
     last = np.uint64(limit(n) - 1)
     picked: dict[int, list[int]] = {}  # by row; a row left out takes the scalar path
     by_k: dict[int, list[int]] = {}
@@ -187,7 +187,7 @@ def samples_excluding(n: int, rows: Sequence[tuple[int, Collection[int], int]]) 
         sizes = [len(b) for b in bans]
         fresh = np.zeros(sum(sizes) + u.size, dtype=bool)
         shift = np.uint64(len(fresh).bit_length())
-        if len(group) * n <= 1 << (64 - int(shift)):  # else every row draws on
+        if len(group) * n <= 1 << (64 - int(shift)):  # else keys overflow: all draw on
             # keys row * n + value, a row's banned ones first, each shifted over its
             # position: sorted, each key's first occurrence leads its run
             base = np.arange(len(group), dtype=np.uint64) * np.uint64(n)

@@ -13,8 +13,8 @@ on Y_adv follows, and the gradients mix with the same weights. The clean pass
 hands the adversarial one its work that does not depend on Y (`reuse`), so
 for EFM the second pass redoes only the Y term, and a parameter it leaves
 out keeps the clean gradient, which a pass from scratch would equal bit for
-bit; for CER it skips layer 1's user half. lambda = 0 or eps_d = 0 run the clean pass alone, so those reductions
-are exact to the bit.
+bit; for CER it skips layer 1's user half. lambda = 0 or eps_d = 0 run
+the clean pass alone, so those reductions are exact to the bit.
 The regularisation penalty depends on Theta alone, so `penalty_grad` runs
 once per Theta and its result is shared by every pass on it: once per
 training step, and once per attack pass over the whole training set.

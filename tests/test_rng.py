@@ -287,6 +287,21 @@ def test_samples_excluding_rows_past_the_block_continue(monkeypatch):
     assert len(continued) >= len(SEEDS) // 2
 
 
+def test_samples_excluding_keys_past_64_bits_draw_on(monkeypatch):
+    # 4 rows at n = 2^62: their row * n + value keys, shifted over each draw's
+    # position, would pass 64 bits, so every row reads its whole block and
+    # draws on; at n = 2^40 the keys fit and no row needs a draw past its 2k
+    continued = []
+    randranges = SplitMix64.randranges
+    monkeypatch.setattr(SplitMix64, "randranges",
+                        lambda self, n: continued.append(n) or randranges(self, n))
+    for n, drew_on in ((2**62, [2**62] * 4), (2**40, [])):
+        rows = _rows(n, [(5, 4)], seeds=SEEDS[:4])
+        continued.clear()
+        assert samples_excluding(n, rows) == _scalar_samples(n, rows)
+        assert continued == drew_on
+
+
 def test_samples_excluding_under_a_tighter_limit(monkeypatch):
     # about half of all draws rejected, scalar and block alike
     monkeypatch.setattr(rng_mod, "limit", lambda n: max(n, (1 << 63) // n * n))

@@ -14,7 +14,10 @@ Design constraints, chosen for reproducibility over generality:
 * `clip` uses subgradient 0 exactly at the boundaries.
 
 The Adam optimizer applies decoupled weight decay (param -= lr*wd*param)
-before the bias-corrected moment update.
+before the bias-corrected moment update, whose two bias corrections it folds
+into one step size and one scale per step (Kingma & Ba, ICLR 2015, section 2):
+no array is divided by a correction, and one scratch array per parameter
+holds each increment in turn.
 """
 from __future__ import annotations
 
@@ -348,7 +351,12 @@ class Adam:
     """Adam with bias correction and decoupled weight decay, on plain arrays.
 
     The decay is applied to the raw parameter before the moment update:
-    param -= lr*wd*param, then param -= lr * m_hat / (sqrt(v_hat) + eps).
+    param -= lr*wd*param, then param -= lr * m_hat / (sqrt(v_hat) + eps)
+    with m_hat = m/bc1 and v_hat = v/bc2. The bias corrections are folded
+    into two scalars per step, step = lr/bc1 and scale = 1/sqrt(bc2), so the
+    update is param -= step * m / (sqrt(v)*scale + eps): the same rule, with
+    eps still added to sqrt(v_hat). Its last bits differ from the unfolded
+    form's.
     """
 
     def __init__(self, params: list[np.ndarray], lr: float, beta1: float = 0.9,
@@ -367,13 +375,21 @@ class Adam:
         """Update each array in place by its gradient."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        step = self.lr / (1.0 - b1 ** self.t)
+        scale = 1.0 / np.sqrt(1.0 - b2 ** self.t)
         for p, g, m, v in zip(self.params, grads, self._m, self._v, strict=True):
             if self.weight_decay != 0.0:
                 p -= self.lr * self.weight_decay * p
+            d = (1.0 - b1) * g
             m *= b1
-            m += (1.0 - b1) * g
+            m += d
+            np.multiply(g, g, out=d)
+            d *= 1.0 - b2
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += d
+            np.sqrt(v, out=d)
+            d *= scale
+            d += self.eps
+            np.divide(m, d, out=d)
+            d *= step
+            p -= d

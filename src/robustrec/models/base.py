@@ -55,6 +55,16 @@ class Penalty(NamedTuple):
     grads: dict[str, np.ndarray]  # its gradient by parameter name
 
 
+def sum_squares(a: np.ndarray) -> np.float64:
+    """The sum of a's squared entries: one BLAS dot of its flat view with
+    itself, a single pass with no temporary array. OpenBLAS splits a dot of
+    over 10,000 elements across its threads, so the last bits of such a sum
+    can depend on the thread count. The penalty sums reach only the loss
+    value, never a gradient or a parameter."""
+    flat = a.ravel()
+    return flat @ flat
+
+
 def scatter_add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """`np.add.at(target, rows, values)` for a C-contiguous 2-D target and
     values [len(rows), n], through the flat view of target: each element

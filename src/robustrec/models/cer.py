@@ -21,7 +21,8 @@ import numpy as np
 from ..diffcore import (Adam, Tensor, add, concat_cols, gather_rows, matmul, mul, sigmoid,
                         softplus, square, sub, tmean, tsum)
 from ..rng import derive_seed
-from .base import Explanation, PairBatch, Penalty, Recommender, rank_items, scatter_add_rows
+from .base import (Explanation, PairBatch, Penalty, Recommender, rank_items, scatter_add_rows,
+                   sum_squares)
 
 
 class NotRecommendedError(ValueError):
@@ -143,7 +144,7 @@ class CER(Recommender):
         grads = {}
         for name, P in self.params.items():
             P = P.data
-            reg = reg + (P * P).sum()
+            reg = reg + sum_squares(P)
             grads[name] = (2.0 * self.config.lam_reg) * P
         return Penalty((reg,), grads)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..diffcore import Tensor, gather_rows, matmul, mul, relu, square, sub, transpose, tsum
 from ..rng import derive_seed
-from .base import Explanation, PairBatch, Penalty, Recommender, scatter_add_rows
+from .base import Explanation, PairBatch, Penalty, Recommender, scatter_add_rows, sum_squares
 
 
 @dataclass(frozen=True)
@@ -124,10 +124,13 @@ class EFM(Recommender):
         for name, P in self.params.items():
             P = P.data
             below = np.minimum(P, 0.0)
-            reg = reg + (P * P).sum()
-            neg = neg + (below * below).sum()
-            # d/dP of lam_reg * P^2 + lam_nn * relu(-P)^2
-            grads[name] = 2.0 * (cfg.lam_reg * P + cfg.lam_nn * below)
+            reg = reg + sum_squares(P)
+            neg = neg + sum_squares(below)
+            # d/dP of lam_reg * P^2 + lam_nn * relu(-P)^2; doubling is exact,
+            # so these are the bits of 2*(lam_reg*P + lam_nn*below)
+            g = P * (2.0 * cfg.lam_reg)
+            g += (2.0 * cfg.lam_nn) * below
+            grads[name] = g
         return Penalty((reg, neg), grads)
 
     def loss_grad(self, batch: PairBatch, penalty: Penalty, Y: np.ndarray | None = None,

@@ -214,3 +214,31 @@ def test_adam_two_steps_frozen():
         v = 0.999 * v + 0.001 * g * g
         x -= 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
     np.testing.assert_allclose(p, [x], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_folds_its_bias_corrections_into_two_scalars(weight_decay):
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    rng = np.random.default_rng(0)
+    p = rng.standard_normal((500, 64))
+    x = p.copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    opt = Adam([p], lr=lr, weight_decay=weight_decay)
+    for t in range(1, 201):
+        g = rng.standard_normal(p.shape)
+        opt.step([g])
+        if weight_decay:
+            x = x - lr * weight_decay * x
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        # hand-rolled folded rule: lr/bc1 and 1/sqrt(bc2) are scalars
+        step, scale = lr / (1.0 - b1 ** t), 1.0 / np.sqrt(1.0 - b2 ** t)
+        update = m / (np.sqrt(v) * scale + eps) * step
+        x = x - update
+        np.testing.assert_array_equal(p, x)
+        # the textbook rule, eps added to sqrt(v_hat); compared step by step,
+        # since parameters that pass near 0 would magnify a summed drift
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        textbook = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        np.testing.assert_allclose(update, textbook, rtol=1e-13, atol=0)

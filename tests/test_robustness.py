@@ -94,6 +94,29 @@ def _taped_defense_grad(model, batch, cfg):
 
 
 @pytest.mark.parametrize("algo", ["efm", "cer"])
+def test_penalty_grad_is_the_textbook_penalty(algo, efm_tiny, cer_tiny):
+    model = efm_tiny if algo == "efm" else cer_tiny
+    cfg = model.config
+    for p in model.params.values():
+        p.data -= 0.1  # negative entries put EFM's non-negativity term to work
+    arrays = {name: p.data for name, p in model.params.items()}
+    assert all((P < 0).any() for P in arrays.values())
+    penalty = model.penalty_grad()
+    assert list(penalty.grads) == list(arrays)
+    reg = neg = 0.0
+    for name, P in arrays.items():
+        below = np.minimum(P, 0.0)
+        reg, neg = reg + (P * P).sum(), neg + (below * below).sum()
+        if algo == "efm":
+            want = 2.0 * (cfg.lam_reg * P + cfg.lam_nn * below)
+        else:
+            want = 2 * cfg.lam_reg * P
+        assert penalty.grads[name].tobytes() == want.tobytes(), name
+    want_terms = (reg, neg) if algo == "efm" else (reg,)
+    np.testing.assert_allclose(penalty.terms, want_terms, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("algo", ["efm", "cer"])
 @pytest.mark.parametrize("lam, eps_d", [(0.0, 0.0), (0.0, 0.25), (0.5, 0.0), (0.5, 0.25)])
 def test_defended_loss_grad_matches_tape(algo, lam, eps_d, efm_tiny, cer_tiny):
     model = efm_tiny if algo == "efm" else cer_tiny
@@ -441,14 +464,13 @@ def _digest(arrays: dict, *extra: np.ndarray) -> str:
 
 # sha256 of one 1-epoch lambda=0.5, eps_d=0.25 run on tiny_split: (the
 # epoch's mean loss and the trained parameters, ||Xi|| and Xi). Any moved bit
-# fails. The efm entry was recorded from the code that recomputed the penalty
-# on every loss pass, the cer entry from the split layer-1 form (X·W1[:F] + b1
-# plus Y·W1[F:]) that scoring and the counterfactual solve share.
+# fails. Both entries were recorded from the Adam that folds its bias
+# corrections into a step size and a scale.
 GOLDEN_DEFENDED_RUN = {
-    "efm": ("63b0c35d9dffe9664c5dbed6ad56ac6d4470b69ac8de5e675f9a09307a4eeb8f",
-            "a784d1c582b3e2fd47645a3e1fc7f9be1521d2ccae83a790c87a3134b3dffcef"),
-    "cer": ("83fdab51930aece76ab0b76e5758364cf3ee65e26737964c4216ec6ab172524c",
-            "a9cfe0ddaeb838dddfd664825f52d411721b7595f30b867dc1adef76a58efa8b"),
+    "efm": ("c43500d22395167c3a14856f36d4425ef27617ecce2244254b27e0d46c278ef7",
+            "53a4c3a53d7bcf4f87b2abc7154f9f04488c41b39ec53fdfeb5ef61b2fb09064"),
+    "cer": ("363e62c0f67b51ab706316bb2b3baf9063a62df44bfa704684156d8f31c36663",
+            "dd58b1ca396f975ca90c6fc3b50d9b10727b63db6cda1a7a76e014c764e8a578"),
 }
 
 

@@ -10,8 +10,8 @@ from .dataset import (DatasetSplit, IngestError, SplitConfig, SplitError,
                       build_split, dataset_stats, ingest_reviews)
 from .evalkit import EvalReport, evaluate, explanation_prf, ndcg_at
 from .models import CER, EFM, CERConfig, EFMConfig, build_model
-from .robustness import (AttackResult, DefenseConfig, TrainResult, apply_attack,
-                         attack_weights, attacked_copy, clip_perturbed_y,
+from .robustness import (AttackResult, DefenseConfig, TrainingConfig, TrainResult,
+                         apply_attack, attack_weights, attacked_copy, clip_perturbed_y,
                          defense_loss, fgsm_delta_y, train_defended)
 
 __version__ = "0.1.0"
@@ -26,7 +26,7 @@ ARITHMETIC = "2fe7ea80dc67"
 __all__ = [
     "ARITHMETIC", "AttackResult", "CER", "CERConfig", "DatasetSplit", "DefenseConfig",
     "EFM", "EFMConfig", "EvalReport", "IngestError", "SplitConfig", "SplitError",
-    "TrainResult", "apply_attack", "attack_weights", "attacked_copy",
+    "TrainResult", "TrainingConfig", "apply_attack", "attack_weights", "attacked_copy",
     "build_matrices", "build_model", "build_split", "build_x", "build_y",
     "clip_perturbed_y", "dataset_stats", "defense_loss", "evaluate",
     "explanation_prf", "fgsm_delta_y", "ingest_reviews", "ndcg_at", "train_defended",

@@ -194,6 +194,8 @@ def ingest_reviews(source: str | Path | Iterable[str], min_reviews_per_user: int
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise IngestError(f"line {i}: malformed JSON: {e.msg}") from None
+        if not isinstance(obj, dict):
+            raise IngestError(f"line {i}: a review is a JSON object, got {obj!r}")
         try:
             user_id, item_id = str(obj["user_id"]), str(obj["item_id"])
             rating, timestamp, triples = obj["rating"], obj["timestamp"], obj["triples"]
@@ -209,6 +211,8 @@ def ingest_reviews(source: str | Path | Iterable[str], min_reviews_per_user: int
         if not (-2**63 <= timestamp < 2**63):  # the dataset artifact stores int64
             raise IngestError(f"line {i}: timestamp {timestamp} does not fit "
                               "a signed 64-bit integer")
+        if not isinstance(triples, list):
+            raise IngestError(f"line {i}: triples must be a list, got {triples!r}")
         for t in triples:
             try:
                 sentiment = t["sentiment"]

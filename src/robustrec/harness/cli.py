@@ -11,15 +11,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
+from .. import robustness
 from ..dataset import IngestError, SplitError
-from ..robustness import DefenseConfig, fmt_eps, scale_attack
+from ..robustness import DefenseConfig, TrainingConfig, fmt_eps, scale_attack
 from .config import ConfigError, apply_override, load_config, training_config
-from .report import write_report
+from .report import ResultsError, write_report
 from .sweep import (Run, Sweep, SweepCell, budgets, check_settings, ensure_attack, ensure_trained,
                     load_dataset, new_model, resolve_cache, run_sweep, sweep_cell)
-from .training import hyperparameter_search
+
+# ascending; the tie rule of the search relies on this order
+HYPER_GRID: tuple[float, ...] = (1e-5, 1e-4, 0.001, 0.01, 0.05, 0.1, 0.5)
 
 
 def parse_override_tokens(tokens: list[str]) -> list[tuple[str, str]]:
@@ -50,6 +55,26 @@ def _cell(cfg: dict) -> SweepCell:
                       cfg["training"]["seed"])
 
 
+def hyperparameter_search(make_model: Callable, split, defense, training: TrainingConfig,
+                          seed: int, search_epochs: int,
+                          grid: tuple[float, ...] = HYPER_GRID):
+    """Full grid over learning rate x weight decay, judged by the best
+    validation NDCG each run of `search_epochs` epochs reaches. Ties go to
+    the smaller learning rate, then the smaller decay (the grid is ascending
+    and replacement is strict). Returns (lr, wd, table of (lr, wd, score))."""
+    best: tuple[float, float, float] | None = None
+    table: list[tuple[float, float, float]] = []
+    for lr in grid:
+        for wd in grid:
+            cfg = replace(training, lr=lr, weight_decay=wd, max_epochs=search_epochs)
+            result = robustness.train_defended(make_model(), split, defense, cfg, seed)
+            score = max(result.history)
+            table.append((lr, wd, score))
+            if best is None or score > best[2]:
+                best = (lr, wd, score)
+    return best[0], best[1], table
+
+
 def cmd_ingest(cfg: dict, cache: Path, args) -> None:
     print(json.dumps(load_dataset(cfg, cache).stats, indent=2, sort_keys=True))
 
@@ -60,8 +85,7 @@ def cmd_train(cfg: dict, cache: Path, args) -> None:
     if args.search:
         lr, wd, _ = hyperparameter_search(lambda: new_model(cfg, cell, sweep.data),
                                           sweep.data.split, DefenseConfig(cell.lam, cell.eps_d),
-                                          training_config(cfg),
-                                          cell.seed, search_epochs=args.search_epochs)
+                                          training_config(cfg), cell.seed, args.search_epochs)
         cfg["training"]["lr"] = lr
         cfg["training"]["weight_decay"] = wd
         print(f"search selected lr={lr:g} weight_decay={wd:g}", file=sys.stderr)
@@ -144,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
                 "evaluate": cmd_evaluate, "sweep": cmd_sweep, "report": cmd_report}
     try:
         handlers[args.command](cfg, cache, args)
-    except (ConfigError, IngestError, SplitError, FileNotFoundError) as e:
+    except (ConfigError, IngestError, SplitError, ResultsError, FileNotFoundError) as e:
         print(f"robustrec: error: {e}", file=sys.stderr)  # bad input: one line, no traceback
         return 2
     return 0

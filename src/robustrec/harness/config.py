@@ -19,8 +19,7 @@ from pathlib import Path
 from ..dataset import SplitConfig, ingest_reviews
 from ..evalkit import EvalReport, build_bed
 from ..models import CERConfig, EFMConfig
-from ..robustness import DefenseConfig, attack_weights
-from .training import TrainingConfig
+from ..robustness import DefenseConfig, TrainingConfig, attack_weights
 
 
 class ConfigError(ValueError):

@@ -5,13 +5,41 @@ import csv
 from pathlib import Path
 
 from ..robustness import fmt_eps
-from .sweep import RESULT_TABLE
+from .sweep import RESULT_COLUMNS, RESULT_TABLE
+
+
+class ResultsError(ValueError):
+    pass
 
 
 def read_results(path: str | Path) -> list[dict]:
-    """results.csv rows, each cell parsed by its column of `RESULT_TABLE`."""
+    """results.csv rows, each cell parsed by its column of `RESULT_TABLE`. A
+    header other than `RESULT_COLUMNS`, a row of another length or a cell its
+    column cannot parse raises ResultsError naming the file and the column."""
     with open(path, newline="") as fh:
-        return [{c: RESULT_TABLE[c].parse(v) for c, v in row.items()} for row in csv.DictReader(fh)]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header != RESULT_COLUMNS:
+            unknown = [c for c in header if c not in RESULT_TABLE]
+            missing = [c for c in RESULT_COLUMNS if c not in header]
+            problem = (f"unknown column {unknown[0]!r}" if unknown else
+                       f"missing column {missing[0]!r}" if missing else
+                       f"header must be {RESULT_COLUMNS}, got {header}")
+            raise ResultsError(f"{path}: {problem}")
+        rows = []
+        for cells in reader:
+            if len(cells) != len(header):
+                raise ResultsError(f"{path}: line {reader.line_num}: {len(cells)} cells, "
+                                   f"expected {len(header)}")
+            row = {}
+            for c, cell in zip(header, cells):
+                try:
+                    row[c] = RESULT_TABLE[c].parse(cell)
+                except ValueError:
+                    raise ResultsError(f"{path}: line {reader.line_num}: column {c!r} "
+                                       f"cannot hold {cell!r}") from None
+            rows.append(row)
+        return rows
 
 
 def write_report(results_path: str | Path, out_dir: str | Path,

@@ -20,6 +20,8 @@ once per Theta and its result is shared by every pass on it: once per
 training step, and once per attack pass over the whole training set.
 `defense_loss` and `fgsm_delta_y` build the same objective on the tape over the
 attached X and Y: the reference the hand-derived gradients are tested against.
+`train_defended` runs minibatch Adam on it under a `TrainingConfig`, and an
+`EarlyStopper` on validation NDCG decides when to stop.
 
 Attack: a single-shot perturbation of the trained weights,
 Delta* = eps_a * Xi / ||Xi||_2, with Xi the full-training-set gradient of the
@@ -39,7 +41,6 @@ import numpy as np
 from .dataset import DatasetSplit
 from .diffcore import Adam, Tensor
 from .evalkit import validation_ndcg
-from .harness.training import EarlyStopper, TrainingConfig
 from .models.base import PairBatch, Penalty, Recommender
 from .rng import SplitMix64, derive_seed
 
@@ -55,6 +56,44 @@ class DivergenceError(RuntimeError):
 class DefenseConfig:
     lam: float = 0.0    # mixing weight on the adversarial branch ("lambda" in configs)
     eps_d: float = 0.0  # per-entry perturbation budget on Y
+
+
+@dataclass(frozen=True)
+class TrainingConfig:
+    batch_size: int = 32
+    lr: float = 0.001
+    weight_decay: float = 0.0
+    max_epochs: int = 50
+    patience: int = 5
+    min_delta: float = 1e-4
+    retries: int = 2
+    val_k: int = 10  # NDCG cutoff on the validation candidate lists
+
+
+class EarlyStopper:
+    """Stop when the metric hasn't improved by more than min_delta for
+    `patience` consecutive observations. The first observation (the untrained
+    baseline) counts as the initial best, so a flat metric stops after
+    exactly `patience` training epochs."""
+
+    def __init__(self, patience: int, min_delta: float = 1e-4):
+        self.patience = patience
+        self.min_delta = min_delta
+        self.best = float("-inf")
+        self.stale = 0
+
+    def observe(self, metric: float) -> bool:
+        """Record one metric value; True when it is a new best."""
+        if metric > self.best + self.min_delta:
+            self.best = metric
+            self.stale = 0
+            return True
+        self.stale += 1
+        return False
+
+    @property
+    def should_stop(self) -> bool:
+        return self.stale >= self.patience
 
 
 @dataclass

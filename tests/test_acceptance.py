@@ -21,11 +21,10 @@ from robustrec.evalkit import (build_bed, evaluate, explanation_prf,
                                gold_explanations, ndcg_at, train_feature_sets)
 from robustrec.harness.config import default_config
 from robustrec.harness.sweep import run_sweep
-from robustrec.harness.training import TrainingConfig
 from robustrec.models import CER, CERConfig, EFM, EFMConfig
 from robustrec.models.cer import counterfactual_deltas
 from robustrec.rng import SplitMix64, derive_seed
-from robustrec.robustness import (DefenseConfig, attack_weights, attacked_copy,
+from robustrec.robustness import (DefenseConfig, TrainingConfig, attack_weights, attacked_copy,
                                   defense_loss, train_defended)
 from robustrec.synth import SynthConfig, synth_jsonl, write_reviews
 

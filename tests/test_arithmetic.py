@@ -16,9 +16,8 @@ import numpy as np
 from robustrec import ARITHMETIC
 from robustrec.dataset import split_arrays
 from robustrec.evalkit import build_bed, evaluate, gold_explanations, train_feature_sets
-from robustrec.harness.training import TrainingConfig
-from robustrec.robustness import (DefenseConfig, attack_gradient, attacked_copy, scale_attack,
-                                  train_defended)
+from robustrec.robustness import (DefenseConfig, TrainingConfig, attack_gradient,
+                                  attacked_copy, scale_attack, train_defended)
 
 
 def _update(h, name: str, arr) -> None:

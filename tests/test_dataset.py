@@ -175,6 +175,13 @@ def test_ingest_validation_errors_carry_line_numbers():
         ingest_reviews([_line("a", "b", 3, 1, [("f", "o", 0)])])
     with pytest.raises(IngestError, match="missing key"):
         ingest_reviews([json.dumps({"user_id": "a"})])
+    for line in ("[1, 2]", "5"):
+        with pytest.raises(IngestError, match="line 2: a review is a JSON object"):
+            ingest_reviews([_line("a", "b", 3, 1), line])
+    for triples in (None, 7):
+        with pytest.raises(IngestError, match="line 1: triples must be a list"):
+            ingest_reviews([json.dumps({"user_id": "a", "item_id": "b", "rating": 3,
+                                        "timestamp": 1, "triples": triples})])
 
 
 def test_ingest_keeps_feature_and_sentiment_in_file_order_whatever_the_opinion():

@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 import robustrec.harness.sweep as sweep
-import robustrec.harness.training as training_mod
 import robustrec.robustness as rob
 from robustrec.dataset import DatasetSplit, build_split, ingest_reviews
 from robustrec.evalkit import EvalReport, build_bed, evaluate
+from robustrec.harness.cli import hyperparameter_search, parse_override_tokens
 from robustrec.harness.cli import main as cli_main
-from robustrec.harness.cli import parse_override_tokens
 from robustrec.harness.config import (ConfigError, DEFAULTS, apply_override,
                                       config_hash, default_config, load_config,
                                       training_config)
@@ -27,11 +26,10 @@ from robustrec.harness.report import read_results, write_report
 from robustrec.harness.sweep import (CACHE_ENV, RESULT_COLUMNS, RESULT_TABLE, SweepCell,
                                      enumerate_cells, resolve_cache, run_sweep,
                                      write_results)
-from robustrec.harness.training import (EarlyStopper, TrainingConfig,
-                                        hyperparameter_search)
 from robustrec.models import CERConfig, EFM, EFMConfig, build_model
 from robustrec.models.checkpoint import load_checkpoint, save_checkpoint
-from robustrec.robustness import DefenseConfig, TrainResult, attack_weights, train_defended
+from robustrec.robustness import (DefenseConfig, EarlyStopper, TrainingConfig, TrainResult,
+                                  attack_weights, train_defended)
 from robustrec.synth import SynthConfig, write_reviews
 
 
@@ -556,6 +554,7 @@ def _review_line(user, item, ts):
     ("no dataset.path", "dataset.path is required"),
     ("missing review file", "No such file or directory"),
     ("IngestError", "line 2: missing key 'user_id'"),
+    ("not a review object", "line 2: a review is a JSON object, got [1, 2]"),
     ("SplitError", "user u0: need 100 test negatives, only 0 never-interacted items"),
     ("train --model.algo xyz", "model.algo: unknown algo 'xyz', expected one of ['cer', 'efm']"),
     ('sweep --sweep.algos ["efm","xyz"]', "sweep.algos: unknown algo 'xyz'"),
@@ -574,6 +573,8 @@ def test_cli_input_errors_end_in_one_line_with_status_2(case, text, tmp_path, ca
     reviews = tmp_path / "reviews.jsonl"
     if case == "IngestError":
         reviews.write_text(_review_line("u0", "i0", 1) + '{"rating": 3}\n')
+    elif case == "not a review object":
+        reviews.write_text(_review_line("u0", "i0", 1) + "[1, 2]\n")
     elif case == "SplitError":  # 8 interactions, no never-interacted item
         reviews.write_text("".join(_review_line("u0", f"i{t}", t) for t in range(8)))
     path = [] if case == "no dataset.path" else ["--dataset.path", str(reviews)]
@@ -1217,6 +1218,42 @@ def test_write_report_aggregates_and_curves(tmp_path):
         curve = list(csv.DictReader(fh))
     assert [(r["eps_a"], r["expl_f1"]) for r in curve] == [("0", "0.400000"),
                                                            ("1", "0.350000")]
+
+
+# each edit takes one row of a results CSV, the header first, to a new row
+RESULTS_EDITS = {
+    "extra column": lambda row: row + ["foo" if row[0] == "run_id" else "1"],
+    "missing column": lambda row: row[:3] + row[4:],
+    "columns reordered": lambda row: [row[1], row[0], *row[2:]],
+    "short row": lambda row: row if row[0] == "run_id" else row[:-1],
+    "unparsable score": lambda row: row if row[0] == "run_id" else row[:7] + ["high"] + row[8:],
+    "fractional count": lambda row: row if row[0] == "run_id" else row[:11] + ["4.5"] + row[12:],
+}
+
+
+@pytest.mark.parametrize("case, text", [
+    ("extra column", "unknown column 'foo'"),
+    ("missing column", "missing column 'lambda'"),
+    ("columns reordered", "header must be ['run_id', 'algo',"),
+    ("short row", "line 2: 14 cells, expected 15"),
+    ("unparsable score", "line 2: column 'ndcg' cannot hold 'high'"),
+    ("fractional count", "line 2: column 'n_users' cannot hold '4.5'"),
+])
+def test_report_rejects_a_results_file_that_is_not_results_csv(case, text, tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    write_results(results, [{"run_id": "r", "algo": "efm", "dataset": "d", "lambda": 0.0,
+                             "eps_d": 0.0, "eps_a": 0.0, "condition": "clean", "ndcg": 0.5,
+                             "expl_pr": 0.5, "expl_re": 0.5, "expl_f1": 0.5, "n_users": 4,
+                             "n_pairs": 6, "n_non_cf": 0, "grad_norm": None}])
+    with open(results, newline="") as fh:
+        rows = [RESULTS_EDITS[case](row) for row in csv.reader(fh)]
+    with open(results, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "rep"
+    assert cli_main(["--cache", str(tmp_path / "cache"), "report", "--results", str(results),
+                     "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, f"{results}: {text}")
+    assert _files(out) == []
 
 
 # -------------------------------------------------------------------- CLI ---

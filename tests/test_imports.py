@@ -1,16 +1,24 @@
-"""Static check of the package source: every import is used.
+"""Static checks of the package source and the tests: every import is used,
+and imports between the core and the harness run one way.
 
-No linter is a dependency, so this is a small stand-in for pyflakes' F401
-over `src/`, built on `ast`. Package `__init__.py` files are skipped (their
-imports are re-exports), and an import statement carrying `# noqa: F401` on
-any of its lines is exempt.
+No linter is a dependency, so `unused_imports` is a small stand-in for
+pyflakes' F401 over `src/` and `tests/`, built on `ast`. Package
+`__init__.py` files are skipped (their imports are re-exports), and an
+import statement carrying `# noqa: F401` on any of its lines is exempt.
+The core (every module outside `robustrec.harness`) must import nothing from
+the harness, so `import robustrec` loads the library alone, and no package
+module is imported inside a function, where an import cycle would hide.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "robustrec"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "robustrec"
 
 
 def _annotation_names(tree: ast.AST) -> set[str]:
@@ -59,12 +67,92 @@ def unused_imports(path: Path) -> list[str]:
             if name not in used]
 
 
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py") + \
+    sorted(TESTS.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(
+    p.relative_to(SRC) if SRC in p.parents else p.relative_to(TESTS.parent)))
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def package_imports(path: Path, src: Path = SRC) -> list[tuple[int, str, bool]]:
+    """(line, module, inside a function) for each import in `path` of a
+    module of the package rooted at `src`, relative ones resolved to absolute
+    names. `from M import n` names both M and M.n, since n may be a module."""
+    package = [src.name, *path.relative_to(src).parent.parts]  # holds `path`
+    found = []
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                base = package[:len(package) - child.level + 1] if child.level else []
+                module = ".".join(base + ([child.module] if child.module else []))
+                names = [module] + [f"{module}.{alias.name}" for alias in child.names]
+            else:
+                visit(child, in_function or isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+                continue
+            found.extend((child.lineno, name, in_function) for name in names
+                         if name == src.name or name.startswith(src.name + "."))
+
+    visit(ast.parse(path.read_text()), False)
+    return found
+
+
+def harness_imports(path: Path, src: Path = SRC) -> list[str]:
+    """`module (line N)` for each harness module `path` imports."""
+    harness = f"{src.name}.harness"
+    return [f"{name} (line {line})" for line, name, _ in package_imports(path, src)
+            if name == harness or name.startswith(harness + ".")]
+
+
+CORE = [p for p in sorted(SRC.rglob("*.py")) if "harness" not in p.relative_to(SRC).parts]
+
+
+@pytest.mark.parametrize("path", CORE, ids=lambda p: str(p.relative_to(SRC)))
+def test_the_core_imports_nothing_from_the_harness(path):
+    assert harness_imports(path) == []
+
+
+def test_the_harness_check_finds_a_planted_import(tmp_path):
+    src = tmp_path / "robustrec"
+    (src / "models").mkdir(parents=True)
+    core = src / "models" / "m.py"
+    core.write_text("import numpy as np\n"
+                    "from ..dataset import Reviews\n"
+                    "from ..harness.config import ConfigError\n"
+                    "from .. import harness\n"
+                    "import robustrec.harness.sweep as sweep\n"
+                    "def f():\n    from robustrec.harness import cli\n")
+    (src / "__init__.py").write_text("from .harness import report\nfrom .models import m\n")
+    assert harness_imports(core, src) == [
+        "robustrec.harness.config (line 3)", "robustrec.harness.config.ConfigError (line 3)",
+        "robustrec.harness (line 4)", "robustrec.harness.sweep (line 5)",
+        "robustrec.harness (line 7)", "robustrec.harness.cli (line 7)"]
+    assert harness_imports(src / "__init__.py", src) == [
+        "robustrec.harness (line 1)", "robustrec.harness.report (line 1)"]
+    assert [(line, deferred) for line, _, deferred in package_imports(core, src)] == [
+        (2, False), (2, False), (3, False), (3, False), (4, False), (4, False),
+        (5, False), (7, True), (7, True)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_package_modules_are_imported_at_module_level(path):
+    assert [line for line, _, deferred in package_imports(path) if deferred] == []
+
+
+def test_importing_the_package_loads_no_harness_module():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, robustrec; "
+         "print(sorted(m for m in sys.modules if m.startswith('robustrec.harness')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded == "[]\n"
 
 
 def test_the_check_finds_an_unused_import(tmp_path):

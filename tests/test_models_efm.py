@@ -8,7 +8,7 @@ from robustrec.dataset import TRAIN
 from robustrec.diffcore import Adam, Tensor
 from robustrec.evalkit import validation_ndcg
 from robustrec.models import EFM, EFMConfig, rank_items
-from robustrec.models.base import PairBatch, scatter_add_rows
+from robustrec.models.base import scatter_add_rows
 from robustrec.rng import SplitMix64, derive_seed
 from splits import interactions
 

@@ -8,12 +8,11 @@ import robustrec.harness.sweep as sweep
 import robustrec.robustness as rob
 from robustrec.diffcore import Tensor
 from robustrec.harness.config import default_config
-from robustrec.harness.training import TrainingConfig
 from robustrec.models import EFM, EFMConfig
 from robustrec.aspects import build_matrices
 from robustrec.dataset import SplitConfig, build_split, ingest_reviews
 from robustrec.models import build_model
-from robustrec.robustness import (AttackResult, DefenseConfig, DivergenceError,
+from robustrec.robustness import (DefenseConfig, DivergenceError, TrainingConfig,
                                   apply_attack, attack_gradient, attack_weights,
                                   attacked_copy, clip_perturbed_y, defended_loss_grad,
                                   defense_loss, fgsm_delta_y, scale_attack, train_defended)

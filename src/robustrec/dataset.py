@@ -197,16 +197,19 @@ def ingest_reviews(source: str | Path | Iterable[str], min_reviews_per_user: int
         if not isinstance(obj, dict):
             raise IngestError(f"line {i}: a review is a JSON object, got {obj!r}")
         try:
-            user_id, item_id = str(obj["user_id"]), str(obj["item_id"])
+            user_id, item_id = obj["user_id"], obj["item_id"]
             rating, timestamp, triples = obj["rating"], obj["timestamp"], obj["triples"]
         except KeyError as e:
             raise IngestError(f"line {i}: missing key {e.args[0]!r}") from None
-        if not isinstance(rating, (int, float)) or float(rating) != int(rating):
+        if type(user_id) is not str or type(item_id) is not str:
+            key = "item_id" if type(user_id) is str else "user_id"
+            raise IngestError(f"line {i}: {key} must be a string, got {obj[key]!r}")
+        if type(rating) not in (int, float) or rating % 1:  # not bool; NaN and inf fail
             raise IngestError(f"line {i}: rating must be an integer, got {rating!r}")
         rating = int(rating)
         if not (1 <= rating <= max_rating):
             raise IngestError(f"line {i}: rating {rating} outside [1, {max_rating}]")
-        if not isinstance(timestamp, int):
+        if type(timestamp) is not int:
             raise IngestError(f"line {i}: timestamp must be an integer, got {timestamp!r}")
         if not (-2**63 <= timestamp < 2**63):  # the dataset artifact stores int64
             raise IngestError(f"line {i}: timestamp {timestamp} does not fit "
@@ -218,9 +221,11 @@ def ingest_reviews(source: str | Path | Iterable[str], min_reviews_per_user: int
                 sentiment = t["sentiment"]
             except (KeyError, TypeError):
                 raise IngestError(f"line {i}: triple missing 'sentiment'") from None
-            if sentiment not in (1, -1):
+            if type(sentiment) is bool or sentiment not in (1, -1):
                 raise IngestError(f"line {i}: sentiment must be +1 or -1, got {sentiment!r}")
-            feature = str(t.get("feature", ""))
+            feature = t.get("feature", "")
+            if type(feature) is not str:
+                raise IngestError(f"line {i}: feature must be a string, got {feature!r}")
             mentions += (features.setdefault(feature, len(features)), int(sentiment))
         rows.append((users.setdefault(user_id, len(users)), items.setdefault(item_id, len(items)),
                      rating, timestamp, len(triples)))  # the loop passed every triple

@@ -17,11 +17,11 @@ from typing import Callable
 
 from .. import robustness
 from ..dataset import IngestError, SplitError
-from ..robustness import DefenseConfig, TrainingConfig, fmt_eps, scale_attack
+from ..robustness import TrainingConfig, fmt_eps, scale_attack
 from .config import ConfigError, apply_override, load_config, training_config
 from .report import ResultsError, write_report
-from .sweep import (Run, Sweep, SweepCell, budgets, check_settings, ensure_attack, ensure_trained,
-                    load_dataset, new_model, resolve_cache, run_sweep, sweep_cell)
+from .sweep import (Run, Sweep, SweepCell, budgets, ensure_trained, load_dataset, new_model,
+                    resolve_cache, run_sweep, sweep_cell)
 
 # ascending; the tie rule of the search relies on this order
 HYPER_GRID: tuple[float, ...] = (1e-5, 1e-4, 0.001, 0.01, 0.05, 0.1, 0.5)
@@ -61,18 +61,16 @@ def hyperparameter_search(make_model: Callable, split, defense, training: Traini
     """Full grid over learning rate x weight decay, judged by the best
     validation NDCG each run of `search_epochs` epochs reaches. Ties go to
     the smaller learning rate, then the smaller decay (the grid is ascending
-    and replacement is strict). Returns (lr, wd, table of (lr, wd, score))."""
-    best: tuple[float, float, float] | None = None
+    and `max` keeps the first of equal scores). Returns (lr, wd, table of
+    (lr, wd, score))."""
     table: list[tuple[float, float, float]] = []
     for lr in grid:
         for wd in grid:
             cfg = replace(training, lr=lr, weight_decay=wd, max_epochs=search_epochs)
             result = robustness.train_defended(make_model(), split, defense, cfg, seed)
-            score = max(result.history)
-            table.append((lr, wd, score))
-            if best is None or score > best[2]:
-                best = (lr, wd, score)
-    return best[0], best[1], table
+            table.append((lr, wd, max(result.history)))
+    lr, wd, _ = max(table, key=lambda row: row[2])
+    return lr, wd, table
 
 
 def cmd_ingest(cfg: dict, cache: Path, args) -> None:
@@ -80,15 +78,17 @@ def cmd_ingest(cfg: dict, cache: Path, args) -> None:
 
 
 def cmd_train(cfg: dict, cache: Path, args) -> None:
-    check_settings(cfg, args.search_epochs if args.search else None)
+    if args.search and args.search_epochs < 1:
+        raise ConfigError(f"--search-epochs must be >= 1, got {args.search_epochs}")
     sweep, cell = Sweep(cfg, cache), _cell(cfg)
     if args.search:
         lr, wd, _ = hyperparameter_search(lambda: new_model(cfg, cell, sweep.data),
-                                          sweep.data.split, DefenseConfig(cell.lam, cell.eps_d),
-                                          training_config(cfg), cell.seed, args.search_epochs)
+                                          sweep.data.split, cell.defense, training_config(cfg),
+                                          cell.seed, args.search_epochs)
         cfg["training"]["lr"] = lr
         cfg["training"]["weight_decay"] = wd
         print(f"search selected lr={lr:g} weight_decay={wd:g}", file=sys.stderr)
+    # the run is named after the search, whose lr and weight_decay its id hashes
     _, run_dir, run_id, manifest = ensure_trained(sweep, cell, Run(sweep, cell))
     print(json.dumps({
         "run_id": run_id,
@@ -105,10 +105,9 @@ def cmd_attack(cfg: dict, cache: Path, args) -> None:
     grid = budgets([args.eps_a] if args.eps_a is not None else
                    [e for e in cfg["attack"]["eps_a_grid"] if e != 0.0])
     run = Run(Sweep(cfg, cache), _cell(cfg))
-    gradient, path = ensure_attack(cfg, run.cell, run.model, run.dir, run.attack_key)
     print(json.dumps({
-        "run_id": run.run_id, "grad_norm": gradient.grad_norm, "artifact": str(path),
-        "delta_norm": {fmt_eps(e): scale_attack(gradient, e).delta_norm for e in grid},
+        "run_id": run.run_id, "grad_norm": run.gradient.grad_norm, "artifact": str(run.attack_path),
+        "delta_norm": {fmt_eps(e): scale_attack(run.gradient, e).delta_norm for e in grid},
     }, indent=2, sort_keys=True))
 
 

@@ -9,14 +9,14 @@ writes its own temporary, and one that loses the rename loads the winner's.
 Vanilla cells run first: their rankings define the per-(algo, seed)
 evaluation bed every condition is scored on.
 
-A `Sweep` holds what the grid shares, a `Run` what one cell's rows share: the
-review file's sha256 and each run's keys are hashed once, and the dataset, the
-evaluation inputs, a run's model and its attack gradient are loaded or built
-on first use, when a results row has to be built. A rerun of a finished grid
-therefore reads only the review file, each bed once per (algo, seed) and each
-results row. Beds alone are read eagerly, before a cell's rows: a bed is one
-small JSON file, and its lookup is where a traced rerun counts the pairs
-every condition is scored on. Every eps_a of a cell shares one model and one
+A `Sweep` holds what the grid shares, a `Run` everything about one cell: its
+id and keys, hashed once, and its model and attack gradient, loaded or built
+on first use, like the sweep's dataset and evaluation inputs, when a results
+row has to be built. A rerun of a finished grid therefore
+reads only the review file, each bed once per (algo, seed) and each results
+row. Beds alone are read eagerly, before a cell's rows: a bed is one small
+JSON file, and its lookup is where a traced rerun counts the pairs every
+condition is scored on. Every eps_a of a cell shares one model and one
 attack gradient, dropped when the cell ends.
 """
 from __future__ import annotations
@@ -85,9 +85,7 @@ T = TypeVar("T")
 
 def resolve_cache(explicit: str | Path | None = None) -> Path:
     """--cache flag > ROBUSTREC_CACHE env var > ./cache."""
-    if explicit:
-        return Path(explicit)
-    return Path(os.environ.get(CACHE_ENV, "") or "./cache")
+    return Path(explicit or os.environ.get(CACHE_ENV, "") or "./cache")
 
 
 def artifact(path: Path, build: Callable[[], T], save: Callable[[Path, T], None],
@@ -171,6 +169,11 @@ class SweepCell:
         """The undefended cell of the same (algo, seed)."""
         return SweepCell(self.algo, 0.0, 0.0, self.seed)
 
+    @property
+    def defense(self) -> DefenseConfig:
+        """The defense the cell trains with and is attacked under."""
+        return DefenseConfig(lam=self.lam, eps_d=self.eps_d)
+
 
 def sweep_cell(algo: str, lam: float, eps_d: float, seed: int) -> SweepCell:
     """The cell of one training run: lambda = 0 leaves the defense budget
@@ -199,14 +202,15 @@ def budgets(values) -> list[float]:
         raise ConfigError(str(e)) from None
 
 
-def check_settings(cfg: dict, search_epochs: int | None = None) -> None:
+def check_settings(cfg: dict) -> None:
     """Like `budgets`, before any artifact: an algo without a model section or
-    with settings its model cannot use, or a batch size, NDCG cutoff or search
-    length below 1, raises ConfigError."""
+    with settings its model cannot use, or a batch size, cutoff or list length
+    below 1, raises ConfigError."""
     models = sorted(k for k, v in cfg["model"].items() if isinstance(v, dict))
     algos = {"model.algo": [cfg["model"]["algo"]], "sweep.algos": cfg["sweep"]["algos"]}
     counts = {f"{s}.{k}": cfg[s][k] for s, k in [("training", "batch_size"), ("training", "val_k"),
-                                                 ("attack", "batch_size"), ("eval", "k_ndcg")]}
+                                                 ("attack", "batch_size"), ("eval", "k_ndcg"),
+                                                 ("eval", "k_rec"), ("eval", "top_n")]}
     for key, names in algos.items():
         if unknown := [a for a in names if a not in models]:
             raise ConfigError(f"{key}: unknown algo {unknown[0]!r}, expected one of {models}")
@@ -215,8 +219,8 @@ def check_settings(cfg: dict, search_epochs: int | None = None) -> None:
                 model_config(algo, cfg["model"])
             except ValueError as e:
                 raise ConfigError(f"model.{algo}: {e}") from None
-    for key, n in {**counts, "--search-epochs": search_epochs}.items():
-        if n is not None and n < 1:
+    for key, n in counts.items():
+        if n < 1:
             raise ConfigError(f"{key} must be >= 1, got {n}")
 
 
@@ -319,9 +323,9 @@ class Sweep:
 
 
 class Run:
-    """One cell of a sweep: its run id and directory and the keys of its bed
-    and attack, hashed once, and its model and attack gradient, loaded or
-    built on first use."""
+    """One cell of a sweep: its run id and directory, the keys of its bed and
+    attack and its attack artifact's path, set once, and its model and attack
+    gradient, loaded or built on first use."""
 
     def __init__(self, sweep: Sweep, cell: SweepCell):
         cfg, attack = sweep.cfg, sweep.cfg["attack"]
@@ -335,6 +339,7 @@ class Run:
         self.bed_key = config_hash({"run": self.vanilla_id, "k_rec": int(cfg["eval"]["k_rec"])})
         self.attack_key = config_hash({"run": self.run_id, "seed": int(attack["seed"]),
                                        "batch_size": int(attack["batch_size"])})
+        self.attack_path = self.dir / f"attack_{self.attack_key}"
 
     @functools.cached_property
     def model(self) -> Recommender:
@@ -342,7 +347,30 @@ class Run:
 
     @functools.cached_property
     def gradient(self) -> AttackGradient:
-        return ensure_attack(self.sweep.cfg, self.cell, self.model, self.dir, self.attack_key)[0]
+        """The trained run's attack gradient Xi, shared by every eps_a and
+        kept at `attack_path` in checkpoint format with ||Xi||_2 in the
+        manifest. `scale_attack` turns it into the delta for one budget."""
+        model, attack = self.model, self.sweep.cfg["attack"]
+
+        def build() -> AttackGradient:
+            return attack_gradient(model, self.cell.defense, seed=int(attack["seed"]),
+                                   batch_size=int(attack["batch_size"]))
+
+        def load(path: Path) -> AttackGradient:
+            manifest, xi = load_checkpoint(path)
+            shapes, grad_norm = model.param_shapes(), manifest.get("grad_norm")
+            if not (set(xi) == set(shapes) and all(xi[n].shape == s and xi[n].dtype == np.float64
+                                                   for n, s in shapes.items())):
+                raise ValueError(f"{path}: Xi must be float64 with the model's parameter shapes")
+            # in the model's parameter order, in which attack_gradient and delta norms sum
+            xi = {name: xi[name] for name in shapes}
+            if not (type(grad_norm) is float and np.isfinite(grad_norm)
+                    and grad_norm == params_norm(xi)):
+                raise ValueError(f"{path}: grad_norm {grad_norm!r} is not the finite norm of Xi")
+            return AttackGradient(xi, grad_norm)
+
+        return artifact(self.attack_path, build, lambda path, gradient: save_checkpoint(
+            path, {"kind": "attack-gradient", "grad_norm": gradient.grad_norm}, gradient.xi), load)
 
     def rows(self, grid: list[float]) -> list[dict]:
         """The run's results rows, one per budget of `grid`, scored on the
@@ -361,8 +389,9 @@ def new_model(cfg: dict, cell: SweepCell, data: Dataset) -> Recommender:
     return model
 
 
-# the ensure_* stages take the sweep and the run's cell first, and ensure_eval
-# the run id and eps_a fifth and sixth: bench/tracing.py reads them by position
+# bench/tracing.py wraps the ensure_* stages by name and reads, by position,
+# the sweep and the run's cell first, and ensure_eval's run id and eps_a fifth
+# and sixth; what it does not read, such as the attack gradient, is on `Run`
 def ensure_trained(sweep: Sweep, cell: SweepCell, run: Run) -> tuple[Recommender, Path, str, dict]:
     """(model, run_dir, run_id, manifest): the run's model with best-epoch
     parameters, attached to the split, its run directory, named by the run
@@ -371,8 +400,7 @@ def ensure_trained(sweep: Sweep, cell: SweepCell, run: Run) -> tuple[Recommender
     split, model = data.split, new_model(sweep.cfg, cell, data)
 
     def build() -> dict:
-        result = train_defended(model, split, DefenseConfig(lam=cell.lam, eps_d=cell.eps_d),
-                                training_config(sweep.cfg), cell.seed)
+        result = train_defended(model, split, cell.defense, training_config(sweep.cfg), cell.seed)
         return {"kind": cell.algo, "config": run.config, "seed": cell.seed,
                 "dims": {"n_users": split.n_users, "n_items": split.n_items,
                          "n_features": split.n_features, "n_rating": split.n_rating},
@@ -409,39 +437,6 @@ def ensure_bed(sweep: Sweep, cell: SweepCell, run: Run) -> dict[int, list[int]]:
 
     path = sweep.cache / "runs" / run.vanilla_id / f"bed_{run.bed_key}.json"
     return artifact(path, build, save, load)
-
-
-def ensure_attack(cfg: dict, cell: SweepCell, model: Recommender, run_dir: Path,
-                  key: str) -> tuple[AttackGradient, Path]:
-    """The attack gradient Xi of a trained run, shared by every eps_a, and its
-    path: a checkpoint-format directory holding Xi, with ||Xi||_2 in the
-    manifest, named by the cell's attack `key`. `scale_attack` turns it into
-    the delta for one budget."""
-    def build() -> AttackGradient:
-        return attack_gradient(model, DefenseConfig(lam=cell.lam, eps_d=cell.eps_d),
-                               seed=int(cfg["attack"]["seed"]),
-                               batch_size=int(cfg["attack"]["batch_size"]))
-
-    def save(path: Path, gradient: AttackGradient) -> None:
-        save_checkpoint(path, {"kind": "attack-gradient", "grad_norm": gradient.grad_norm},
-                        gradient.xi)
-
-    def load(path: Path) -> AttackGradient:
-        manifest, xi = load_checkpoint(path)
-        shapes, grad_norm = model.param_shapes(), manifest.get("grad_norm")
-        if not (set(xi) == set(shapes) and all(xi[n].shape == s and xi[n].dtype == np.float64
-                                               for n, s in shapes.items())):
-            raise ValueError(f"{path}: Xi must be float64 with the model's parameter shapes")
-        # in the model's parameter order, which attack_gradient and the norms
-        # of a delta are summed in
-        xi = {name: xi[name] for name in shapes}
-        if not (type(grad_norm) is float and np.isfinite(grad_norm)
-                and grad_norm == params_norm(xi)):
-            raise ValueError(f"{path}: grad_norm {grad_norm!r} is not the finite norm of Xi")
-        return AttackGradient(xi, grad_norm)
-
-    path = run_dir / f"attack_{key}"
-    return artifact(path, build, save, load), path
 
 
 def ensure_eval(sweep: Sweep, cell: SweepCell, run: Run, bed: dict[int, list[int]],

@@ -328,8 +328,8 @@ def apply_attack(params: dict[str, np.ndarray], delta: dict[str, np.ndarray]) ->
 
 
 def attacked_copy(model: Recommender, delta: dict[str, np.ndarray]) -> Recommender:
-    """A model sharing the attachment but carrying attacked parameters."""
-    return model.with_params(apply_attack(model.param_arrays(), delta))
+    """A model sharing the attachment but carrying fresh attacked parameters."""
+    return model.with_params(apply_attack({n: p.data for n, p in model.params.items()}, delta))
 
 
 def fmt_eps(eps: float) -> str:

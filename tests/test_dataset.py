@@ -182,6 +182,27 @@ def test_ingest_validation_errors_carry_line_numbers():
         with pytest.raises(IngestError, match="line 1: triples must be a list"):
             ingest_reviews([json.dumps({"user_id": "a", "item_id": "b", "rating": 3,
                                         "timestamp": 1, "triples": triples})])
+    # JSON types are not coerced: each field of this line is wrong on its own
+    bad = {"user_id": None, "item_id": [1], "rating": True, "timestamp": False,
+           "triples": [{"sentiment": True}]}
+    with pytest.raises(IngestError, match="line 1: user_id must be a string"):
+        ingest_reviews([json.dumps(bad)])
+    for key, text in [("user_id", "user_id must be a string, got None"),
+                      ("item_id", r"item_id must be a string, got \[1\]"),
+                      ("rating", "rating must be an integer, got True"),
+                      ("timestamp", "timestamp must be an integer, got False"),
+                      ("triples", r"sentiment must be \+1 or -1, got True")]:
+        review = {"user_id": "a", "item_id": "b", "rating": 3, "timestamp": 1, "triples": []}
+        with pytest.raises(IngestError, match=f"line 2: {text}"):
+            ingest_reviews([_line("a", "b", 3, 1), json.dumps({**review, key: bad[key]})])
+    for feature in (None, 3, ["f"]):
+        with pytest.raises(IngestError, match="line 1: feature must be a string"):
+            ingest_reviews([json.dumps({"user_id": "a", "item_id": "b", "rating": 3, "timestamp": 1,
+                                        "triples": [{"feature": feature, "sentiment": 1}]})])
+    for rating in ("Infinity", "NaN"):  # json.loads reads both; neither is an integer
+        with pytest.raises(IngestError, match="line 1: rating must be an integer"):
+            ingest_reviews(['{"user_id": "a", "item_id": "b", "rating": %s, "timestamp": 1, '
+                            '"triples": []}' % rating])
 
 
 def test_ingest_keeps_feature_and_sentiment_in_file_order_whatever_the_opinion():

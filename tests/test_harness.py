@@ -562,6 +562,8 @@ def _review_line(user, item, ts):
     ("attack --attack.batch_size 0", "attack.batch_size must be >= 1, got 0"),
     ("train --training.val_k 0", "training.val_k must be >= 1, got 0"),
     ("evaluate --eval.k_ndcg 0", "eval.k_ndcg must be >= 1, got 0"),
+    ("sweep --eval.k_rec -1", "eval.k_rec must be >= 1, got -1"),
+    ("evaluate --eval.top_n 0", "eval.top_n must be >= 1, got 0"),
     ("train --search --search-epochs 0", "--search-epochs must be >= 1, got 0"),
     ("train --search --search-epochs -1", "--search-epochs must be >= 1, got -1"),
     ("evaluate --model.efm.n_factors 0",

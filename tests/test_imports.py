@@ -8,6 +8,8 @@ import statement carrying `# noqa: F401` on any of its lines is exempt.
 The core (every module outside `robustrec.harness`) must import nothing from
 the harness, so `import robustrec` loads the library alone, and no package
 module is imported inside a function, where an import cycle would hide.
+No function in `harness/sweep.py` takes more than four parameters: what a
+stage needs about a cell is on its `Run`.
 """
 import ast
 import os
@@ -153,6 +155,35 @@ def test_importing_the_package_loads_no_harness_module():
          "print(sorted(m for m in sys.modules if m.startswith('robustrec.harness')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert loaded == "[]\n"
+
+
+def wide_functions(path: Path, limit: int = 4) -> list[str]:
+    """`name (N parameters)` for each function or method in `path`, nested
+    ones included, that takes more than `limit` parameters."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            n = len(args.posonlyargs) + len(args.args) + len(args.kwonlyargs) + \
+                (args.vararg is not None) + (args.kwarg is not None)
+            if n > limit:
+                found.append(f"{node.name} ({n} parameters)")
+    return found
+
+
+def test_sweep_functions_take_at_most_four_parameters():
+    # ensure_eval keeps its run id and eps_a, positions 4 and 5, because
+    # bench/tracing.py reads them by position to key each results row
+    assert wide_functions(SRC / "harness" / "sweep.py") == ["ensure_eval (6 parameters)"]
+
+
+def test_the_parameter_check_counts_every_kind(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def a(p, q, r, s):\n    pass\n"
+                      "def b(p, /, q, *r, s, **t):\n    def c(u, v, w, x, y):\n        pass\n"
+                      "class K:\n    def d(self, p, q, r, s=0):\n        pass\n")
+    assert wide_functions(module) == ["b (5 parameters)", "c (5 parameters)",
+                                      "d (5 parameters)"]
 
 
 def test_the_check_finds_an_unused_import(tmp_path):

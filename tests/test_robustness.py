@@ -301,6 +301,7 @@ def test_attacked_copy_shares_attachment_keeps_original(efm_tiny):
     for name, arr in efm_tiny.param_arrays().items():
         np.testing.assert_array_equal(arr, before[name])
         assert not np.array_equal(attacked.param_arrays()[name], arr)
+        assert not np.shares_memory(attacked.params[name].data, efm_tiny.params[name].data)
 
 
 def test_apply_attack_validates_names_and_shapes(efm_tiny):
@@ -393,17 +394,28 @@ def test_train_defended_gives_up_after_retries(efm_tiny, tiny_split, monkeypatch
                        TrainingConfig(retries=2), seed=0)
 
 
+def _run(cfg, cell, model, tmp_path):
+    """A sweep `Run` of `cell` whose model is `model`: the review file only
+    names the run, and the dataset is never loaded."""
+    reviews = tmp_path / "reviews.jsonl"
+    reviews.write_text("")
+    cfg["dataset"]["path"] = str(reviews)
+    run = sweep.Run(sweep.Sweep(cfg, tmp_path / "cache"), cell)
+    run.model = model
+    return run
+
+
 def test_attack_save_load_roundtrip(efm_tiny, tmp_path, monkeypatch):
     cfg = default_config()
     cfg["attack"]["seed"] = 3
     cell = sweep.SweepCell("efm", 0.5, 0.25, 0)
     res = attack_weights(efm_tiny, DefenseConfig(lam=0.5, eps_d=0.25), 1.5, seed=3)
-    gradient, path = sweep.ensure_attack(cfg, cell, efm_tiny, tmp_path, "run")
-    built = scale_attack(gradient, 1.5)
-    assert path.parent == tmp_path and path.name.startswith("attack_")
+    run = _run(cfg, cell, efm_tiny, tmp_path)
+    built, path = scale_attack(run.gradient, 1.5), run.attack_path
+    assert path.parent == run.dir and path.name.startswith("attack_")
     monkeypatch.setattr(sweep, "attack_gradient", lambda *a, **k: pytest.fail("attack rerun"))
-    gradient, again = sweep.ensure_attack(cfg, cell, efm_tiny, tmp_path, "run")
-    loaded = scale_attack(gradient, 1.5)
+    run = _run(cfg, cell, efm_tiny, tmp_path)
+    loaded, again = scale_attack(run.gradient, 1.5), run.attack_path
     assert again == path
     for got in (built, loaded):
         assert got.grad_norm == res.grad_norm
@@ -432,14 +444,14 @@ def test_scaled_gradient_matches_attack_weights_bit_for_bit(algo, lam, eps_d, ef
     cell = sweep.SweepCell(algo, lam, eps_d, 0)
     defense = DefenseConfig(lam=lam, eps_d=eps_d)
     for eps in cfg["attack"]["eps_a_grid"]:
-        gradient, _ = sweep.ensure_attack(cfg, cell, model, tmp_path, "run")
-        got = scale_attack(gradient, eps)
+        run = _run(cfg, cell, model, tmp_path)
+        got = scale_attack(run.gradient, eps)
         want = attack_weights(model, defense, eps, seed=0)
         assert got.grad_norm == want.grad_norm and got.delta_norm == want.delta_norm
         assert sorted(got.delta) == sorted(want.delta)
         for name, d in want.delta.items():
             assert got.delta[name].tobytes() == d.tobytes(), (eps, name)
-    assert len(list(tmp_path.glob("attack_*"))) == 1
+    assert len(list(run.dir.glob("attack_*"))) == 1
 
 
 @pytest.mark.parametrize("eps_a", [-0.5, -1e-300, float("nan"), float("inf")])

@@ -1,14 +1,15 @@
 """Command line entry point.
 
-    robustrec <command> [--config FILE] [--cache DIR] [--section.key VALUE ...]
+    robustrec [--config FILE] [--cache DIR] [--section.key VALUE ...] <command> [...]
 
-Any config key can be overridden with its dotted path, e.g.
-`--defense.lambda 0.5` or `--model.algo cer`. Commands: ingest, train,
-attack, evaluate, sweep, report.
+Any config key can be overridden with its dotted path, e.g. `--defense.lambda
+0.5` or `--model.algo cer`, before or after the command, as can `--config` and
+`--cache`. Commands: ingest, train, attack, evaluate, sweep, report.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -18,35 +19,13 @@ from typing import Callable
 from .. import robustness
 from ..dataset import IngestError, SplitError
 from ..robustness import TrainingConfig, fmt_eps, scale_attack
-from .config import ConfigError, apply_override, load_config, training_config
+from .config import DEFAULTS, ConfigError, apply_override, load_config, training_config
 from .report import ResultsError, write_report
 from .sweep import (Run, Sweep, SweepCell, budgets, ensure_trained, load_dataset, new_model,
                     resolve_cache, run_sweep, sweep_cell)
 
 # ascending; the tie rule of the search relies on this order
 HYPER_GRID: tuple[float, ...] = (1e-5, 1e-4, 0.001, 0.01, 0.05, 0.1, 0.5)
-
-
-def parse_override_tokens(tokens: list[str]) -> list[tuple[str, str]]:
-    """`--section.key VALUE` or `--section.key=VALUE` pairs; a stray argument
-    or an override without a value raises ConfigError."""
-    pairs: list[tuple[str, str]] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if not tok.startswith("--"):
-            raise ConfigError(f"unexpected argument: {tok!r}")
-        body = tok[2:]
-        if "=" in body:
-            path, raw = body.split("=", 1)
-            i += 1
-        else:
-            if i + 1 >= len(tokens):
-                raise ConfigError(f"missing value for override {tok!r}")
-            path, raw = body, tokens[i + 1]
-            i += 2
-        pairs.append((path, raw))
-    return pairs
 
 
 def _cell(cfg: dict) -> SweepCell:
@@ -78,8 +57,6 @@ def cmd_ingest(cfg: dict, cache: Path, args) -> None:
 
 
 def cmd_train(cfg: dict, cache: Path, args) -> None:
-    if args.search and args.search_epochs < 1:
-        raise ConfigError(f"--search-epochs must be >= 1, got {args.search_epochs}")
     sweep, cell = Sweep(cfg, cache), _cell(cfg)
     if args.search:
         lr, wd, _ = hyperparameter_search(lambda: new_model(cfg, cell, sweep.data),
@@ -131,38 +108,74 @@ def cmd_report(cfg: dict, cache: Path, args) -> None:
         print(path)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="robustrec",
-        description="Train, attack and evaluate robust explainable recommenders.")
-    parser.add_argument("--config", help="JSON config file (defaults otherwise)")
-    parser.add_argument("--cache", help="cache root (default: $ROBUSTREC_CACHE or ./cache)")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a command's parser too: one line, no usage dump
+        self.exit(2, f"robustrec: error: {message}\n")
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """`--config`, `--cache` and a `--<dotted key>` per config key sit on a parent shared by
+    every parser, so each works on either side of the command; unset, none overwrites."""
+    common = _Parser(add_help=False, allow_abbrev=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", metavar="FILE", help="JSON config file (defaults otherwise)")
+    common.add_argument("--cache", metavar="DIR",
+                        help="cache root (default: $ROBUSTREC_CACHE or ./cache)")
+
+    def declare(section: dict, prefix: str) -> None:
+        for key, value in section.items():
+            if isinstance(value, dict):
+                declare(value, f"{prefix}{key}.")
+            else:
+                common.add_argument(f"--{prefix}{key}", metavar="VALUE",
+                                    help=f"default {json.dumps(value)}")
+
+    declare(DEFAULTS, "")
+    parser = _Parser(prog="robustrec", parents=[common], allow_abbrev=False,
+                     description="Train, attack and evaluate robust explainable recommenders.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("ingest", help="parse reviews, build the split and aspect matrices, print stats")
-    p_train = sub.add_parser("train", help="train one model per the config's defense settings")
+    command = functools.partial(sub.add_parser, parents=[common], allow_abbrev=False)
+    command("ingest", help="parse reviews, build the split and aspect matrices, print stats")
+    p_train = command("train", help="train one model per the config's defense settings")
     p_train.add_argument("--search", action="store_true",
                          help="grid-search lr and weight decay first")
-    p_train.add_argument("--search-epochs", type=int, default=5)
-    p_attack = sub.add_parser("attack", help="compute a trained run's weight-attack gradient "
-                                             "and the delta norm per budget")
+    p_train.add_argument("--search-epochs", type=positive_int, default=5)
+    p_attack = command("attack", help="compute a trained run's weight-attack gradient "
+                                      "and the delta norm per budget")
     p_attack.add_argument("--eps-a", type=float, default=None,
                           help="single budget (default: the config grid's nonzero entries)")
-    p_eval = sub.add_parser("evaluate", help="evaluate one run (clean or attacked)")
+    p_eval = command("evaluate", help="evaluate one run (clean or attacked)")
     p_eval.add_argument("--eps-a", type=float, default=0.0)
-    sub.add_parser("sweep", help="run the full grid and write results.csv")
-    p_report = sub.add_parser("report", help="aggregate results.csv into tables and curves")
+    command("sweep", help="run the full grid and write results.csv")
+    p_report = command("report", help="aggregate results.csv into tables and curves")
     p_report.add_argument("--results", default=None)
     p_report.add_argument("--out", default=None)
     p_report.add_argument("--curve-lambda", type=float, default=0.5)
+    return parser
 
-    args, unknown = parser.parse_known_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # a mistyped config key is named as one
+        key = extra[0][2:].partition("=")[0]
+        parser.error(f"unknown config key: {key!r}" if extra[0][:2] == "--" and "." in key
+                     else f"unrecognized arguments: {' '.join(extra)}")
+    opts = vars(args)
     try:
-        cfg = load_config(args.config)
-        for dotted, raw in parse_override_tokens(unknown):
-            apply_override(cfg, dotted, raw)
+        cfg = load_config(opts.get("config"))
+        for dotted, raw in opts.items():
+            if "." in dotted:  # of all options, only config keys have dotted names
+                apply_override(cfg, dotted, raw)
     except ConfigError as e:
         parser.error(str(e))
-    cache = resolve_cache(args.cache)
+    cache = resolve_cache(opts.get("cache"))
     handlers = {"ingest": cmd_ingest, "train": cmd_train, "attack": cmd_attack,
                 "evaluate": cmd_evaluate, "sweep": cmd_sweep, "report": cmd_report}
     try:

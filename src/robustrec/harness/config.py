@@ -87,32 +87,16 @@ def _merge(base: dict, incoming: dict, prefix: str = "") -> None:
 
 
 def _coerce(dotted: str, default, value):
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {dotted!r} expects a bool, got {value!r}")
-        return value
-    if isinstance(default, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(default, int) and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(default, str) and isinstance(value, str):
-        return value
+    """`value` if it has the default's type (an int may stand for a float), a list's
+    entries the type of the default's first."""
     if isinstance(default, list) and isinstance(value, list):
-        # elements are typed like the default's (every list default is non-empty)
-        return [_coerce_element(f"{dotted}[{i}]", default[0], v) for i, v in enumerate(value)]
-    # empty-string defaults act as untyped placeholders (e.g. dataset.path)
-    if isinstance(default, str):
-        return str(value)
+        return [_coerce(f"{dotted}[{i}]", default[0], v) for i, v in enumerate(value)]
+    if type(default) is float and type(value) is int:
+        return float(value)
+    if type(value) is type(default):
+        return value
     raise ConfigError(f"config key {dotted!r}: cannot assign {value!r} "
                       f"over default {default!r}")
-
-
-def _coerce_element(dotted: str, default, value):
-    # a list element has no untyped placeholder: a string default wants a string
-    if isinstance(default, str) and not isinstance(value, str):
-        raise ConfigError(f"config key {dotted!r}: cannot assign {value!r} "
-                          f"over default {default!r}")
-    return _coerce(dotted, default, value)
 
 
 def load_config(path: str | Path | None = None) -> dict:
@@ -130,24 +114,15 @@ def load_config(path: str | Path | None = None) -> dict:
 
 
 def apply_override(cfg: dict, dotted: str, raw: str) -> None:
-    """Set one key by dotted path; the value is parsed as JSON, falling back
-    to a bare string (so `--model.algo cer` works without quotes)."""
+    """Set one key by dotted path, checked as a file's keys are; `raw` parses as
+    JSON, else is the raw text (so `--model.algo cer` works without quotes)."""
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    parts = dotted.split(".")
-    node = cfg
-    schema = DEFAULTS
-    for part in parts[:-1]:
-        if not isinstance(schema, dict) or part not in schema:
-            raise ConfigError(f"unknown config key: {dotted!r}")
-        node = node[part]
-        schema = schema[part]
-    leaf = parts[-1]
-    if not isinstance(schema, dict) or leaf not in schema or isinstance(schema[leaf], dict):
-        raise ConfigError(f"unknown config key: {dotted!r}")
-    node[leaf] = _coerce(dotted, schema[leaf], value)
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    _merge(cfg, value)
 
 
 def config_hash(obj) -> str:

@@ -202,15 +202,22 @@ def budgets(values) -> list[float]:
         raise ConfigError(str(e)) from None
 
 
+_SETTING_RULES = (
+    (">= 1", lambda v: v >= 1, ("training.batch_size", "training.val_k", "attack.batch_size",
+                                "eval.k_ndcg", "eval.k_rec", "eval.top_n")),
+    ("in [0, 1]", lambda v: 0.0 <= v <= 1.0, ("defense.lambda", "sweep.lambdas")),
+    ("finite and >= 0", lambda v: np.isfinite(v) and v >= 0.0,
+     ("defense.eps_d", "sweep.eps_ds", "training.weight_decay")),
+    ("finite and > 0", lambda v: np.isfinite(v) and v > 0.0, ("training.lr",)),
+)
+
+
 def check_settings(cfg: dict) -> None:
     """Like `budgets`, before any artifact: an algo without a model section or
-    with settings its model cannot use, or a batch size, cutoff or list length
-    below 1, raises ConfigError."""
+    with settings its model cannot use, or a value its key's `_SETTING_RULES`
+    forbid, raises ConfigError."""
     models = sorted(k for k, v in cfg["model"].items() if isinstance(v, dict))
     algos = {"model.algo": [cfg["model"]["algo"]], "sweep.algos": cfg["sweep"]["algos"]}
-    counts = {f"{s}.{k}": cfg[s][k] for s, k in [("training", "batch_size"), ("training", "val_k"),
-                                                 ("attack", "batch_size"), ("eval", "k_ndcg"),
-                                                 ("eval", "k_rec"), ("eval", "top_n")]}
     for key, names in algos.items():
         if unknown := [a for a in names if a not in models]:
             raise ConfigError(f"{key}: unknown algo {unknown[0]!r}, expected one of {models}")
@@ -219,9 +226,13 @@ def check_settings(cfg: dict) -> None:
                 model_config(algo, cfg["model"])
             except ValueError as e:
                 raise ConfigError(f"model.{algo}: {e}") from None
-    for key, n in counts.items():
-        if n < 1:
-            raise ConfigError(f"{key} must be >= 1, got {n}")
+    for rule, ok, keys in _SETTING_RULES:
+        for key in keys:
+            section, leaf = key.split(".")
+            value = cfg[section][leaf]
+            for v in value if isinstance(value, list) else [value]:
+                if not ok(v):
+                    raise ConfigError(f"{key} must be {rule}, got {v!r}")
 
 
 class Dataset(NamedTuple):

@@ -4,6 +4,8 @@ import inspect
 import json
 import multiprocessing
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -13,11 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import robustrec.harness.cli as cli
 import robustrec.harness.sweep as sweep
 import robustrec.robustness as rob
 from robustrec.dataset import DatasetSplit, build_split, ingest_reviews
 from robustrec.evalkit import EvalReport, build_bed, evaluate
-from robustrec.harness.cli import hyperparameter_search, parse_override_tokens
+from robustrec.harness.cli import build_parser, hyperparameter_search
 from robustrec.harness.cli import main as cli_main
 from robustrec.harness.config import (ConfigError, DEFAULTS, apply_override,
                                       config_hash, default_config, load_config,
@@ -71,8 +74,11 @@ def test_apply_override_dotted_paths():
     apply_override(cfg, "training.batch_size", "64")
     assert cfg["training"]["batch_size"] == 64
 
-    for bad in ("defense.nope", "nope.lr", "model.efm", "training.lr.extra"):
-        with pytest.raises(ConfigError, match="unknown config key"):
+    for bad, text in [("defense.nope", "unknown config key: 'defense.nope'"),
+                      ("nope.lr", "unknown config key: 'nope'"),
+                      ("model.efm", "config key 'model.efm' expects a section"),
+                      ("training.lr.extra", "config key 'training.lr': cannot assign")]:
+        with pytest.raises(ConfigError, match=re.escape(text)):
             apply_override(cfg, bad, "1")
     with pytest.raises(ConfigError):
         apply_override(cfg, "training.batch_size", "0.5")  # float over int
@@ -172,15 +178,6 @@ def test_every_call_setting_reaches_its_call(corpus, tmp_path, monkeypatch):
                     "build_split.max_rating": 6, "build_bed.k_rec": 6,
                     "evaluate.top_n": 2, "evaluate.k_ndcg": 101,
                     "attack_gradient.batch_size": 33}
-
-
-def test_parse_override_tokens_forms():
-    assert parse_override_tokens([]) == []
-    assert parse_override_tokens(["--a.b", "1", "--c.d=2"]) == [("a.b", "1"), ("c.d", "2")]
-    with pytest.raises(ConfigError, match="unexpected argument: 'stray'"):
-        parse_override_tokens(["stray"])
-    with pytest.raises(ConfigError, match="missing value for override '--a.b'"):
-        parse_override_tokens(["--a.b"])
 
 
 def test_config_hash_is_order_insensitive():
@@ -541,6 +538,14 @@ def _assert_one_line_error(capsys, text):
     assert text in err
 
 
+def _status(argv):
+    """cli_main's exit status, whether it returns it or argparse exits with it."""
+    try:
+        return cli_main(argv)
+    except SystemExit as e:
+        return e.code
+
+
 def _files(root):
     return [p for p in root.rglob("*") if p.is_file()] if root.exists() else []
 
@@ -564,8 +569,17 @@ def _review_line(user, item, ts):
     ("evaluate --eval.k_ndcg 0", "eval.k_ndcg must be >= 1, got 0"),
     ("sweep --eval.k_rec -1", "eval.k_rec must be >= 1, got -1"),
     ("evaluate --eval.top_n 0", "eval.top_n must be >= 1, got 0"),
-    ("train --search --search-epochs 0", "--search-epochs must be >= 1, got 0"),
-    ("train --search --search-epochs -1", "--search-epochs must be >= 1, got -1"),
+    ("train --search --search-epochs 0", "argument --search-epochs: must be >= 1, got 0"),
+    ("train --search --search-epochs -1", "argument --search-epochs: must be >= 1, got -1"),
+    ("train --search-epochs 0", "argument --search-epochs: must be >= 1, got 0"),
+    ("sweep --sweep.lambdas [0,1.5]", "sweep.lambdas must be in [0, 1], got 1.5"),
+    ("train --defense.lambda -2", "defense.lambda must be in [0, 1], got -2.0"),
+    ("sweep --sweep.eps_ds [-0.25,NaN]", "sweep.eps_ds must be finite and >= 0, got -0.25"),
+    ("sweep --sweep.eps_ds [0.25,NaN]", "sweep.eps_ds must be finite and >= 0, got nan"),
+    ("train --defense.eps_d Infinity", "defense.eps_d must be finite and >= 0, got inf"),
+    ("train --training.lr -0.1", "training.lr must be finite and > 0, got -0.1"),
+    ("evaluate --training.lr NaN", "training.lr must be finite and > 0, got nan"),
+    ("train --training.weight_decay -1", "training.weight_decay must be finite and >= 0, got -1.0"),
     ("evaluate --model.efm.n_factors 0",
      "model.efm: EFMConfig.n_factors must be a positive integer, got 0"),
     ("train --model.efm.n_hidden 0",
@@ -585,17 +599,21 @@ def test_cli_input_errors_end_in_one_line_with_status_2(case, text, tmp_path, ca
     # not exist, so its own error shows the check comes before the file is read
     commands = [case.split()] if " --" in case else [["ingest"], ["sweep"], ["evaluate"]]
     for command in commands:
-        assert cli_main(["--cache", str(cache), *command, *path]) == 2
+        assert _status(["--cache", str(cache), *command, *path]) == 2
         _assert_one_line_error(capsys, text)
         assert _files(cache) == []
 
 
 @pytest.mark.parametrize("case, argv, text", [
     ("override without a value", ["ingest", "--dataset.path"],
-     "missing value for override '--dataset.path'"),
-    ("stray argument", ["ingest", "stray"], "unexpected argument: 'stray'"),
+     "argument --dataset.path: expected one argument"),
+    ("stray argument", ["ingest", "stray"], "unrecognized arguments: stray"),
     ("missing config file", ["--config", "{tmp}/nope.json", "ingest"], "No such file"),
     ("malformed config file", ["--config", "{tmp}/bad.json", "ingest"], "Expecting"),
+    ("abbreviated key", ["ingest", "--dataset.pat", "x"], "unknown config key: 'dataset.pat'"),
+    ("abbreviated key first", ["--dataset.pat=x", "ingest"], "unknown config key: 'dataset.pat'"),
+    ("search epochs not an integer", ["train", "--search-epochs", "two"],
+     "argument --search-epochs: invalid positive_int value: 'two'"),
 ])
 def test_cli_usage_errors_exit_2_without_a_traceback(case, argv, text, tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"dataset": ')
@@ -1311,3 +1329,50 @@ def test_cli_rejects_unknown_key(corpus, tmp_path, capsys):
         cli_main(["--cache", str(tmp_path), "ingest",
                   "--dataset.path", str(corpus), "--dataset.nope", "1"])
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["before", "after"])
+@pytest.mark.parametrize("tokens", [["--config", "{tmp}/exp.json"], ["--cache", "{tmp}/c"],
+                                    ["--training.lr", "0.01"], ["--training.lr=0.01"]],
+                         ids=["config", "cache", "override", "override="])
+def test_cli_options_work_on_either_side_of_the_command(tokens, side, tmp_path, monkeypatch):
+    (tmp_path / "exp.json").write_text(json.dumps({"training": {"lr": 0.01}}))
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    seen = []
+    monkeypatch.setattr(cli, "cmd_ingest", lambda cfg, cache, args: seen.append((cfg, cache)))
+    tokens = [t.format(tmp=tmp_path) for t in tokens]
+    assert cli_main([*tokens, "ingest"] if side == "before" else ["ingest", *tokens]) == 0
+    expected = default_config()
+    if tokens[0] != "--cache":
+        expected["training"]["lr"] = 0.01
+    cache = tmp_path / "c" if tokens[0] == "--cache" else Path("cache")
+    assert seen == [(expected, cache)]
+
+
+@pytest.mark.parametrize("value", [None, 3, {"a": 1}], ids=["null", "number", "object"])
+def test_string_keys_in_a_config_file_take_strings_only(value, tmp_path, capsys):
+    keys = [(section, key) for section, values in DEFAULTS.items()
+            for key, default in values.items() if type(default) is str]
+    assert keys == [("dataset", "path"), ("dataset", "name"), ("model", "algo")]
+    config, cache = tmp_path / "exp.json", tmp_path / "cache"
+    for section, key in keys:
+        config.write_text(json.dumps({section: {key: value}}))
+        assert _status(["--config", str(config), "--cache", str(cache), "ingest"]) == 2
+        _assert_one_line_error(capsys, f"config key '{section}.{key}': cannot assign")
+        assert _files(cache) == []
+
+
+def _readme_commands() -> list[str]:
+    """Each `robustrec ...` line of README.md's code blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("robustrec ")]
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 7 and any("--config" in line for line in commands)
+    for line in commands:
+        args = build_parser().parse_args(shlex.split(line)[1:])  # exits on a usage error
+        assert args.command in line

@@ -8,6 +8,8 @@ import statement carrying `# noqa: F401` on any of its lines is exempt.
 The core (every module outside `robustrec.harness`) must import nothing from
 the harness, so `import robustrec` loads the library alone, and no package
 module is imported inside a function, where an import cycle would hide.
+`robustrec.harness.config` and `sweep`, which the benchmark's child process
+imports, load no argparse.
 No function in `harness/sweep.py` takes more than four parameters: what a
 stage needs about a cell is on its `Run`.
 """
@@ -147,14 +149,23 @@ def test_package_modules_are_imported_at_module_level(path):
     assert [line for line, _, deferred in package_imports(path) if deferred] == []
 
 
-def test_importing_the_package_loads_no_harness_module():
+def _fresh_output(code: str) -> str:
+    """What `code` prints in a fresh interpreter that imports the package from `src/`."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, robustrec; "
-         "print(sorted(m for m in sys.modules if m.startswith('robustrec.harness')))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert loaded == "[]\n"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_importing_the_package_loads_no_harness_module():
+    assert _fresh_output("import sys, robustrec; print(sorted(m for m in sys.modules "
+                         "if m.startswith('robustrec.harness')))") == "[]\n"
+
+
+def test_config_and_sweep_load_no_argparse():
+    # the bench child loads configs through them; argparse is the CLI's alone
+    assert _fresh_output("import sys, robustrec.harness.config, robustrec.harness.sweep; "
+                         "print('argparse' in sys.modules)") == "False\n"
 
 
 def wide_functions(path: Path, limit: int = 4) -> list[str]:

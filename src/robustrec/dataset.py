@@ -32,7 +32,8 @@ log = logging.getLogger(__name__)
 MAX_RATING = 5  # the default rating scale N
 TRAIN, VAL, TEST = 0, 1, 2  # values of DatasetSplit.part
 _COLUMNS = ("user", "item", "rating", "timestamp")  # per-interaction columns besides part
-# the DatasetSplit fields the dataset artifact stores as arrays
+# the DatasetSplit fields the dataset artifact stores in its manifest, and as arrays
+SPLIT_FIELDS = ("users", "items", "features", "n_rating")
 SPLIT_ARRAYS = (*_COLUMNS, "part", "mention_offsets", "mentions",
                 "val_users", "val_negatives", "test_users", "test_negatives")
 
@@ -311,15 +312,15 @@ def build_split(reviews: Reviews, config: SplitConfig = SplitConfig(),
                         **arrays)
 
 
-def split_arrays(split: DatasetSplit) -> dict[str, np.ndarray]:
-    """The split's arrays for `models.checkpoint`; its id lists and n_rating
-    go in the manifest instead."""
-    return {name: getattr(split, name) for name in SPLIT_ARRAYS}
+def split_arrays(split: DatasetSplit) -> tuple[dict, dict[str, np.ndarray]]:
+    """The split as `models.checkpoint` stores it: its `SPLIT_FIELDS` for the
+    manifest and its `SPLIT_ARRAYS`."""
+    return ({name: getattr(split, name) for name in SPLIT_FIELDS},
+            {name: getattr(split, name) for name in SPLIT_ARRAYS})
 
 
 def split_from_arrays(manifest: dict, arrays: dict[str, np.ndarray]) -> DatasetSplit:
-    """Inverse of `split_arrays`; `manifest` holds users, items, features and
-    n_rating. Arrays that disagree raise ValueError."""
-    return DatasetSplit(users=list(manifest["users"]), items=list(manifest["items"]),
-                        features=list(manifest["features"]), n_rating=int(manifest["n_rating"]),
+    """Inverse of `split_arrays`; `manifest` holds at least its fields.
+    Arrays that disagree raise ValueError."""
+    return DatasetSplit(**{name: manifest[name] for name in SPLIT_FIELDS},
                         **{name: arrays[name] for name in SPLIT_ARRAYS})

@@ -19,7 +19,8 @@ from typing import Callable
 from .. import robustness
 from ..dataset import IngestError, SplitError
 from ..robustness import TrainingConfig, fmt_eps, scale_attack
-from .config import DEFAULTS, ConfigError, apply_override, load_config, training_config
+from .config import (DEFAULTS, RULES, ConfigError, apply_override, check_settings,
+                     leaves, load_config, training_config)
 from .report import ResultsError, write_report
 from .sweep import (Run, Sweep, SweepCell, budgets, ensure_trained, load_dataset, new_model,
                     resolve_cache, run_sweep, sweep_cell)
@@ -53,6 +54,7 @@ def hyperparameter_search(make_model: Callable, split, defense, training: Traini
 
 
 def cmd_ingest(cfg: dict, cache: Path, args) -> None:
+    check_settings(cfg)  # the one command that reads the review file without a Sweep
     print(json.dumps(load_dataset(cfg, cache).stats, indent=2, sort_keys=True))
 
 
@@ -89,10 +91,7 @@ def cmd_attack(cfg: dict, cache: Path, args) -> None:
 
 
 def cmd_evaluate(cfg: dict, cache: Path, args) -> None:
-    # as in a sweep: the budget is checked first, and the dataset, model and
-    # gradient load only to build the row
-    grid = budgets([args.eps_a])
-    [row] = Run(Sweep(cfg, cache), _cell(cfg)).rows(grid)
+    [row] = Run(Sweep(cfg, cache), _cell(cfg)).rows(budgets([args.eps_a]))
     print(json.dumps(row, indent=2, sort_keys=True))
 
 
@@ -113,11 +112,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"robustrec: error: {message}\n")
 
 
-def positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def ruled(parse: type, rule: str) -> Callable[[str], float]:
+    """An argparse type: the text read by `parse`, which row `rule` of `RULES` must allow."""
+    def read(text: str):
+        if not RULES[rule][0](value := parse(text)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
+        return value
+
+    read.__name__ = parse.__name__  # argparse names it in "invalid <name> value"
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,15 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache", metavar="DIR",
                         help="cache root (default: $ROBUSTREC_CACHE or ./cache)")
 
-    def declare(section: dict, prefix: str) -> None:
-        for key, value in section.items():
-            if isinstance(value, dict):
-                declare(value, f"{prefix}{key}.")
-            else:
-                common.add_argument(f"--{prefix}{key}", metavar="VALUE",
-                                    help=f"default {json.dumps(value)}")
-
-    declare(DEFAULTS, "")
+    rules = {key: f"; must be {rule}" for rule, (_, keys) in RULES.items() for key in keys}
+    for key, value in leaves(DEFAULTS):
+        common.add_argument(f"--{key}", metavar="VALUE",
+                            help=f"default {json.dumps(value)}{rules.get(key, '')}")
     parser = _Parser(prog="robustrec", parents=[common], allow_abbrev=False,
                      description="Train, attack and evaluate robust explainable recommenders.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -145,13 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = command("train", help="train one model per the config's defense settings")
     p_train.add_argument("--search", action="store_true",
                          help="grid-search lr and weight decay first")
-    p_train.add_argument("--search-epochs", type=positive_int, default=5)
+    p_train.add_argument("--search-epochs", type=ruled(int, ">= 1"), default=5)
     p_attack = command("attack", help="compute a trained run's weight-attack gradient "
                                       "and the delta norm per budget")
-    p_attack.add_argument("--eps-a", type=float, default=None,
+    p_attack.add_argument("--eps-a", type=ruled(float, "finite and >= 0"), default=None,
                           help="single budget (default: the config grid's nonzero entries)")
     p_eval = command("evaluate", help="evaluate one run (clean or attacked)")
-    p_eval.add_argument("--eps-a", type=float, default=0.0)
+    p_eval.add_argument("--eps-a", type=ruled(float, "finite and >= 0"), default=0.0)
     command("sweep", help="run the full grid and write results.csv")
     p_report = command("report", help="aggregate results.csv into tables and curves")
     p_report.add_argument("--results", default=None)
@@ -161,12 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if extra:  # a mistyped config key is named as one
-        key = extra[0][2:].partition("=")[0]
-        parser.error(f"unknown config key: {key!r}" if extra[0][:2] == "--" and "." in key
-                     else f"unrecognized arguments: {' '.join(extra)}")
+    parser, argv = build_parser(), sys.argv[1:] if argv is None else argv
+    keys = {key for key, _ in leaves(DEFAULTS)}
+    for token in argv:  # before argparse, which would take the value of one for the command
+        key = token[2:].partition("=")[0]
+        if token[:2] == "--" and "." in key and key not in keys:
+            parser.error(f"unknown config key: {key!r}")
+    args = parser.parse_args(argv)
     opts = vars(args)
     try:
         cfg = load_config(opts.get("config"))

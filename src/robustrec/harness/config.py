@@ -1,11 +1,13 @@
 """One JSON config document with sections, plus dot-path CLI overrides.
 
-Every run is parameterized by a single nested dict. Files and overrides may
-only touch keys that exist in the defaults; unknown paths are rejected with
-the offending dotted path so typos cannot silently change an experiment.
-Every default is declared once, where its value is taken: on a dataclass
-(`EFMConfig`, `CERConfig`, `TrainingConfig`, `DefenseConfig`, `SplitConfig`,
-`EvalReport`) or in the signature of `ingest_reviews`, `build_bed` or `attack_weights`.
+Every run is parameterized by a single nested dict, and this module owns each
+setting's default, type and range. Files and overrides may only touch keys
+that exist in the defaults; unknown paths are rejected with the offending
+dotted path so typos cannot silently change an experiment. Every default is
+declared once, where its value is taken: on a dataclass (`EFMConfig`,
+`CERConfig`, `TrainingConfig`, `DefenseConfig`, `SplitConfig`, `EvalReport`) or
+in the signature of `ingest_reviews`, `build_bed` or `attack_weights`; every
+range once, as a row of `RULES`, which `check_settings` applies.
 """
 from __future__ import annotations
 
@@ -13,12 +15,14 @@ import copy
 import hashlib
 import inspect
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, Iterator
 
 from ..dataset import SplitConfig, ingest_reviews
 from ..evalkit import EvalReport, build_bed
-from ..models import CERConfig, EFMConfig
+from ..models import MODELS, CERConfig, EFMConfig, model_config
 from ..robustness import DefenseConfig, TrainingConfig, attack_weights
 
 
@@ -66,6 +70,56 @@ DEFAULTS: dict = {
         "seeds": [0],
     },
 }
+
+
+# each numeric setting's range, one row per rule, each entry of a list key
+# checked; any integer is a seed, and the model configs check the model widths
+RULES: dict[str, tuple[Callable[[float], bool], tuple[str, ...]]] = {
+    ">= 1": (lambda v: v >= 1, (
+        "training.batch_size", "training.val_k", "training.max_epochs", "training.patience",
+        "attack.batch_size", "eval.k_ndcg", "eval.k_rec", "eval.top_n",
+        "dataset.min_reviews_per_user", "dataset.max_rating", "model.cer.top_k")),
+    ">= 0": (lambda v: v >= 0, ("training.retries", "model.cer.cf_steps")),
+    "in [0, 1]": (lambda v: 0 <= v <= 1, ("defense.lambda", "sweep.lambdas", "model.efm.alpha")),
+    "finite and >= 0": (lambda v: math.isfinite(v) and v >= 0.0, (
+        "defense.eps_d", "sweep.eps_ds", "attack.eps_a_grid", "training.weight_decay",
+        "training.min_delta", "model.efm.lam_x", "model.efm.lam_y", "model.efm.lam_a",
+        "model.efm.lam_reg", "model.efm.lam_nn", "model.cer.lam_reg", "model.cer.cf_gamma",
+        "model.cer.cf_margin_frac")),
+    "finite and > 0": (lambda v: math.isfinite(v) and v > 0.0, ("training.lr", "model.cer.cf_lr")),
+}
+
+
+def leaves(section: dict, prefix: str = "") -> Iterator[tuple[str, object]]:
+    """(dotted key, value) of each setting under `section`, in order."""
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def check_settings(cfg: dict) -> None:
+    """Before any artifact: an algo `models.MODELS` lacks or with settings its
+    model cannot use, or a value its key's row of `RULES` forbids, raises
+    ConfigError naming the key, or the model section for a model's setting."""
+    algos = {"model.algo": [cfg["model"]["algo"]], "sweep.algos": cfg["sweep"]["algos"]}
+    for key, names in algos.items():
+        for algo in names:
+            if algo not in MODELS:
+                raise ConfigError(f"{key}: unknown algo {algo!r}, expected one of {sorted(MODELS)}")
+            try:
+                model_config(algo, cfg["model"])
+            except ValueError as e:
+                raise ConfigError(f"model.{algo}: {e}") from None
+    for rule, (ok, keys) in RULES.items():
+        for key in keys:
+            value = cfg
+            for part in key.split("."):
+                value = value[part]
+            for v in value if isinstance(value, list) else [value]:
+                if not ok(v):
+                    raise ConfigError(f"{key} must be {rule}, got {v!r}")
 
 
 def default_config() -> dict:

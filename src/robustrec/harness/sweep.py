@@ -9,12 +9,13 @@ writes its own temporary, and one that loses the rename loads the winner's.
 Vanilla cells run first: their rankings define the per-(algo, seed)
 evaluation bed every condition is scored on.
 
-A `Sweep` holds what the grid shares, a `Run` everything about one cell: its
-id and keys, hashed once, and its model and attack gradient, loaded or built
-on first use, like the sweep's dataset and evaluation inputs, when a results
-row has to be built. A rerun of a finished grid therefore
-reads only the review file, each bed once per (algo, seed) and each results
-row. Beds alone are read eagerly, before a cell's rows: a bed is one small
+A `Sweep` holds what the grid shares and first checks every setting
+(`config.check_settings`), so a bad value builds no artifact. A `Run` holds
+everything about one cell: its id and keys, hashed once, and its model and
+attack gradient, loaded or built on first use, like the sweep's dataset and
+evaluation inputs, when a results row has to be built. A rerun of a finished
+grid therefore reads only the review file, each bed once per (algo, seed) and
+each results row. Beds alone are read eagerly, before a cell's rows: a bed is one small
 JSON file, and its lookup is where a traced rerun counts the pairs every
 condition is scored on. Every eps_a of a cell shares one model and one
 attack gradient, dropped when the cell ends.
@@ -42,14 +43,14 @@ from ..aspects import build_matrices
 from ..dataset import (DatasetSplit, SplitConfig, build_split, dataset_stats, ingest_reviews,
                        split_arrays, split_from_arrays)
 from ..evalkit import build_bed, evaluate, gold_explanations, train_feature_sets
-from ..models import build_model, load_checkpoint, model_config, save_checkpoint
+from ..models import build_model, load_checkpoint, save_checkpoint
 from ..models.base import Recommender
 # attack_weights is not called here; it stays importable from this module
 # because bench/tracing.py patches it by this name
 from ..robustness import (AttackGradient, DefenseConfig, attack_gradient,  # noqa: F401
-                          attack_weights, attacked_copy, check_budget, fmt_eps, params_norm,
-                          scale_attack, train_defended)
-from .config import ConfigError, config_hash, training_config
+                          attack_weights, attacked_copy, fmt_eps, params_norm, scale_attack,
+                          train_defended)
+from .config import ConfigError, check_settings, config_hash, training_config
 
 CACHE_ENV = "ROBUSTREC_CACHE"
 
@@ -194,45 +195,8 @@ def enumerate_cells(algos, lambdas, eps_ds, seeds) -> list[SweepCell]:
 
 def budgets(values) -> list[float]:
     """The distinct attack budgets of `values` in first-seen order, -0 read as 0
-    (the clean rows' key), each checked by `check_budget` before any artifact;
-    a bad one raises ConfigError."""
-    try:
-        return [check_budget(eps_a) for eps_a in dict.fromkeys(float(e) or 0.0 for e in values)]
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-
-
-_SETTING_RULES = (
-    (">= 1", lambda v: v >= 1, ("training.batch_size", "training.val_k", "attack.batch_size",
-                                "eval.k_ndcg", "eval.k_rec", "eval.top_n")),
-    ("in [0, 1]", lambda v: 0.0 <= v <= 1.0, ("defense.lambda", "sweep.lambdas")),
-    ("finite and >= 0", lambda v: np.isfinite(v) and v >= 0.0,
-     ("defense.eps_d", "sweep.eps_ds", "training.weight_decay")),
-    ("finite and > 0", lambda v: np.isfinite(v) and v > 0.0, ("training.lr",)),
-)
-
-
-def check_settings(cfg: dict) -> None:
-    """Like `budgets`, before any artifact: an algo without a model section or
-    with settings its model cannot use, or a value its key's `_SETTING_RULES`
-    forbid, raises ConfigError."""
-    models = sorted(k for k, v in cfg["model"].items() if isinstance(v, dict))
-    algos = {"model.algo": [cfg["model"]["algo"]], "sweep.algos": cfg["sweep"]["algos"]}
-    for key, names in algos.items():
-        if unknown := [a for a in names if a not in models]:
-            raise ConfigError(f"{key}: unknown algo {unknown[0]!r}, expected one of {models}")
-        for algo in names:
-            try:
-                model_config(algo, cfg["model"])
-            except ValueError as e:
-                raise ConfigError(f"model.{algo}: {e}") from None
-    for rule, ok, keys in _SETTING_RULES:
-        for key in keys:
-            section, leaf = key.split(".")
-            value = cfg[section][leaf]
-            for v in value if isinstance(value, list) else [value]:
-                if not ok(v):
-                    raise ConfigError(f"{key} must be {rule}, got {v!r}")
+    (the clean rows' key)."""
+    return list(dict.fromkeys(float(e) or 0.0 for e in values))
 
 
 class Dataset(NamedTuple):
@@ -280,11 +244,8 @@ def load_dataset(cfg: dict, cache: Path, sha256: str | None = None) -> Dataset:
         return Dataset(split, X, Y, {**dataset_stats(reviews), "sha256": sha256})
 
     def save(path: Path, data: Dataset) -> None:
-        split = data.split
-        save_checkpoint(path, {"users": split.users, "items": split.items,
-                               "features": split.features, "n_rating": split.n_rating,
-                               "stats": data.stats},
-                        {**split_arrays(split), "X": data.X, "Y": data.Y})
+        fields, arrays = split_arrays(data.split)
+        save_checkpoint(path, {**fields, "stats": data.stats}, {**arrays, "X": data.X, "Y": data.Y})
 
     def load(path: Path) -> Dataset:
         manifest, arrays = load_checkpoint(path)

@@ -28,7 +28,7 @@ def _update(h, name: str, arr) -> None:
 
 def pipeline_digest(split, X, Y, models) -> str:
     h = hashlib.sha256()
-    for name, arr in sorted({**split_arrays(split), "X": X, "Y": Y}.items()):
+    for name, arr in sorted({**split_arrays(split)[1], "X": X, "Y": Y}.items()):
         _update(h, name, arr)
     defense = DefenseConfig(lam=0.5, eps_d=0.25)
     gold, user_features = gold_explanations(split), train_feature_sets(split)

@@ -270,7 +270,7 @@ def test_shuffled_corpus_file_reproduces_the_pinned_split(seed, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     split = build_split(ingest_reviews(path), SplitConfig(**config))
     h = hashlib.sha256()
-    for name, arr in sorted(split_arrays(split).items()):
+    for name, arr in sorted(split_arrays(split)[1].items()):
         h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
         h.update(arr.tobytes())
     assert h.hexdigest() == digest
@@ -329,11 +329,6 @@ def test_dataset_artifact_round_trip(tmp_path, caplog):
     assert loaded.stats == built.stats and "sha256" in loaded.stats
 
 
-def _manifest(split):
-    return {"users": split.users, "items": split.items, "features": split.features,
-            "n_rating": split.n_rating}
-
-
 # user, item, rating, timestamp, (feature, sentiment) mentions of one review
 _REVIEW = st.tuples(st.integers(0, 3), st.integers(0, 5), st.integers(1, 5), st.integers(0, 9),
                     st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1])), max_size=3))
@@ -384,12 +379,12 @@ def test_array_readers_match_per_interaction_loops(reviews):
         assert positives.tolist() == want
         assert cands.tolist() == want + split.test_negatives[row].tolist()
 
-    again = split_from_arrays(_manifest(split), split_arrays(split))
+    again = split_from_arrays(*split_arrays(split))
     assert interactions(again) == rows
 
 
 def test_split_arrays_that_disagree_raise(tiny_split):
-    arrays = split_arrays(tiny_split)
+    fields, arrays = split_arrays(tiny_split)
     bad = {"rating": arrays["rating"][:-1],
            "mention_offsets": arrays["mention_offsets"][:-1],
            "mentions": arrays["mentions"][:-1],
@@ -400,7 +395,7 @@ def test_split_arrays_that_disagree_raise(tiny_split):
            "val_negatives": arrays["val_negatives"][:, 0]}
     for name, value in bad.items():
         with pytest.raises(ValueError, match="split arrays disagree"):
-            split_from_arrays(_manifest(tiny_split), {**arrays, name: value})
+            split_from_arrays(fields, {**arrays, name: value})
 
 
 # sha256 of the split arrays (name, dtype, shape, bytes; names sorted), as the
@@ -419,7 +414,7 @@ ARTIFACT_DIGESTS = [
 def test_split_arrays_are_pinned(synth, config, digest):
     split = build_split(ingest_reviews(synth_jsonl(SynthConfig(**synth))), SplitConfig(**config))
     h = hashlib.sha256()
-    for name, arr in sorted(split_arrays(split).items()):
+    for name, arr in sorted(split_arrays(split)[1].items()):
         h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
         h.update(arr.tobytes())
     assert h.hexdigest() == digest

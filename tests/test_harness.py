@@ -22,8 +22,8 @@ from robustrec.dataset import DatasetSplit, build_split, ingest_reviews
 from robustrec.evalkit import EvalReport, build_bed, evaluate
 from robustrec.harness.cli import build_parser, hyperparameter_search
 from robustrec.harness.cli import main as cli_main
-from robustrec.harness.config import (ConfigError, DEFAULTS, apply_override,
-                                      config_hash, default_config, load_config,
+from robustrec.harness.config import (ConfigError, DEFAULTS, apply_override, check_settings,
+                                      config_hash, default_config, leaves, load_config,
                                       training_config)
 from robustrec.harness.report import read_results, write_report
 from robustrec.harness.sweep import (CACHE_ENV, RESULT_COLUMNS, RESULT_TABLE, SweepCell,
@@ -105,6 +105,29 @@ def test_list_keys_check_their_elements(dotted, good, bad, tmp_path):
     doc.write_text(json.dumps({section: {leaf: bad}}))
     with pytest.raises(ConfigError, match=dotted):
         load_config(doc)
+
+
+def test_every_numeric_setting_has_a_rule():
+    # any integer is a seed; every other numeric key rejects NaN (a float),
+    # -1 (an integer) or either appended to a list, naming the key, or for a
+    # model's setting checked by its dataclass, the model section
+    tried, unchecked = [], []
+    for key, default in leaves(DEFAULTS):
+        entry = default[0] if isinstance(default, list) else default
+        if key in ("dataset.seed", "training.seed", "attack.seed", "sweep.seeds") or \
+                type(entry) not in (int, float):
+            continue
+        bad = float("nan") if type(entry) is float else -1
+        cfg = default_config()
+        apply_override(cfg, key, json.dumps([*default, bad] if isinstance(default, list) else bad))
+        tried.append(key)
+        try:
+            check_settings(cfg)
+        except ConfigError as e:
+            if str(e).startswith((key, key.rpartition(".")[0] + ":")):
+                continue
+        unchecked.append(key)
+    assert len(tried) == 35 and unchecked == []  # 31 with a rule, 4 model widths
 
 
 def _non_default(value):
@@ -525,11 +548,14 @@ def test_bad_budget_is_rejected_before_any_artifact(command, grid, corpus, tmp_p
     monkeypatch.setattr(sweep, "load_dataset", lambda *a: pytest.fail("dataset loaded"))
     monkeypatch.setattr(sweep, "review_sha256", lambda *a: pytest.fail("review file hashed"))
     cache = tmp_path / "cache"
-    assert cli_main(["--config", str(config), "--cache", str(cache), *command]) == 2
-    _assert_one_line_error(capsys, "attack budget eps_a must be finite and >= 0")
+    assert _status(["--config", str(config), "--cache", str(cache), *command]) == 2
+    eps_a = "--eps-a" in command  # checked by argparse; a grid, by check_settings
+    _assert_one_line_error(capsys, "argument --eps-a: must be finite and >= 0" if eps_a else
+                           "attack.eps_a_grid must be finite and >= 0")
     assert _files(cache) == []
-    with pytest.raises(ValueError, match="eps_a"):  # a ConfigError, still a ValueError
-        sweep.budgets(grid if command == ["sweep"] else [-1.0])
+    cfg["attack"]["eps_a_grid"] = [-1.0] if eps_a else grid
+    with pytest.raises(ConfigError, match="attack.eps_a_grid"):
+        check_settings(cfg)
 
 
 def _assert_one_line_error(capsys, text):
@@ -584,6 +610,13 @@ def _review_line(user, item, ts):
      "model.efm: EFMConfig.n_factors must be a positive integer, got 0"),
     ("train --model.efm.n_hidden 0",
      "model.efm: EFMConfig.n_hidden must be a positive integer, got 0"),
+    ("train --training.max_epochs 0", "training.max_epochs must be >= 1, got 0"),
+    ("train --training.min_delta NaN", "training.min_delta must be finite and >= 0, got nan"),
+    ("train --training.retries -3", "training.retries must be >= 0, got -3"),
+    ("sweep --model.efm.alpha 2", "model.efm.alpha must be in [0, 1], got 2.0"),
+    ("evaluate --model.cer.cf_lr -1", "model.cer.cf_lr must be finite and > 0, got -1.0"),
+    ("ingest --dataset.max_rating 0", "dataset.max_rating must be >= 1, got 0"),
+    ("sweep --attack.eps_a_grid [0,-0.5]", "attack.eps_a_grid must be finite and >= 0, got -0.5"),
 ])
 def test_cli_input_errors_end_in_one_line_with_status_2(case, text, tmp_path, capsys):
     reviews = tmp_path / "reviews.jsonl"
@@ -613,7 +646,9 @@ def test_cli_input_errors_end_in_one_line_with_status_2(case, text, tmp_path, ca
     ("abbreviated key", ["ingest", "--dataset.pat", "x"], "unknown config key: 'dataset.pat'"),
     ("abbreviated key first", ["--dataset.pat=x", "ingest"], "unknown config key: 'dataset.pat'"),
     ("search epochs not an integer", ["train", "--search-epochs", "two"],
-     "argument --search-epochs: invalid positive_int value: 'two'"),
+     "argument --search-epochs: invalid int value: 'two'"),
+    ("abbreviated key with a value first", ["--dataset.pat", "x", "ingest"],
+     "unknown config key: 'dataset.pat'"),
 ])
 def test_cli_usage_errors_exit_2_without_a_traceback(case, argv, text, tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"dataset": ')

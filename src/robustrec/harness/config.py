@@ -100,9 +100,12 @@ def leaves(section: dict, prefix: str = "") -> Iterator[tuple[str, object]]:
 
 
 def check_settings(cfg: dict) -> None:
-    """Before any artifact: an algo `models.MODELS` lacks or with settings its
-    model cannot use, or a value its key's row of `RULES` forbids, raises
-    ConfigError naming the key, or the model section for a model's setting."""
+    """Before any artifact: a value of another type than its default (the
+    rule of `load_config` and `apply_override`, which a config built in code
+    skips), an algo `models.MODELS` lacks or with settings its model cannot
+    use, or a value its key's row of `RULES` forbids, raises ConfigError
+    naming the key, or the model section for a model's setting."""
+    _check_types(cfg)
     algos = {"model.algo": [cfg["model"]["algo"]], "sweep.algos": cfg["sweep"]["algos"]}
     for key, names in algos.items():
         for algo in names:
@@ -120,6 +123,40 @@ def check_settings(cfg: dict) -> None:
             for v in value if isinstance(value, list) else [value]:
                 if not ok(v):
                     raise ConfigError(f"{key} must be {rule}, got {v!r}")
+
+
+def _sections(section: dict, path: tuple[str, ...] = ()) -> Iterator[tuple]:
+    """(path, settings) of each section under `section`, where a setting is
+    (key, default, the default's type, a list default's element type)."""
+    settings = []
+    for key, default in section.items():
+        if type(default) is dict:
+            yield from _sections(default, path + (key,))
+        else:
+            settings.append((key, default, type(default),
+                             type(default[0]) if type(default) is list else None))
+    yield path, tuple(settings)
+
+
+_SECTIONS = tuple(_sections(DEFAULTS))
+
+
+def _check_types(cfg: dict) -> None:
+    """`_coerce`'s type rule on every setting of `cfg`; it raises naming the
+    key. A value of its default's exact type passes without the call."""
+    for path, settings in _SECTIONS:
+        section = cfg
+        for part in path:
+            section = section[part]
+        for key, default, kind, element in settings:
+            value = section[key]
+            if type(value) is not kind:
+                _coerce(".".join((*path, key)), default, value)
+            elif element is not None:
+                for v in value:
+                    if type(v) is not element:
+                        _coerce(".".join((*path, key)), default, value)
+                        break
 
 
 def default_config() -> dict:

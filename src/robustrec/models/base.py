@@ -7,13 +7,15 @@ weight attack run on; `penalty_grad`, the part of that objective that depends
 on the parameters alone, computed once per parameter set and shared by every
 `loss_grad` pass on it; `loss`, the same objective on the autodiff tape over
 the attached X and Y, whose Y may be replaced by a gradient-tracked Tensor, the
-gradient reference; fast numpy `scores` for ranking; and `explain_pairs`, the
+gradient reference; fast numpy `scores` for one user and `score_matrix` for
+a chunk of users, each over its own candidate list; and `explain_pairs`, the
 one explanation method, which explains many pairs in one call. `explain` is
 its single-pair case.
 
 A clean `loss_grad` pass may share its Y-free work with the adversarial pass
-after it, and a ranking pass builds `score_table` once for all its users;
-neither is kept on the model, where a parameter update would make it stale.
+after it; that work is not kept on the model, where a parameter update would
+make it stale. `rank_rows` ranks the candidate lists of many users at once,
+each list a row padded with `PAD`; `rank_items` is its one-row case.
 """
 from __future__ import annotations
 
@@ -75,17 +77,30 @@ def scatter_add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -
     np.add.at(flat, (rows[:, None] * n + np.arange(n)).ravel(), values.ravel())
 
 
-def rank_items(scores: np.ndarray, item_ids: np.ndarray) -> list[int]:
-    """Item ids by descending score; exact ties go to the lower item index.
-    A NaN or infinite score raises FloatingPointError naming its item."""
+PAD = -1  # fills a candidate row past the end of its list
+
+
+def rank_rows(scores: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """The columns of each row of `items` [U, C], ordered by descending score
+    of `scores` [U, C]; exact ties go to the lower item id. `PAD` slots, which
+    end a row shorter than C, rank last whatever their score. A NaN or
+    infinite score of a listed item raises FloatingPointError naming the
+    first, in row order."""
     scores = np.asarray(scores, dtype=np.float64)
+    items = np.asarray(items, dtype=np.int64)
+    listed = items != PAD
+    bad = listed & ~np.isfinite(scores)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise FloatingPointError(f"ranking: item {int(items.flat[first])} has "
+                                 f"non-finite score {scores.flat[first]}")
+    return np.lexsort((items, np.where(listed, -scores, np.inf)), axis=-1)
+
+
+def rank_items(scores: np.ndarray, item_ids: np.ndarray) -> list[int]:
+    """The one-row case of `rank_rows`: item ids by descending score."""
     item_ids = np.asarray(item_ids, dtype=np.int64)
-    finite = np.isfinite(scores)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        raise FloatingPointError(f"ranking: item {int(item_ids[first])} has "
-                                 f"non-finite score {scores[first]}")
-    return item_ids[np.lexsort((item_ids, -scores))].tolist()
+    return item_ids[rank_rows([scores], [item_ids])[0]].tolist()
 
 
 class Recommender(ABC):
@@ -193,14 +208,18 @@ class Recommender(ABC):
         A model that shares nothing ignores it."""
 
     @abstractmethod
-    def scores(self, u: int, items: np.ndarray, table=None) -> np.ndarray:
-        """Recommendation scores for one user over the given item ids.
-        `table` is `score_table()` at the current parameters, or None."""
+    def scores(self, u: int, items: np.ndarray) -> np.ndarray:
+        """Recommendation scores for one user over the given item ids."""
 
-    def score_table(self):
-        """What every `scores` call on the current parameters shares, built
-        once by a pass that scores many users; None when nothing is shared."""
-        return None
+    def score_matrix(self, users: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """Scores [U, C] of each users[i] over the item ids candidates[i],
+        whose `PAD` slots end a list shorter than C and get scores that
+        `rank_rows` ignores. This form scores one user at a time."""
+        out = np.zeros(candidates.shape)
+        for i, (u, row) in enumerate(zip(users.tolist(), candidates)):
+            items = row[row != PAD]
+            out[i, :len(items)] = self.scores(u, items)
+        return out
 
     @abstractmethod
     def explain_pairs(self, pairs: Sequence[tuple[int, int]], top_n: int = 1,

@@ -184,7 +184,7 @@ class CER(Recommender):
             scatter_add_rows(dy, batch.items, (g1 @ p["W1"].T)[:, self.n_features:])
         return float(loss), grads, dy
 
-    def scores(self, u: int, items: np.ndarray, table=None) -> np.ndarray:
+    def scores(self, u: int, items: np.ndarray) -> np.ndarray:
         items = np.asarray(items, dtype=np.int64)
         return self._activations(self._user_half(self.X[u]), self.Y[items])[2]
 

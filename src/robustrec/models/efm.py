@@ -4,6 +4,8 @@ Users and items share a feature latent space (X ~ U1 V^T, Y ~ U2 V^T); the
 rating matrix is fit by U1 U2^T plus a free low-rank part H1 H2^T. Scoring
 blends the match on the user's k favourite features with the predicted
 rating; explanations are the item's strongest features among that pool.
+`score_matrix` scores many users from three products with every item, and
+`scores` is its one-row case.
 """
 from __future__ import annotations
 
@@ -196,25 +198,37 @@ class EFM(Recommender):
             dy[items] = gy
         return float(loss), {"U2": g_u2, "V": g_v}, dy
 
-    def _user_pool(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """User u's feature scores U1[u] V^T and its k favourite features, best
-        first: a stable argsort on the negated scores, so ties go to the lower index."""
-        x_u = self.params["U1"].data[u] @ self.params["V"].data.T
-        return x_u, np.argsort(-x_u, kind="stable")[:self.config.top_k_features]
+    def _pools(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The users' feature scores U1[users] V^T [U, F] and each one's k
+        favourite features, best first: a stable argsort on the negated
+        scores, so ties go to the lower index."""
+        x = self.params["U1"].data[users] @ self.params["V"].data.T
+        return x, np.argsort(-x, axis=1, kind="stable")[:, :self.config.top_k_features]
 
-    def score_table(self) -> np.ndarray:
-        """Every item's feature scores, U2 V^T [n_items, F], from which the
-        `scores` calls of one ranking pass gather their items' rows."""
+    def _item_features(self) -> np.ndarray:
+        """Every item's feature scores, U2 V^T [n_items, F]."""
         return self.params["U2"].data @ self.params["V"].data.T
 
-    def scores(self, u: int, items: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
+    def scores(self, u: int, items: np.ndarray) -> np.ndarray:
+        return self.score_matrix(np.array([u]), np.asarray(items, dtype=np.int64)[None])[0]
+
+    def score_matrix(self, users: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """alpha * match + (1 - alpha) * a_hat of each user over its row of
+        candidates, with the match (the user's pooled feature scores times the
+        item's, over k * n_rating) and a_hat (U1[u] U2[v] + H1[u] H2[v])
+        gathered from three products of the users with every item, so a
+        ranking pass hands it a chunk of users at a time. A `PAD` slot (-1)
+        gathers the last item's."""
         cfg = self.config
-        items = np.asarray(items, dtype=np.int64)
-        x_u, top = self._user_pool(u)
-        y_items = (self.score_table() if table is None else table)[items]
-        match = y_items[:, top] @ x_u[top] / (cfg.top_k_features * self.n_rating)
-        a_hat = self.params["U1"].data[u] @ self.params["U2"].data[items].T \
-            + self.params["H1"].data[u] @ self.params["H2"].data[items].T
+        p = self.params
+        rows = np.arange(len(users))[:, None]
+        x, top = self._pools(users)
+        pooled = np.zeros_like(x)
+        pooled[rows, top] = x[rows, top]
+        match = (pooled @ self._item_features().T)[rows, candidates] \
+            / (cfg.top_k_features * self.n_rating)
+        a_hat = (p["U1"].data[users] @ p["U2"].data.T)[rows, candidates] \
+            + (p["H1"].data[users] @ p["H2"].data.T)[rows, candidates]
         return cfg.alpha * match + (1.0 - cfg.alpha) * a_hat
 
     def explain_pairs(self, pairs: Sequence[tuple[int, int]], top_n: int = 1,
@@ -222,10 +236,11 @@ class EFM(Recommender):
                       candidate_scores: dict[int, np.ndarray] | None = None
                       ) -> list[Explanation]:
         """Each item's strongest features among its user's favourite pool, read
-        from the rows of the `score_table` that ranking reads."""
-        table = self.score_table()
+        from the item feature scores U2 V^T that scoring reads."""
+        table = self._item_features()
         out = []
         for u, v in pairs:
-            ranked = sorted(self._user_pool(u)[1].tolist(), key=lambda f: (-table[v, f], f))
+            pool = self._pools(np.array([u]))[1][0]
+            ranked = sorted(pool.tolist(), key=lambda f: (-table[v, f], f))
             out.append(Explanation(tuple(ranked[:top_n])))
         return out

@@ -33,6 +33,7 @@ Every such norm is `params_norm`, summed in parameter order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -164,7 +165,9 @@ def defended_loss_grad(model: Recommender, batch: PairBatch, cfg: DefenseConfig,
     """`defense_loss` on one batch and its parameter gradients, from one
     clean and one adversarial `loss_grad` pass (the clean pass alone when
     lambda or eps_d is 0). Both passes take `penalty`, the model's
-    `penalty_grad()` at its current parameters."""
+    `penalty_grad()` at its current parameters. A NaN in dL/dY makes Y_adv
+    and so the loss NaN; a loss that is not finite is checked for it, and
+    then raises DivergenceError naming the defense perturbation."""
     if cfg.lam == 0.0 or cfg.eps_d == 0.0:
         loss, grads, _ = model.loss_grad(batch, penalty)
         return loss, grads
@@ -186,7 +189,11 @@ def defended_loss_grad(model: Recommender, batch: PairBatch, cfg: DefenseConfig,
             a *= lam
         g *= 1.0 - lam
         g += a
-    return (1.0 - lam) * clean + lam * adv, grads
+    loss = (1.0 - lam) * clean + lam * adv
+    if not math.isfinite(loss) and np.isnan(dy).any():
+        raise DivergenceError(f"defense perturbation: dL/dY is NaN in {int(np.isnan(dy).sum())} "
+                              f"entries of Y, so Y_adv is undefined (clean loss {clean})")
+    return loss, grads
 
 
 def _train_once(model: Recommender, split: DatasetSplit, defense: DefenseConfig,

@@ -5,12 +5,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from robustrec import evalkit
 from robustrec.dataset import TEST, TRAIN, VAL
 from robustrec.evalkit import (build_bed, evaluate, explanation_prf, gold_explanations,
-                               mask_explanation, ndcg_at, train_feature_sets,
+                               mask_explanation, ndcg_at, ndcg_rows, train_feature_sets,
                                validation_ndcg)
-from robustrec.models.base import Recommender
+from robustrec.models.base import PAD, Recommender, rank_items, rank_rows
 from splits import interactions, split_of
 
 
@@ -58,6 +61,83 @@ def test_ndcg_truncates_at_k():
 def test_ndcg_rejects_empty_relevant():
     with pytest.raises(ValueError, match="empty relevant"):
         ndcg_at([1, 2], set(), 2)
+
+
+# a few exact values (ties, both zeros) among arbitrary finite ones
+_SCORES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                    st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def _ragged_scores(draw):
+    """Rows of distinct item ids with their scores, 1 to 8 items each, and
+    the padded matrices of both; pad scores are arbitrary, NaN included."""
+    rows = draw(st.lists(st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True),
+                         min_size=1, max_size=6))
+    width = max(map(len, rows))
+    items = np.full((len(rows), width), PAD, dtype=np.int64)
+    scores = np.array(draw(st.lists(st.one_of(_SCORES, st.just(math.nan)),
+                                    min_size=items.size, max_size=items.size)))
+    scores = scores.reshape(items.shape)
+    lists = []
+    for i, row in enumerate(rows):
+        items[i, :len(row)] = row
+        scores[i, :len(row)] = draw(st.lists(_SCORES, min_size=len(row), max_size=len(row)))
+        lists.append((scores[i, :len(row)].copy(), np.array(row)))
+    return lists, scores, items
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ragged_scores())
+def test_rank_rows_equals_rank_items_row_by_row(case):
+    lists, scores, items = case
+    ranked = np.take_along_axis(items, rank_rows(scores, items), axis=1)
+    for row, (row_scores, row_items) in zip(ranked, lists):
+        score_of = dict(zip(row_items.tolist(), row_scores.tolist()))
+        want = sorted(score_of, key=lambda v: (-score_of[v], v))  # the tie rule, spelled out
+        assert rank_items(row_scores, row_items) == want
+        assert row[:len(row_items)].tolist() == want
+        assert (row[len(row_items):] == PAD).all()  # pads rank last
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ragged_scores(), st.data())
+def test_rank_rows_names_the_first_non_finite_score_as_rank_items_does(case, data):
+    lists, scores, items = case
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    i = data.draw(st.integers(0, len(lists) - 1))
+    j = data.draw(st.integers(0, len(lists[i][1]) - 1))
+    scores[i, j] = lists[i][0][j] = bad
+    with pytest.raises(FloatingPointError) as matrix:
+        rank_rows(scores, items)
+    for row_scores, row_items in lists:
+        try:
+            rank_items(row_scores, row_items)
+        except FloatingPointError as e:
+            assert str(matrix.value) == str(e)
+            return
+    pytest.fail("rank_items accepted a non-finite score")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.booleans(), min_size=1, max_size=12),
+                          st.integers(0, 4)), min_size=1, max_size=6),
+       st.integers(1, 15))
+def test_ndcg_rows_equal_ndcg_at_bit_for_bit(rows, k):
+    # row i ranks items 0..n-1; its relevant items are its hits plus `extra`
+    # items outside the list, and k may pass the list's end
+    width = max(len(hits) for hits, _ in rows)
+    hits = np.zeros((len(rows), width), dtype=bool)
+    n_relevant, want = [], []
+    for i, (row_hits, extra) in enumerate(rows):
+        hits[i, :len(row_hits)] = row_hits
+        relevant = {j for j, hit in enumerate(row_hits) if hit} | {100 + e for e in range(extra)}
+        if not relevant:
+            relevant = {100}
+        n_relevant.append(len(relevant))
+        want.append(ndcg_at(range(len(row_hits)), relevant, k))
+        assert want[-1] == _brute_ndcg(range(len(row_hits)), relevant, k)
+    assert ndcg_rows(hits, np.array(n_relevant), k).tolist() == want
 
 
 def test_prf_hand_fixtures():
@@ -126,9 +206,9 @@ class _ScriptedModel:
         self.explain_calls = []
         self.batches = 0
 
-    score_table = Recommender.score_table  # shares nothing across users
+    score_matrix = Recommender.score_matrix  # one scores() call per user
 
-    def scores(self, u, items, table=None):
+    def scores(self, u, items):
         return np.asarray([self._score_fn(u, int(v)) for v in items], dtype=np.float64)
 
     def explain_pairs(self, pairs, top_n=1, require_recommended=True, candidate_scores=None):
@@ -206,6 +286,33 @@ def test_evaluate_macro_averages_and_masks(tiny_split):
     assert report.n_non_cf == 1
     assert report.n_users == len(users)
     assert 0.0 <= report.ndcg <= 1.0
+
+
+@pytest.mark.parametrize("chunk", [4, 32])
+@pytest.mark.parametrize("k", [1, 3, 100])
+def test_ranking_passes_equal_the_per_user_definitions(k, chunk, monkeypatch):
+    # ragged candidate lists (1 to 4 positives), many exact score ties, k
+    # past every list's end, and the 6 users in one chunk or in two
+    monkeypatch.setattr(evalkit, "CHUNK_USERS", chunk)
+    split = split_of([(TEST, u, 10 + 4 * u + j, []) for u in range(6) for j in range(u % 4 + 1)]
+                     + [(VAL, u, 40 + u, []) for u in range(6)],
+                     n_users=6, n_items=50, n_features=2, n_neg=6)
+    model = _ScriptedModel(lambda u, v: float((7 * u + 3 * v) % 5) - 2.0)
+    total = 0.0
+    bed = {}
+    for u, positives, cands in split.test_lists():
+        ranked = rank_items(model.scores(u, cands), cands)
+        total += ndcg_at(ranked, set(positives.tolist()), k)
+        if hits := [v for v in positives.tolist() if v in ranked[:k]]:
+            bed[u] = hits
+    assert evaluate(model, split, {}, {}, {}, k_ndcg=k).ndcg == total / len(split.test_users)
+    assert build_bed(model, split, k_rec=k) == bed
+
+    total = 0.0
+    cands = np.column_stack([split.item[split.part == VAL], split.val_negatives])
+    for u, row in zip(split.val_users.tolist(), cands):
+        total += ndcg_at(rank_items(model.scores(u, row), row), {int(row[0])}, k)
+    assert validation_ndcg(model, split, k=k) == total / len(cands)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -107,6 +107,21 @@ def test_list_keys_check_their_elements(dotted, good, bad, tmp_path):
         load_config(doc)
 
 
+@pytest.mark.parametrize("dotted, value", [("training.max_epochs", 2.5), ("eval.k_rec", True),
+                                           ("defense.lambda", "0.5"), ("training.lr", None),
+                                           ("sweep.lambdas", [0.5, "1"])])
+def test_check_settings_applies_the_type_rule(dotted, value):
+    # a config built in code skips load_config and apply_override; the check
+    # before any artifact still holds it to its defaults' types
+    cfg = default_config()
+    section, leaf = dotted.split(".")
+    cfg[section][leaf] = value
+    with pytest.raises(ConfigError, match=re.escape(f"config key '{dotted}")):
+        check_settings(cfg)
+    cfg[section][leaf] = [0, 1] if leaf == "lambdas" else 1  # an int may stand for a float
+    check_settings(cfg)
+
+
 def test_every_numeric_setting_has_a_rule():
     # any integer is a seed; every other numeric key rejects NaN (a float),
     # -1 (an integer) or either appended to a list, naming the key, or for a

@@ -319,9 +319,9 @@ def test_evaluate_scores_each_test_user_once_and_explains_as_before(cer_tiny, ti
     scored, explained = [], []
     real_scores, real_explain = CER.scores, CER.explain_pairs
 
-    def scores_spy(self, u, items, table=None):
+    def scores_spy(self, u, items):
         scored.append(u)
-        return real_scores(self, u, items, table)
+        return real_scores(self, u, items)
 
     def explain_spy(self, pairs, **kwargs):
         explained.append((pairs, real_explain(self, pairs, **kwargs)))

@@ -4,11 +4,12 @@ import pytest
 
 from gradcheck import gradcheck
 from planted import seed_drawing
+from robustrec import evalkit
 from robustrec.dataset import TRAIN
 from robustrec.diffcore import Adam, Tensor
-from robustrec.evalkit import validation_ndcg
+from robustrec.evalkit import build_bed, evaluate, validation_ndcg
 from robustrec.models import EFM, EFMConfig, rank_items
-from robustrec.models.base import scatter_add_rows
+from robustrec.models.base import PAD, scatter_add_rows
 from robustrec.rng import SplitMix64, derive_seed
 from splits import interactions
 
@@ -82,15 +83,52 @@ def test_loss_decreases_under_training_steps(efm_tiny):
 def test_score_formula_matches_direct_restatement(efm_tiny):
     cfg = efm_tiny.config
     p = {k: t.data for k, t in efm_tiny.params.items()}
-    u, items = 2, np.array([0, 3, 7, 11])
-    got = efm_tiny.scores(u, items)
-    x_u = p["U1"][u] @ p["V"].T
-    top = sorted(range(len(x_u)), key=lambda f: (-x_u[f], f))[:cfg.top_k_features]
-    for i, v in enumerate(items):
+
+    def want(u, v):
+        x_u = p["U1"][u] @ p["V"].T
+        top = sorted(range(len(x_u)), key=lambda f: (-x_u[f], f))[:cfg.top_k_features]
         y_v = p["U2"][v] @ p["V"].T
         match = sum(x_u[f] * y_v[f] for f in top) / (cfg.top_k_features * efm_tiny.n_rating)
         a_hat = p["U1"][u] @ p["U2"][v] + p["H1"][u] @ p["H2"][v]
-        assert got[i] == pytest.approx(cfg.alpha * match + (1 - cfg.alpha) * a_hat, rel=1e-12)
+        return cfg.alpha * match + (1 - cfg.alpha) * a_hat
+
+    u, items = 2, np.array([0, 3, 7, 11])
+    got = efm_tiny.scores(u, items)
+    for i, v in enumerate(items):
+        assert got[i] == pytest.approx(want(u, v), rel=1e-12)
+    # many users at once, a repeated one among them, over PAD-padded ragged lists
+    users = np.array([2, 0, 5, 2, 7])
+    lists = [[0, 3, 7, 11], [5], [32, 1, 2], [11, 0], [4, 8, 15, 16]]
+    cands = np.array([row + [PAD] * (4 - len(row)) for row in lists])
+    got = efm_tiny.score_matrix(users, cands)
+    assert got.shape == cands.shape
+    for u, row, scores in zip(users.tolist(), lists, got):
+        for v, score in zip(row, scores):
+            assert score == pytest.approx(want(u, v), rel=1e-12)
+
+
+def test_ranking_passes_score_users_in_chunks(efm_tiny, tiny_split, monkeypatch):
+    # no pass scores one user at a time; each chunk of users is one
+    # score_matrix call, which builds its [chunk, n_items] products once
+    chunks = []
+    real = EFM.score_matrix
+
+    def spy(self, users, candidates):
+        chunks.append(len(users))
+        return real(self, users, candidates)
+
+    monkeypatch.setattr(evalkit, "CHUNK_USERS", 3)
+    monkeypatch.setattr(EFM, "score_matrix", spy)
+    monkeypatch.setattr(EFM, "scores", lambda *a: pytest.fail("a pass scored one user"))
+    per_pass = [3, 3, 2]  # the split's 8 users
+    assert len(tiny_split.val_users) == len(tiny_split.test_users) == 8
+    validation_ndcg(efm_tiny, tiny_split)
+    assert chunks == per_pass
+    bed = build_bed(efm_tiny, tiny_split)
+    assert chunks == per_pass * 2
+    gold = {(u, v): {0} for u, items in bed.items() for v in items}
+    evaluate(efm_tiny, tiny_split, bed, gold, {u: {0} for u in bed})
+    assert chunks == per_pass * 3
 
 
 def test_explain_picks_strongest_item_feature_in_user_pool(tiny_split, tiny_matrices):
@@ -135,9 +173,9 @@ def test_explanations_read_the_ranking_table(efm_tiny, tiny_split):
     # explanations rank the pool on the same item-feature rows as scoring
     pairs = [(u, int(v)) for u in tiny_split.test_users.tolist()
              for v in efm_tiny.candidate_items(u)[:3]]
-    table = efm_tiny.score_table()
     k = efm_tiny.config.top_k_features
-    U1, V = efm_tiny.params["U1"].data, efm_tiny.params["V"].data
+    U1, U2, V = (efm_tiny.params[name].data for name in ("U1", "U2", "V"))
+    table = U2 @ V.T
     got = efm_tiny.explain_pairs(pairs, top_n=3)
     for (u, v), expl in zip(pairs, got, strict=True):
         pool = np.argsort(-(U1[u] @ V.T), kind="stable")[:k].tolist()
@@ -304,12 +342,12 @@ def test_validation_ndcg_follows_an_adam_step(efm_tiny, tiny_split):
     # a ranking pass builds its item-feature table from the parameters of the
     # moment, so an update in place is seen by the next pass
     before = validation_ndcg(efm_tiny, tiny_split)
-    table = efm_tiny.score_table()
+    table = efm_tiny.params["U2"].data @ efm_tiny.params["V"].data.T
     opt = Adam([p.data for p in efm_tiny.params.values()], lr=0.5)
     _, grads, _ = efm_tiny.loss_grad(_batch(efm_tiny), efm_tiny.penalty_grad())
     opt.step([grads[name] for name in efm_tiny.params])
     fresh = efm_tiny.with_params(efm_tiny.param_arrays())
-    assert not np.array_equal(efm_tiny.score_table(), table)
+    assert not np.array_equal(efm_tiny.params["U2"].data @ efm_tiny.params["V"].data.T, table)
     after = validation_ndcg(efm_tiny, tiny_split)
     assert after == validation_ndcg(fresh, tiny_split)
     assert after != before

@@ -365,6 +365,25 @@ def test_defense_budget_invariants_over_training(tiny_split, tiny_matrices):
     assert lo >= 0.0 and hi <= float(tiny_split.n_rating)
 
 
+@pytest.mark.parametrize("algo", ["efm", "cer"])
+def test_nan_dl_dy_names_the_defense_perturbation(algo, efm_tiny, cer_tiny, tiny_split):
+    model = {"efm": efm_tiny, "cer": cer_tiny}[algo]
+    batch = _batch(model)
+    model.Y = model.Y.copy()
+    model.Y[batch.items[0], 0] = np.nan  # an entry the defended batch touches
+    with pytest.raises(DivergenceError, match="defense perturbation: dL/dY is NaN"):
+        defended_loss_grad(model, batch, DefenseConfig(lam=0.5, eps_d=0.25),
+                           model.penalty_grad())
+    # the clean pass alone has no perturbation to blame
+    loss, _ = defended_loss_grad(model, batch, DefenseConfig(), model.penalty_grad())
+    assert np.isnan(loss)
+    # training retries it as any divergence
+    with pytest.raises(DivergenceError, match="1 retries"):
+        train_defended(model, tiny_split, DefenseConfig(lam=0.5, eps_d=0.25),
+                       TrainingConfig(batch_size=8, max_epochs=1, patience=1, retries=1),
+                       seed=0)
+
+
 def test_train_defended_halves_lr_on_divergence(efm_tiny, tiny_split, monkeypatch):
     attempts = []
     real = rob._train_once

@@ -8,8 +8,11 @@ candidate's, and the most negatively perturbed features form the
 explanation. Training, scoring and the counterfactual solve (every pair at
 once, as one [B, F] problem) run in plain numpy on hand-derived gradients
 through one forward, `_activations` over layer 1's user half `_user_half`;
-only W1's gradient concatenates [X_u | Y_v]. The taped `loss` and `_forward`
-are the reference they are tested against.
+only W1's gradient concatenates [X_u | Y_v]. The forward and both backwards
+work in place, but only in buffers they allocate themselves (GEMM outputs
+and the activations): they never write into their arguments, so a user
+half or Y rows shared between passes stay as they were. The taped `loss`
+and `_forward` are the reference they are tested against.
 """
 from __future__ import annotations
 
@@ -23,6 +26,15 @@ from ..diffcore import (Adam, Tensor, add, concat_cols, gather_rows, matmul, mul
 from ..rng import derive_seed
 from .base import (Explanation, PairBatch, Penalty, Recommender, rank_items, scatter_add_rows,
                    sum_squares)
+
+
+def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+    """z = 1/(1+exp(-z)) in z's own buffer, the bits of the allocating form;
+    exp may overflow, so callers hold np.errstate(over="ignore")."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 class NotRecommendedError(ValueError):
@@ -126,16 +138,23 @@ class CER(Recommender):
 
     def _user_half(self, x_rows: np.ndarray) -> np.ndarray:
         """Layer 1's user half, x_rows·W1[:F] + b1, which a solve holds fixed."""
-        return x_rows @ self.params["W1"].data[:self.n_features] + self.params["b1"].data
+        half = x_rows @ self.params["W1"].data[:self.n_features]
+        half += self.params["b1"].data
+        return half
 
     def _activations(self, user_half: np.ndarray, y_rows: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Layer 1 as its user half plus y_rows·W1[F:], then both sigmoid
-        layers: the two hidden activations and the scores [B]."""
+        layers: the two hidden activations and the scores [B]. Each layer
+        runs in place in its own GEMM output; `user_half` and `y_rows` are
+        only read, and the activations returned are the caller's to reuse."""
         p = self.params
         with np.errstate(over="ignore"):
-            h1 = 1.0 / (1.0 + np.exp(-(user_half + y_rows @ p["W1"].data[self.n_features:])))
-            h2 = 1.0 / (1.0 + np.exp(-(h1 @ p["W2"].data + p["b2"].data)))
+            h1 = y_rows @ p["W1"].data[self.n_features:]
+            _sigmoid_in_place(np.add(user_half, h1, out=h1))
+            h2 = h1 @ p["W2"].data
+            h2 += p["b2"].data
+            _sigmoid_in_place(h2)
         return h1, h2, (h2 @ p["W3"].data + p["b3"].data)[:, 0]
 
     def penalty_grad(self) -> Penalty:
@@ -170,10 +189,18 @@ class CER(Recommender):
 
         with np.errstate(over="ignore"):
             g3 = (1.0 / (1.0 + np.exp(-logits)) - targets) / len(batch)
-        g2 = (g3 @ p["W3"].T) * h2 * (1.0 - h2)
-        g1 = (g2 @ p["W2"].T) * h1 * (1.0 - h1)
+        # each (g @ W.T) * h * (1 - h) is built in the product's buffer, left
+        # to right; a layer's gradients are taken before h's buffer takes 1 - h
+        g_w3 = h2.T @ g3
+        g2 = g3 @ p["W3"].T
+        g2 *= h2
+        g2 *= np.subtract(1.0, h2, out=h2)
+        g_w2 = h1.T @ g2
+        g1 = g2 @ p["W2"].T
+        g1 *= h1
+        g1 *= np.subtract(1.0, h1, out=h1)
         grads = {"W1": np.hstack([x_rows, y_rows]).T @ g1, "b1": g1.sum(axis=0),
-                 "W2": h1.T @ g2, "b2": g2.sum(axis=0), "W3": h2.T @ g3, "b3": g3.sum(axis=0)}
+                 "W2": g_w2, "b2": g2.sum(axis=0), "W3": g_w3, "b3": g3.sum(axis=0)}
         for name, g in grads.items():
             g += penalty.grads[name]
 
@@ -200,8 +227,11 @@ class CER(Recommender):
 
         def score_grad(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             h1, h2, s = self._activations(user_half, y_rows + delta)
-            g2 = p["W3"].data[:, 0] * h2 * (1.0 - h2)
-            g1 = (g2 @ p["W2"].data.T) * h1 * (1.0 - h1)
+            g2 = p["W3"].data[:, 0] * h2
+            g2 *= np.subtract(1.0, h2, out=h2)
+            g1 = g2 @ p["W2"].data.T
+            g1 *= h1
+            g1 *= np.subtract(1.0, h1, out=h1)
             return s, g1 @ p["W1"].data[self.n_features:].T
 
         return score_grad

@@ -19,6 +19,14 @@ from ..rng import derive_seed
 from .base import Explanation, PairBatch, Penalty, Recommender, scatter_add_rows, sum_squares
 
 
+def _distinct(ids: np.ndarray, n: int) -> np.ndarray:
+    """np.unique(ids) for ids in [0, n): the sorted distinct ids, as int64.
+    A mask is used because np.unique's first call imports numpy.ma."""
+    seen = np.zeros(n, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen)
+
+
 @dataclass(frozen=True)
 class EFMConfig:
     n_factors: int = 64        # r: shared feature-latent rank
@@ -87,8 +95,8 @@ class EFM(Recommender):
         cfg = self.config
         Y = self.Y if Y is None else Y
         p = self.params
-        users = np.unique(batch.users)
-        items = np.unique(batch.items)
+        users = _distinct(batch.users, self.n_users)
+        items = _distinct(batch.items, self.n_items)
         vt = transpose(p["V"])
 
         x_rows = self.X[users]
@@ -148,8 +156,8 @@ class EFM(Recommender):
             return self._y_pass(batch, penalty, Y, want_dy, **reuse)
         cfg = self.config
         U1, U2, V, H1, H2 = (self.params[n].data for n in ("U1", "U2", "V", "H1", "H2"))
-        users = np.unique(batch.users)
-        items = np.unique(batch.items)
+        users = _distinct(batch.users, self.n_users)
+        items = _distinct(batch.items, self.n_items)
         vt = V.T.copy()  # the tape's layout, so the residuals are its bits too
         x_res = (self.X[users] - U1[users] @ vt) * self._Xmask[users]
         u2_items = U2[items]

@@ -12,13 +12,14 @@ from robustrec.models import CER, EFM, CERConfig, EFMConfig
 from robustrec.synth import SynthConfig, synth_jsonl
 
 
+TINY_CORPUS = SynthConfig(n_users=8, n_items=40, n_features=10,
+                          reviews_per_user=10, n_item_features=3, seed=5)
+TINY_SPLIT = SplitConfig(seed=5, n_test_pos=2, n_test_neg=8, n_val_neg=4)
+
+
 @pytest.fixture(scope="session")
 def tiny_split():
-    cfg = SynthConfig(n_users=8, n_items=40, n_features=10,
-                      reviews_per_user=10, n_item_features=3, seed=5)
-    records = ingest_reviews(synth_jsonl(cfg))
-    return build_split(records, SplitConfig(seed=5, n_test_pos=2,
-                                            n_test_neg=8, n_val_neg=4))
+    return build_split(ingest_reviews(synth_jsonl(TINY_CORPUS)), TINY_SPLIT)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Neural recommender: loss gradients, counterfactual explanations, guards."""
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +138,60 @@ def test_hand_gradient_matches_tape(cer_tiny):
     _, grad = cer_tiny._cf_score_grad(pairs)(delta)
     assert grad.shape == (len(pairs), cer_tiny.n_features)
     np.testing.assert_allclose(grad, y_leaf.grad, rtol=1e-10, atol=1e-14)
+
+
+# overflow both ways, signed zeros, infinities, the smallest subnormal and
+# quiet NaNs of both signs with payloads
+_SIGMOID_EDGES = np.concatenate([
+    [800.0, -800.0, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324],
+    np.array([0x7FF8_0000_0000_0ABC, 0xFFF8_0000_0000_0123], dtype=np.uint64).view(np.float64)])
+
+
+@pytest.mark.parametrize("shape", [(64, 256), (95, 256), (1, 256)])
+def test_sigmoid_in_place_keeps_the_bits(shape):
+    z = np.random.default_rng(shape[0]).normal(0.0, 30.0, shape)
+    z.flat[:len(_SIGMOID_EDGES)] = _SIGMOID_EDGES
+    got = z.copy()
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        want = 1.0 / (1.0 + np.exp(-z))
+        assert cer_mod._sigmoid_in_place(got) is got
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_in_place_passes_leave_their_inputs_alone(cer_tiny, tiny_split):
+    # the forward and both backwards write only into buffers they allocate
+    batch = _batch(cer_tiny, seed=3)
+    penalty = cer_tiny.penalty_grad()
+    X, Y = cer_tiny.X.copy(), cer_tiny.Y.copy()
+    y_adv = Y + np.random.default_rng(2).normal(0.0, 0.5, Y.shape)
+    y_adv_before = y_adv.copy()
+    half = cer_tiny._user_half(cer_tiny.X[batch.users])
+    reuse = {}
+    clean = cer_tiny.loss_grad(batch, penalty, want_dy=True, reuse=reuse)
+    cer_tiny.loss_grad(batch, penalty, Y=y_adv, want_dy=True, reuse=reuse)
+    assert reuse["user_half"].tobytes() == half.tobytes()
+    assert cer_tiny.X.tobytes() == X.tobytes() and cer_tiny.Y.tobytes() == Y.tobytes()
+    assert y_adv.tobytes() == y_adv_before.tobytes()
+    loss, grads, dy = cer_tiny.loss_grad(batch, penalty, want_dy=True, reuse=reuse)
+    assert loss == clean[0] and dy.tobytes() == clean[2].tobytes()
+    assert all(grads[name].tobytes() == g.tobytes() for name, g in clean[1].items())
+
+    score_grad = cer_tiny._cf_score_grad(_bed_like_pairs(cer_tiny))
+    captured = inspect.getclosurevars(score_grad).nonlocals
+    before = {name: captured[name].copy() for name in ("user_half", "y_rows")}
+    delta = np.random.default_rng(3).normal(0.0, 0.5, before["y_rows"].shape)
+    delta_before = delta.copy()
+    (s1, ds1), (s2, ds2) = score_grad(delta), score_grad(delta)
+    assert s1.tobytes() == s2.tobytes() and ds1.tobytes() == ds2.tobytes()
+    assert delta.tobytes() == delta_before.tobytes()
+    for name, array in before.items():
+        assert captured[name].tobytes() == array.tobytes(), name
+
+    u = int(tiny_split.test_users[0])
+    cands = cer_tiny.candidate_items(u)
+    assert cer_tiny.scores(u, cands).tobytes() == cer_tiny.scores(u, cands).tobytes()
+    assert cer_tiny.X.tobytes() == X.tobytes() and cer_tiny.Y.tobytes() == Y.tobytes()
 
 
 def test_counterfactual_linear_closed_form():

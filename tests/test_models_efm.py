@@ -1,4 +1,10 @@
 """Factor model: loss gradients, score formula, explanation and tie rules."""
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -351,6 +357,35 @@ def test_validation_ndcg_follows_an_adam_step(efm_tiny, tiny_split):
     after = validation_ndcg(efm_tiny, tiny_split)
     assert after == validation_ndcg(fresh, tiny_split)
     assert after != before
+
+
+def test_efm_training_never_imports_numpy_ma():
+    # np.unique's first call imports numpy.ma (1.6 MB of RSS); a fresh
+    # interpreter keeps other tests' imports from hiding its return
+    tests = Path(__file__).resolve().parent
+    code = textwrap.dedent("""\
+        import sys
+        from conftest import TINY_CORPUS, TINY_SPLIT
+        from robustrec.aspects import build_matrices
+        from robustrec.dataset import build_split, ingest_reviews
+        from robustrec.evalkit import validation_ndcg
+        from robustrec.models import EFM, EFMConfig
+        from robustrec.robustness import DefenseConfig, TrainingConfig, train_defended
+        from robustrec.synth import synth_jsonl
+        split = build_split(ingest_reviews(synth_jsonl(TINY_CORPUS)), TINY_SPLIT)
+        model = EFM(split.n_users, split.n_items, split.n_features,
+                    EFMConfig(n_factors=6, n_hidden=3, top_k_features=4))
+        model.attach(split, *build_matrices(split))
+        train_defended(model, split, DefenseConfig(lam=0.5, eps_d=0.1),
+                       TrainingConfig(max_epochs=1), seed=0)
+        validation_ndcg(model, split)
+        print("numpy.ma" in sys.modules)
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(tests), str(tests.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "False\n"
 
 
 @pytest.mark.parametrize("name", ["n_factors", "n_hidden", "top_k_features"])

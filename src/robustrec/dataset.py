@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -153,10 +153,6 @@ class DatasetSplit:
         positives = np.split(items, np.flatnonzero(np.diff(users)) + 1)
         return {u: (pos, np.concatenate([pos, neg])) for u, pos, neg
                 in zip(self.test_users.tolist(), positives, self.test_negatives)}
-
-    def test_lists(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """(user, positives, candidates) per test user, ascending."""
-        return ((u, *lists) for u, lists in self.test_candidates.items())
 
 
 @dataclass(frozen=True)

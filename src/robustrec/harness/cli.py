@@ -19,11 +19,10 @@ from typing import Callable
 from .. import robustness
 from ..dataset import IngestError, SplitError
 from ..robustness import TrainingConfig, fmt_eps, scale_attack
-from .config import (DEFAULTS, RULES, ConfigError, apply_override, check_settings,
-                     leaves, load_config, training_config)
+from .config import RULES, SETTINGS, ConfigError, apply_override, load_config, training_config
 from .report import ResultsError, write_report
-from .sweep import (Run, Sweep, SweepCell, budgets, ensure_trained, load_dataset, new_model,
-                    resolve_cache, run_sweep, sweep_cell)
+from .sweep import (Run, Sweep, SweepCell, budgets, ensure_trained, new_model, resolve_cache,
+                    run_sweep, sweep_cell)
 
 # ascending; the tie rule of the search relies on this order
 HYPER_GRID: tuple[float, ...] = (1e-5, 1e-4, 0.001, 0.01, 0.05, 0.1, 0.5)
@@ -54,8 +53,7 @@ def hyperparameter_search(make_model: Callable, split, defense, training: Traini
 
 
 def cmd_ingest(cfg: dict, cache: Path, args) -> None:
-    check_settings(cfg)  # the one command that reads the review file without a Sweep
-    print(json.dumps(load_dataset(cfg, cache).stats, indent=2, sort_keys=True))
+    print(json.dumps(Sweep(cfg, cache).data.stats, indent=2, sort_keys=True))
 
 
 def cmd_train(cfg: dict, cache: Path, args) -> None:
@@ -131,10 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache", metavar="DIR",
                         help="cache root (default: $ROBUSTREC_CACHE or ./cache)")
 
-    rules = {key: f"; must be {rule}" for rule, (_, keys) in RULES.items() for key in keys}
-    for key, value in leaves(DEFAULTS):
-        common.add_argument(f"--{key}", metavar="VALUE",
-                            help=f"default {json.dumps(value)}{rules.get(key, '')}")
+    for key, (_, _, default, rule) in SETTINGS.items():
+        common.add_argument(f"--{key}", metavar="VALUE", help=f"default {json.dumps(default)}"
+                            + (f"; must be {rule}" if rule else ""))
     parser = _Parser(prog="robustrec", parents=[common], allow_abbrev=False,
                      description="Train, attack and evaluate robust explainable recommenders.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -160,10 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser, argv = build_parser(), sys.argv[1:] if argv is None else argv
-    keys = {key for key, _ in leaves(DEFAULTS)}
     for token in argv:  # before argparse, which would take the value of one for the command
         key = token[2:].partition("=")[0]
-        if token[:2] == "--" and "." in key and key not in keys:
+        if token[:2] == "--" and "." in key and key not in SETTINGS:
             parser.error(f"unknown config key: {key!r}")
     args = parser.parse_args(argv)
     opts = vars(args)

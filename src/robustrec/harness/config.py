@@ -7,7 +7,9 @@ dotted path so typos cannot silently change an experiment. Every default is
 declared once, where its value is taken: on a dataclass (`EFMConfig`,
 `CERConfig`, `TrainingConfig`, `DefenseConfig`, `SplitConfig`, `EvalReport`) or
 in the signature of `ingest_reviews`, `build_bed` or `attack_weights`; every
-range once, as a row of `RULES`, which `check_settings` applies.
+range once, as a row of `RULES`. `SETTINGS` joins the two, one entry per
+setting, and `check_settings` applies it, storing every value in its default's
+type, so a config built in code names the same runs as one loaded from a file.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import json
 import math
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from ..dataset import SplitConfig, ingest_reviews
 from ..evalkit import EvalReport, build_bed
@@ -99,13 +101,42 @@ def leaves(section: dict, prefix: str = "") -> Iterator[tuple[str, object]]:
             yield f"{prefix}{key}", value
 
 
+class Setting(NamedTuple):
+    path: tuple[str, ...]  # of the section holding it
+    key: str
+    default: object
+    rule: str | None  # the name of its row of RULES, if any
+
+
+# every setting by dotted key, in DEFAULTS order: what `check_settings`, the
+# CLI's options and its unknown-key scan read
+SETTINGS: dict[str, Setting] = {
+    dotted: Setting(tuple(dotted.split(".")[:-1]), dotted.rpartition(".")[2], default,
+                    next((rule for rule, (_, keys) in RULES.items() if dotted in keys), None))
+    for dotted, default in leaves(DEFAULTS)}
+
+
 def check_settings(cfg: dict) -> None:
     """Before any artifact: a value of another type than its default (the
     rule of `load_config` and `apply_override`, which a config built in code
-    skips), an algo `models.MODELS` lacks or with settings its model cannot
-    use, or a value its key's row of `RULES` forbids, raises ConfigError
-    naming the key, or the model section for a model's setting."""
-    _check_types(cfg)
+    skips), a value its key's row of `RULES` forbids, or an algo
+    `models.MODELS` lacks or with settings its model cannot use, raises
+    ConfigError naming the key, or the model section for a model's setting.
+    A value the type rule converts (an int for a float) is stored back, so a
+    config built in code hashes as one loaded from a file."""
+    for dotted, (path, key, default, rule) in SETTINGS.items():
+        section = cfg
+        for part in path:
+            section = section[part]
+        value = section[key]
+        if type(value) is not type(default) or type(value) is list and any(
+                type(v) is not type(default[0]) for v in value):
+            section[key] = value = _coerce(dotted, default, value)
+        if rule is not None:
+            ok = RULES[rule][0]
+            for v in value if type(value) is list else (value,):
+                if not ok(v):
+                    raise ConfigError(f"{dotted} must be {rule}, got {v!r}")
     algos = {"model.algo": [cfg["model"]["algo"]], "sweep.algos": cfg["sweep"]["algos"]}
     for key, names in algos.items():
         for algo in names:
@@ -115,48 +146,6 @@ def check_settings(cfg: dict) -> None:
                 model_config(algo, cfg["model"])
             except ValueError as e:
                 raise ConfigError(f"model.{algo}: {e}") from None
-    for rule, (ok, keys) in RULES.items():
-        for key in keys:
-            value = cfg
-            for part in key.split("."):
-                value = value[part]
-            for v in value if isinstance(value, list) else [value]:
-                if not ok(v):
-                    raise ConfigError(f"{key} must be {rule}, got {v!r}")
-
-
-def _sections(section: dict, path: tuple[str, ...] = ()) -> Iterator[tuple]:
-    """(path, settings) of each section under `section`, where a setting is
-    (key, default, the default's type, a list default's element type)."""
-    settings = []
-    for key, default in section.items():
-        if type(default) is dict:
-            yield from _sections(default, path + (key,))
-        else:
-            settings.append((key, default, type(default),
-                             type(default[0]) if type(default) is list else None))
-    yield path, tuple(settings)
-
-
-_SECTIONS = tuple(_sections(DEFAULTS))
-
-
-def _check_types(cfg: dict) -> None:
-    """`_coerce`'s type rule on every setting of `cfg`; it raises naming the
-    key. A value of its default's exact type passes without the call."""
-    for path, settings in _SECTIONS:
-        section = cfg
-        for part in path:
-            section = section[part]
-        for key, default, kind, element in settings:
-            value = section[key]
-            if type(value) is not kind:
-                _coerce(".".join((*path, key)), default, value)
-            elif element is not None:
-                for v in value:
-                    if type(v) is not element:
-                        _coerce(".".join((*path, key)), default, value)
-                        break
 
 
 def default_config() -> dict:

@@ -83,10 +83,10 @@ def test_short_user_rules(caplog):
 
 
 def test_candidate_items_are_the_split_test_lists(tiny_split, efm_tiny, cer_tiny):
-    lists = list(tiny_split.test_lists())
-    assert [u for u, _, _ in lists] == tiny_split.test_users.tolist()
+    lists = list(tiny_split.test_candidates.items())
+    assert [u for u, _ in lists] == tiny_split.test_users.tolist()
     for model in (efm_tiny, cer_tiny):
-        for u, positives, cands in lists:
+        for u, (positives, cands) in lists:
             got = model.candidate_items(u).tolist()
             assert got == cands.tolist() and got[:len(positives)] == positives.tolist()
         with pytest.raises(KeyError, match=f"user {tiny_split.n_users} has no held-out"):
@@ -374,7 +374,7 @@ def test_array_readers_match_per_interaction_loops(reviews):
 
     assert split.val_users.tolist() == [it.user for it in rows if it.part == VAL]
     assert split.test_users.tolist() == sorted({it.user for it in rows if it.part == TEST})
-    for row, (u, positives, cands) in enumerate(split.test_lists()):
+    for row, (u, (positives, cands)) in enumerate(split.test_candidates.items()):
         want = [it.item for it in interactions(split, TEST, u)]
         assert positives.tolist() == want
         assert cands.tolist() == want + split.test_negatives[row].tolist()

@@ -300,7 +300,7 @@ def test_ranking_passes_equal_the_per_user_definitions(k, chunk, monkeypatch):
     model = _ScriptedModel(lambda u, v: float((7 * u + 3 * v) % 5) - 2.0)
     total = 0.0
     bed = {}
-    for u, positives, cands in split.test_lists():
+    for u, (positives, cands) in split.test_candidates.items():
         ranked = rank_items(model.scores(u, cands), cands)
         total += ndcg_at(ranked, set(positives.tolist()), k)
         if hits := [v for v in positives.tolist() if v in ranked[:k]]:

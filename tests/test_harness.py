@@ -1,5 +1,6 @@
 """Config plumbing, convergence policy, sweep caching, reports, and the CLI."""
 import csv
+import functools
 import inspect
 import json
 import multiprocessing
@@ -22,9 +23,9 @@ from robustrec.dataset import DatasetSplit, build_split, ingest_reviews
 from robustrec.evalkit import EvalReport, build_bed, evaluate
 from robustrec.harness.cli import build_parser, hyperparameter_search
 from robustrec.harness.cli import main as cli_main
-from robustrec.harness.config import (ConfigError, DEFAULTS, apply_override, check_settings,
-                                      config_hash, default_config, leaves, load_config,
-                                      training_config)
+from robustrec.harness.config import (RULES, SETTINGS, ConfigError, DEFAULTS, apply_override,
+                                      check_settings, config_hash, default_config, leaves,
+                                      load_config, training_config)
 from robustrec.harness.report import read_results, write_report
 from robustrec.harness.sweep import (CACHE_ENV, RESULT_COLUMNS, RESULT_TABLE, SweepCell,
                                      enumerate_cells, resolve_cache, run_sweep,
@@ -122,6 +123,31 @@ def test_check_settings_applies_the_type_rule(dotted, value):
     check_settings(cfg)
 
 
+def test_a_config_built_in_code_names_the_runs_of_the_same_overrides(corpus, tmp_path):
+    # ints for float settings are stored as the floats a file or an override
+    # gives, so the run ids and keys hashed from either config are the same
+    values = {"training.lr": 1, "model.efm.alpha": 1, "sweep.lambdas": [0, 1]}
+    in_code, overridden = _sweep_config(corpus), _sweep_config(corpus)
+    for dotted, value in values.items():
+        *path, key = dotted.split(".")
+        functools.reduce(dict.__getitem__, path, in_code)[key] = value
+        apply_override(overridden, dotted, json.dumps(value))
+    keys = []
+    for cfg in (in_code, overridden):
+        grid, sw = sweep.Sweep(cfg, tmp_path / "cache"), cfg["sweep"]
+        runs = [sweep.Run(grid, cell) for cell in
+                enumerate_cells(sw["algos"], sw["lambdas"], sw["eps_ds"], sw["seeds"])]
+        keys.append([(run.run_id, run.bed_key, run.attack_key) for run in runs])
+    assert len(keys[0]) == 2 and keys[0] == keys[1]
+    assert json.dumps(in_code) == json.dumps(overridden)
+
+
+def test_every_rule_names_a_setting():
+    # the table takes each setting's rule from RULES: a key there that names
+    # no setting would check nothing
+    ruled = {key: rule for rule, (_, keys) in RULES.items() for key in keys}
+    assert len(ruled) == 31 and {k: s.rule for k, s in SETTINGS.items() if s.rule} == ruled
+
 def test_every_numeric_setting_has_a_rule():
     # any integer is a seed; every other numeric key rejects NaN (a float),
     # -1 (an integer) or either appended to a list, naming the key, or for a
@@ -217,6 +243,85 @@ def test_every_call_setting_reaches_its_call(corpus, tmp_path, monkeypatch):
                     "evaluate.top_n": 2, "evaluate.k_ndcg": 101,
                     "attack_gradient.batch_size": 33}
 
+
+# the settings no artifact key holds: the review file's bytes are hashed, not
+# its path; each cell carries its own algo, seed, lambda and eps_d; each row
+# hashes its own eps_a
+UNKEYED = {"dataset.path", "model.algo", "training.seed", "defense.lambda", "defense.eps_d",
+           "attack.eps_a_grid", "sweep.algos", "sweep.lambdas", "sweep.eps_ds", "sweep.seeds"}
+KEY_WALK_CELLS = enumerate_cells(["cer", "efm"], [0.0, 0.5], [0.25], [0])
+KEY_WALK_GRID = [0.0, 0.5]
+
+
+def _keyed(dotted: str, kind: str, cell: SweepCell | None, eps_a: float | None) -> bool:
+    """Whether changing setting `dotted` must move the key of artifact
+    (kind, cell, eps_a); a setting with no rule here fails the walk."""
+    section, _, rest = dotted.partition(".")
+    if dotted in UNKEYED:
+        return False
+    if section == "dataset":
+        return True
+    if section in ("model", "training"):
+        return kind != "dataset" and (section == "training" or cell.algo == rest.split(".")[0])
+    if dotted in ("attack.seed", "attack.batch_size"):
+        return kind == "attack" or kind == "row" and eps_a != 0.0
+    if dotted == "eval.k_rec":
+        return kind in ("bed", "row")
+    if dotted in ("eval.top_n", "eval.k_ndcg"):
+        return kind == "row"
+    raise AssertionError(f"{dotted}: no artifact kind is known to hash it or not")
+
+
+def _artifact_keys(cfg, cache, paths) -> dict[tuple, str]:
+    """The key of every artifact of the walk's grid by (kind, cell, eps_a):
+    the paths `load_dataset` and each cell's `Run.rows` ask `artifact` for
+    (appended to `paths` by a stub that builds nothing), and each run's id and
+    attack path."""
+    grid = sweep.Sweep(cfg, cache)
+    paths.clear()
+    assert grid.data == {}
+    keys = {("dataset", None, None): str(paths.pop())}
+    for cell in KEY_WALK_CELLS:
+        grid.beds.clear()  # each cell asks for its bed
+        run = sweep.Run(grid, cell)
+        run.rows(KEY_WALK_GRID)
+        [bed, *rows] = paths
+        paths.clear()
+        assert bed.name.startswith("bed_") and all(r.name.startswith("eval_") for r in rows)
+        keys.update({("run", cell, None): run.run_id, ("attack", cell, None): str(run.attack_path),
+                     ("bed", cell, None): str(bed)})
+        keys.update({("row", cell, eps_a): str(r) for eps_a, r in zip(KEY_WALK_GRID, rows,
+                                                                       strict=True)})
+    return keys
+
+
+def test_every_setting_moves_exactly_the_keys_it_must(corpus, tmp_path, monkeypatch):
+    # a cache that hashes too few settings serves stale results; one that
+    # hashes too many rebuilds for nothing: each setting of the table, set to
+    # a valid non-default value, must move exactly the keys `_keyed` names
+    paths = []
+    monkeypatch.setattr(sweep, "artifact", lambda path, *_: paths.append(path) or {})
+    same_bytes = tmp_path / "copy.jsonl"
+    shutil.copyfile(corpus, same_bytes)
+    values = {"dataset.path": str(same_bytes), "dataset.name": "other", "model.algo": "cer",
+              "model.efm.alpha": 0.5, "sweep.algos": ["cer"], "sweep.lambdas": [0.0, 0.25]}
+
+    def config():
+        cfg = default_config()
+        cfg["dataset"]["path"] = str(corpus)
+        return cfg
+
+    base = _artifact_keys(config(), tmp_path / "cache", paths)
+    assert len(base) == 1 + len(KEY_WALK_CELLS) * (3 + len(KEY_WALK_GRID)) == 21
+    for dotted, setting in SETTINGS.items():
+        cfg = config()
+        value = values.get(dotted, setting.default)
+        if value == setting.default:
+            value = _non_default(setting.default)
+        apply_override(cfg, dotted, json.dumps(value))
+        keys = _artifact_keys(cfg, tmp_path / "cache", paths)
+        assert {label for label in base if keys[label] != base[label]} == \
+            {label for label in base if _keyed(dotted, *label)}, dotted
 
 def test_config_hash_is_order_insensitive():
     a = {"x": 1, "y": {"z": [1, 2]}}

@@ -1,10 +1,13 @@
-"""Static checks of the package source and the tests: every import is used,
-and imports between the core and the harness run one way.
+"""Static checks of the package source and the tests: every import and every
+definition is used, and imports between the core and the harness run one way.
 
 No linter is a dependency, so `unused_imports` is a small stand-in for
 pyflakes' F401 over `src/` and `tests/`, built on `ast`. Package
 `__init__.py` files are skipped (their imports are re-exports), and an
 import statement carrying `# noqa: F401` on any of its lines is exempt.
+`unused_definitions` is the same kind of stand-in for dead-code finders: each
+function, method and class of `src/` must be named somewhere in `src/` or
+`bench/*.py`, or listed in an `__all__`; one that only tests call is dead.
 The core (every module outside `robustrec.harness`) must import nothing from
 the harness, so `import robustrec` loads the library alone, and no package
 module is imported inside a function, where an import cycle would hide.
@@ -80,6 +83,59 @@ MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py") + \
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
+
+def _definitions(node: ast.AST, prefix: str = "") -> list[tuple[str, str, int]]:
+    """(qualified name, name, line) of each function, method and class under `node`."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((f"{prefix}{child.name}", child.name, child.lineno))
+            found += _definitions(child, f"{prefix}{child.name}.")
+        else:
+            found += _definitions(child, prefix)
+    return found
+
+
+def unused_definitions(paths: list[Path], readers: list[Path]) -> list[str]:
+    """`module: name (line N)` for each function, method and class of `paths`
+    that no `Name`, `Attribute` or `from ... import` in `readers` names and no
+    `__all__` lists; dunders are exempt, as the language calls them."""
+    named = set()
+    for reader in readers:
+        for node in ast.walk(ast.parse(reader.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                named |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return [f"{path.name}: {qualified} (line {line})" for path in paths
+            for qualified, name, line in _definitions(ast.parse(path.read_text()))
+            if name not in named and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_no_unused_definitions():
+    # a definition only tests call is dead code: the package must use it
+    src = sorted(SRC.rglob("*.py"))
+    assert unused_definitions(src, src + sorted((TESTS.parent / "bench").glob("*.py"))) == []
+
+
+def test_the_check_finds_an_unused_definition(tmp_path):
+    module, reader = tmp_path / "m.py", tmp_path / "r.py"
+    module.write_text("__all__ = ['exported']\n"
+                      "def exported():\n    pass\n"
+                      "def dead():\n    def inner():\n        pass\n"
+                      "def called():\n    def passed():\n        pass\n    return passed\n"
+                      "class K:\n    def __init__(self):\n        pass\n"
+                      "    def method(self):\n        pass\n"
+                      "    def unused(self):\n        pass\n"
+                      "class Imported:\n    pass\n")
+    reader.write_text("from m import Imported\ncalled().method\nK()\n")
+    assert unused_definitions([module], [module, reader]) == [
+        "m.py: dead (line 4)", "m.py: dead.inner (line 5)", "m.py: K.unused (line 16)"]
 
 def package_imports(path: Path, src: Path = SRC) -> list[tuple[int, str, bool]]:
     """(line, module, inside a function) for each import in `path` of a

@@ -369,7 +369,7 @@ def test_build_model_rejects_malformed_hidden(tiny_split, hidden):
 
 def test_evaluate_scores_each_test_user_once_and_explains_as_before(cer_tiny, tiny_split,
                                                                     monkeypatch):
-    bed = {u: positives.tolist() for u, positives, _ in tiny_split.test_lists()
+    bed = {u: positives.tolist() for u, (positives, _) in tiny_split.test_candidates.items()
            if len(positives)}
     gold = {(u, v): {0} for u, items in bed.items() for v in items}
     scored, explained = [], []

@@ -148,6 +148,7 @@ def test_every_rule_names_a_setting():
     ruled = {key: rule for rule, (_, keys) in RULES.items() for key in keys}
     assert len(ruled) == 31 and {k: s.rule for k, s in SETTINGS.items() if s.rule} == ruled
 
+
 def test_every_numeric_setting_has_a_rule():
     # any integer is a seed; every other numeric key rejects NaN (a float),
     # -1 (an integer) or either appended to a list, naming the key, or for a
@@ -279,7 +280,7 @@ def _artifact_keys(cfg, cache, paths) -> dict[tuple, str]:
     attack path."""
     grid = sweep.Sweep(cfg, cache)
     paths.clear()
-    assert grid.data == {}
+    sweep.load_dataset(cfg, cache, grid.sha256)
     keys = {("dataset", None, None): str(paths.pop())}
     for cell in KEY_WALK_CELLS:
         grid.beds.clear()  # each cell asks for its bed
@@ -315,13 +316,12 @@ def test_every_setting_moves_exactly_the_keys_it_must(corpus, tmp_path, monkeypa
     assert len(base) == 1 + len(KEY_WALK_CELLS) * (3 + len(KEY_WALK_GRID)) == 21
     for dotted, setting in SETTINGS.items():
         cfg = config()
-        value = values.get(dotted, setting.default)
-        if value == setting.default:
-            value = _non_default(setting.default)
+        value = values[dotted] if dotted in values else _non_default(setting.default)
         apply_override(cfg, dotted, json.dumps(value))
         keys = _artifact_keys(cfg, tmp_path / "cache", paths)
         assert {label for label in base if keys[label] != base[label]} == \
             {label for label in base if _keyed(dotted, *label)}, dotted
+
 
 def test_config_hash_is_order_insensitive():
     a = {"x": 1, "y": {"z": [1, 2]}}

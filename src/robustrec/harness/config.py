@@ -1,9 +1,9 @@
 """One JSON config document with sections, plus dot-path CLI overrides.
 
 Every run is parameterized by a single nested dict, and this module owns each
-setting's default, type and range. Files and overrides may only touch keys
-that exist in the defaults; unknown paths are rejected with the offending
-dotted path so typos cannot silently change an experiment. Every default is
+setting's default, type and range. Files, overrides and configs built in code
+may only hold keys that exist in the defaults; unknown paths are rejected with
+the offending dotted path so typos cannot silently change an experiment. Every default is
 declared once, where its value is taken: on a dataclass (`EFMConfig`,
 `CERConfig`, `TrainingConfig`, `DefenseConfig`, `SplitConfig`, `EvalReport`) or
 in the signature of `ingest_reviews`, `build_bed` or `attack_weights`; every
@@ -117,13 +117,14 @@ SETTINGS: dict[str, Setting] = {
 
 
 def check_settings(cfg: dict) -> None:
-    """Before any artifact: a value of another type than its default (the
-    rule of `load_config` and `apply_override`, which a config built in code
-    skips), a value its key's row of `RULES` forbids, or an algo
-    `models.MODELS` lacks or with settings its model cannot use, raises
-    ConfigError naming the key, or the model section for a model's setting.
-    A value the type rule converts (an int for a float) is stored back, so a
-    config built in code hashes as one loaded from a file."""
+    """Before any artifact: a key `DEFAULTS` lacks, a value of another type
+    than its default (the rules of `load_config` and `apply_override`, which
+    a config built in code skips), a value its key's row of `RULES` forbids,
+    or an algo `models.MODELS` lacks or with settings its model cannot use,
+    raises ConfigError naming the key, or the model section for a model's
+    setting. A value the type rule converts (an int for a float) is stored
+    back, so a config built in code hashes as one loaded from a file."""
+    _merge(DEFAULTS, cfg, store=False)
     for dotted, (path, key, default, rule) in SETTINGS.items():
         section = cfg
         for part in path:
@@ -152,7 +153,8 @@ def default_config() -> dict:
     return copy.deepcopy(DEFAULTS)
 
 
-def _merge(base: dict, incoming: dict, prefix: str = "") -> None:
+def _merge(base: dict, incoming: dict, prefix: str = "", store: bool = True) -> None:
+    """Set `incoming`'s settings in `base`, which must hold each key; `store` false only checks."""
     for key, value in incoming.items():
         dotted = f"{prefix}{key}"
         if key not in base:
@@ -161,8 +163,8 @@ def _merge(base: dict, incoming: dict, prefix: str = "") -> None:
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {dotted!r} expects a section, got {value!r}")
-            _merge(base[key], value, prefix=dotted + ".")
-        else:
+            _merge(base[key], value, dotted + ".", store)
+        elif store:
             base[key] = _coerce(dotted, base[key], value)
 
 

@@ -1,13 +1,14 @@
 """Sweep orchestration: train/attack/evaluate grids over one artifact cache.
 
-Every cached stage goes through `artifact`: its path is a hash of every input
-the stage depends on, a complete artifact is reused, one that fails to load
-is rebuilt, and a new one is published with a single rename. Re-running a
-sweep is therefore idempotent, and two fresh runs of the same config produce
-byte-identical results.csv. Processes may fill one cache at once: each
-writes its own temporary, and one that loses the rename loads the winner's.
-Vanilla cells run first: their rankings define the per-(algo, seed)
-evaluation bed every condition is scored on.
+Every cached stage goes through `artifact`: its path is a hash of a dict of
+every input the stage depends on, and its build reads its settings from that
+dict alone (the review file is read by path; its sha256 is hashed). A complete
+artifact is reused, one that fails to load is rebuilt, and a new one is
+published with a single rename. Re-running a sweep is therefore idempotent,
+and two fresh runs of the same config produce byte-identical results.csv.
+Processes may fill one cache at once: each writes its own temporary, and one
+that loses the rename loads the winner's. Vanilla cells run first: their
+rankings define the per-(algo, seed) evaluation bed every condition is scored on.
 
 A `Sweep` holds what the grid shares and first checks every setting
 (`config.check_settings`), so a bad value builds no artifact. A `Run` holds
@@ -15,9 +16,9 @@ everything about one cell: its id and keys, hashed once, and its model and
 attack gradient, loaded or built on first use, like the sweep's dataset and
 evaluation inputs, when a results row has to be built. A rerun of a finished
 grid therefore reads only the review file, each bed once per (algo, seed) and
-each results row. Beds alone are read eagerly, before a cell's rows: a bed is one small
-JSON file, and its lookup is where a traced rerun counts the pairs every
-condition is scored on. Every eps_a of a cell shares one model and one
+each results row. Beds alone are read eagerly, before a cell's rows: a bed is
+one small JSON file, and its lookup is where a traced rerun counts the pairs
+every condition is scored on. Every eps_a of a cell shares one model and one
 attack gradient, dropped when the cell ends.
 """
 from __future__ import annotations
@@ -178,10 +179,10 @@ class SweepCell:
 
 def sweep_cell(algo: str, lam: float, eps_d: float, seed: int) -> SweepCell:
     """The cell of one training run: lambda = 0 leaves the defense budget
-    unused, so eps_d collapses to 0 there."""
+    unused, so eps_d collapses to 0 there; -0 is read as 0, as in `budgets`."""
     if lam == 0.0:
         return SweepCell(algo, 0.0, 0.0, int(seed))
-    return SweepCell(algo, float(lam), float(eps_d), int(seed))
+    return SweepCell(algo, float(lam), float(eps_d) or 0.0, int(seed))
 
 
 def enumerate_cells(algos, lambdas, eps_ds, seeds) -> list[SweepCell]:
@@ -228,18 +229,18 @@ def review_sha256(cfg: dict) -> str:
 def load_dataset(cfg: dict, cache: Path, sha256: str | None = None) -> Dataset:
     """Build (or reuse) the split and aspect matrices for cfg['dataset'];
     `sha256` is the review file's `review_sha256`, hashed here when not given."""
-    dcfg = cfg["dataset"]
-    sha256 = sha256 or review_sha256(cfg)
+    path, sha256 = cfg["dataset"]["path"], sha256 or review_sha256(cfg)
+    source = _dataset_source(cfg, sha256)
 
     def build() -> Dataset:
-        raw = Path(dcfg["path"]).read_bytes()
+        raw = Path(path).read_bytes()
         if hashlib.sha256(raw).hexdigest() != sha256:
-            raise ValueError(f"{dcfg['path']} changed while it was being read")
+            raise ValueError(f"{path} changed while it was being read")
         reviews = ingest_reviews(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
-                                 min_reviews_per_user=int(dcfg["min_reviews_per_user"]),
-                                 max_rating=int(dcfg["max_rating"]))
-        split = build_split(reviews, SplitConfig(seed=dcfg["seed"]),
-                            max_rating=int(dcfg["max_rating"]))
+                                 min_reviews_per_user=source["min_reviews_per_user"],
+                                 max_rating=source["max_rating"])
+        split = build_split(reviews, SplitConfig(seed=source["seed"]),
+                            max_rating=source["max_rating"])
         X, Y = build_matrices(split)
         return Dataset(split, X, Y, {**dataset_stats(reviews), "sha256": sha256})
 
@@ -254,8 +255,7 @@ def load_dataset(cfg: dict, cache: Path, sha256: str | None = None) -> Dataset:
             raise ValueError(f"{path}: stats must be an object with the review file's sha256")
         return Dataset(split_from_arrays(manifest, arrays), arrays["X"], arrays["Y"], stats)
 
-    key = config_hash(_dataset_source(cfg, sha256))
-    return artifact(cache / "datasets" / key, build, save, load)
+    return artifact(cache / "datasets" / config_hash(source), build, save, load)
 
 
 def cell_run_config(cfg: dict, cell: SweepCell, sha256: str) -> dict:
@@ -296,8 +296,8 @@ class Sweep:
 
 class Run:
     """One cell of a sweep: its run id and directory, the keys of its bed and
-    attack and its attack artifact's path, set once, and its model and attack
-    gradient, loaded or built on first use."""
+    attack beside the dicts they hash and its attack artifact's path, set
+    once, and its model and attack gradient, loaded or built on first use."""
 
     def __init__(self, sweep: Sweep, cell: SweepCell):
         cfg, attack = sweep.cfg, sweep.cfg["attack"]
@@ -308,9 +308,9 @@ class Run:
         # the vanilla run of (algo, seed), whose directory keeps the bed
         self.vanilla_id = self.run_id if cell == cell.vanilla else \
             config_hash(cell_run_config(cfg, cell.vanilla, sweep.sha256))
-        self.bed_key = config_hash({"run": self.vanilla_id, "k_rec": int(cfg["eval"]["k_rec"])})
-        self.attack_key = config_hash({"run": self.run_id, "seed": int(attack["seed"]),
-                                       "batch_size": int(attack["batch_size"])})
+        self.bed_config = {"run": self.vanilla_id, "k_rec": cfg["eval"]["k_rec"]}
+        self.attack_config = {"run": self.run_id, **{k: attack[k] for k in ("seed", "batch_size")}}
+        self.bed_key, self.attack_key = map(config_hash, (self.bed_config, self.attack_config))
         self.attack_path = self.dir / f"attack_{self.attack_key}"
 
     @functools.cached_property
@@ -322,11 +322,11 @@ class Run:
         """The trained run's attack gradient Xi, shared by every eps_a and
         kept at `attack_path` in checkpoint format with ||Xi||_2 in the
         manifest. `scale_attack` turns it into the delta for one budget."""
-        model, attack = self.model, self.sweep.cfg["attack"]
+        model, attack = self.model, self.attack_config
 
         def build() -> AttackGradient:
-            return attack_gradient(model, self.cell.defense, seed=int(attack["seed"]),
-                                   batch_size=int(attack["batch_size"]))
+            return attack_gradient(model, self.cell.defense, seed=attack["seed"],
+                                   batch_size=attack["batch_size"])
 
         def load(path: Path) -> AttackGradient:
             manifest, xi = load_checkpoint(path)
@@ -369,10 +369,10 @@ def ensure_trained(sweep: Sweep, cell: SweepCell, run: Run) -> tuple[Recommender
     parameters, attached to the split, its run directory, named by the run
     id, and its checkpoint manifest. Trains unless the checkpoint is cached."""
     data = sweep.data
-    split, model = data.split, new_model(sweep.cfg, cell, data)
+    split, model = data.split, new_model(run.config, cell, data)
 
     def build() -> dict:
-        result = train_defended(model, split, cell.defense, training_config(sweep.cfg), cell.seed)
+        result = train_defended(model, split, cell.defense, training_config(run.config), cell.seed)
         return {"kind": cell.algo, "config": run.config, "seed": cell.seed,
                 "dims": {"n_users": split.n_users, "n_items": split.n_items,
                          "n_features": split.n_features, "n_rating": split.n_rating},
@@ -395,7 +395,7 @@ def ensure_bed(sweep: Sweep, cell: SweepCell, run: Run) -> dict[int, list[int]]:
     model, `run`'s own when it is the vanilla run."""
     def build() -> dict[int, list[int]]:
         vanilla = run if run.run_id == run.vanilla_id else Run(sweep, cell.vanilla)
-        return build_bed(vanilla.model, sweep.data.split, k_rec=int(sweep.cfg["eval"]["k_rec"]))
+        return build_bed(vanilla.model, sweep.data.split, k_rec=run.bed_config["k_rec"])
 
     def save(path: Path, bed: dict[int, list[int]]) -> None:
         path.write_text(json.dumps({str(u): vs for u, vs in sorted(bed.items())}, sort_keys=True))
@@ -419,10 +419,9 @@ def ensure_eval(sweep: Sweep, cell: SweepCell, run: Run, bed: dict[int, list[int
     built, so a cached row is reused without any of them; a clean row's key
     leaves the attack settings out, as its value does."""
     cfg = sweep.cfg
-    top_n, k_ndcg = int(cfg["eval"]["top_n"]), int(cfg["eval"]["k_ndcg"])
     source = {"run": run_id} if eps_a == 0.0 else {"attack": run.attack_key}
-    key = config_hash({**source, "eps_a": eps_a, "bed": run.bed_key,
-                       "top_n": top_n, "k_ndcg": k_ndcg, "dataset": cfg["dataset"]["name"]})
+    row_config = {**source, "eps_a": eps_a, "bed": run.bed_key, "top_n": cfg["eval"]["top_n"],
+                  "k_ndcg": cfg["eval"]["k_ndcg"], "dataset": cfg["dataset"]["name"]}
 
     def build() -> dict:
         target, grad_norm = run.model, None
@@ -430,8 +429,8 @@ def ensure_eval(sweep: Sweep, cell: SweepCell, run: Run, bed: dict[int, list[int
             target = attacked_copy(target, scale_attack(run.gradient, eps_a).delta)
             grad_norm = run.gradient.grad_norm
         report = evaluate(target, sweep.data.split, bed, sweep.gold, sweep.user_features,
-                          top_n=top_n, k_ndcg=k_ndcg)
-        return {"run_id": run_id, "algo": cell.algo, "dataset": cfg["dataset"]["name"],
+                          top_n=row_config["top_n"], k_ndcg=row_config["k_ndcg"])
+        return {"run_id": run_id, "algo": cell.algo, "dataset": row_config["dataset"],
                 "lambda": cell.lam, "eps_d": cell.eps_d, "eps_a": eps_a,
                 "condition": "clean" if eps_a == 0.0 else "attacked",
                 **{c: getattr(report, c) for c in REPORT_COLUMNS}, "grad_norm": grad_norm}
@@ -448,7 +447,7 @@ def ensure_eval(sweep: Sweep, cell: SweepCell, run: Run, bed: dict[int, list[int
             raise ValueError(f"{path}: results row has wrong-typed {bad}")
         return row
 
-    return artifact(run.dir / f"eval_{key}.json", build,
+    return artifact(run.dir / f"eval_{config_hash(row_config)}.json", build,
                     lambda path, row: path.write_text(json.dumps(row, indent=2, sort_keys=True)),
                     load)
 

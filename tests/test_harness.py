@@ -123,6 +123,26 @@ def test_check_settings_applies_the_type_rule(dotted, value):
     check_settings(cfg)
 
 
+@pytest.mark.parametrize("path, value, text", [
+    (("eval", "topn"), 3, "unknown config key: 'eval.topn' (valid here: ['k_ndcg', 'k_rec', "
+                          "'top_n'])"),
+    (("defense", "lamda"), 0.5, "unknown config key: 'defense.lamda' (valid here: "
+                                "['eps_d', 'lambda'])"),
+    (("evals",), {"top_n": 3}, "unknown config key: 'evals' (valid here: ['attack', "
+                               "'dataset', 'defense', 'eval', 'model', 'sweep', 'training'])"),
+    (("eval",), 3, "config key 'eval' expects a section, got 3"),
+], ids=["eval.topn", "defense.lamda", "evals", "eval-not-a-section"])
+def test_check_settings_rejects_a_key_the_defaults_lack(path, value, text):
+    # a misspelled key built in code would be ignored and its default used;
+    # the check names it as load_config and apply_override do
+    cfg = default_config()
+    *sections, key = path
+    functools.reduce(dict.__getitem__, sections, cfg)[key] = value
+    with pytest.raises(ConfigError) as err:
+        check_settings(cfg)
+    assert str(err.value) == text
+
+
 def test_a_config_built_in_code_names_the_runs_of_the_same_overrides(corpus, tmp_path):
     # ints for float settings are stored as the floats a file or an override
     # gives, so the run ids and keys hashed from either config are the same
@@ -429,6 +449,14 @@ def test_enumerate_cells_vanilla_first_and_collapsed():
         [SweepCell("efm", 0.0, 0.0, 0), SweepCell("efm", 0.5, 0.25, 0)]
     assert sweep.budgets([0, 0.5, 0.5, 0.0, 0.25]) == [0.0, 0.5, 0.25]
     assert [str(e) for e in sweep.budgets([-0.0, 0.5])] == ["0.0", "0.5"]
+
+
+def test_a_negative_zero_eps_d_names_the_run_of_zero(corpus, tmp_path):
+    # equal cells must hash to one run id, or "eps_ds": [-0.0] trains twice
+    grid = sweep.Sweep(_sweep_config(corpus), tmp_path / "cache")
+    cells = [sweep.sweep_cell("efm", 0.5, eps_d, 0) for eps_d in (-0.0, 0.0)]
+    assert str(cells[0].eps_d) == "0.0"
+    assert len({sweep.Run(grid, cell).run_id for cell in cells}) == 1
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

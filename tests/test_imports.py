@@ -14,7 +14,9 @@ module is imported inside a function, where an import cycle would hide.
 `robustrec.harness.config` and `sweep`, which the benchmark's child process
 imports, load no argparse.
 No function in `harness/sweep.py` takes more than four parameters: what a
-stage needs about a cell is on its `Run`.
+stage needs about a cell is on its `Run`. No `build` there reads the config:
+a cached stage builds from the dict its key hashes, so no setting reaches an
+artifact without entering its key.
 """
 import ast
 import os
@@ -242,6 +244,47 @@ def test_sweep_functions_take_at_most_four_parameters():
     # ensure_eval keeps its run id and eps_a, positions 4 and 5, because
     # bench/tracing.py reads them by position to key each results row
     assert wide_functions(SRC / "harness" / "sweep.py") == ["ensure_eval (6 parameters)"]
+
+
+CONFIG_NAMES = {"cfg", "dcfg"}
+
+
+def config_reads_in_builds(path: Path) -> list[str]:
+    """`build (line N) reads ...` for each function named `build` in `path`
+    whose body, nested functions included, names `cfg` or `dcfg` or reads a
+    `.cfg` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "build":
+            reads = {sub.id for sub in ast.walk(node)
+                     if isinstance(sub, ast.Name) and sub.id in CONFIG_NAMES}
+            reads |= {".cfg" for sub in ast.walk(node)
+                      if isinstance(sub, ast.Attribute) and sub.attr == "cfg"}
+            if reads:
+                found.append((node.lineno, f"build (line {node.lineno}) reads "
+                                           f"{', '.join(sorted(reads))}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_no_sweep_build_reads_the_config():
+    # a build that read a setting its key does not hash would let a cached
+    # artifact stand for other inputs; reads belong in the key dict
+    assert config_reads_in_builds(SRC / "harness" / "sweep.py") == []
+
+
+def test_the_config_check_finds_a_planted_read(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def stage(cfg, sweep):\n    key = cfg['eval']\n"
+                      "    dcfg = cfg['dataset']\n"
+                      "    def build():\n        return dcfg['seed'] + key\n"
+                      "    def load():\n        return cfg\n"
+                      "class Run:\n    def build(self):\n        return self.sweep.cfg\n"
+                      "def other(sweep):\n    config = sweep.config\n"
+                      "    def build():\n        def inner():\n            return cfg\n"
+                      "        return config['eval'], inner\n"
+                      "    def build_bed():\n        return sweep.cfg\n")
+    assert config_reads_in_builds(module) == [
+        "build (line 4) reads dcfg", "build (line 9) reads .cfg", "build (line 13) reads cfg"]
 
 
 def test_the_parameter_check_counts_every_kind(tmp_path):

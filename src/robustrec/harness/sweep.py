@@ -229,13 +229,13 @@ def review_sha256(cfg: dict) -> str:
 def load_dataset(cfg: dict, cache: Path, sha256: str | None = None) -> Dataset:
     """Build (or reuse) the split and aspect matrices for cfg['dataset'];
     `sha256` is the review file's `review_sha256`, hashed here when not given."""
-    path, sha256 = cfg["dataset"]["path"], sha256 or review_sha256(cfg)
+    review, sha256 = cfg["dataset"]["path"], sha256 or review_sha256(cfg)
     source = _dataset_source(cfg, sha256)
 
     def build() -> Dataset:
-        raw = Path(path).read_bytes()
+        raw = Path(review).read_bytes()
         if hashlib.sha256(raw).hexdigest() != sha256:
-            raise ValueError(f"{path} changed while it was being read")
+            raise ValueError(f"{review} changed while it was being read")
         reviews = ingest_reviews(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
                                  min_reviews_per_user=source["min_reviews_per_user"],
                                  max_rating=source["max_rating"])

@@ -30,6 +30,7 @@ from .rng import derive_seed, samples_excluding
 log = logging.getLogger(__name__)
 
 MAX_RATING = 5  # the default rating scale N
+PAD = -1  # fills a candidate row past the end of its list
 TRAIN, VAL, TEST = 0, 1, 2  # values of DatasetSplit.part
 _COLUMNS = ("user", "item", "rating", "timestamp")  # per-interaction columns besides part
 # the DatasetSplit fields the dataset artifact stores in its manifest, and as arrays
@@ -73,8 +74,9 @@ class DatasetSplit:
     split order, then each validation positive (in `val_users` order), then
     each test user's positives, chronological (users in `test_users` order),
     told apart by `part`. Validation and test users, ascending, come with
-    their negatives as [users, n_neg] matrices. Arrays that disagree in
-    length or order raise ValueError.
+    their negatives as [users, n_neg] matrices, from which `val_candidates`
+    and `test_candidates` lay out, once, the lists every ranking pass
+    slices. Arrays that disagree in length or order raise ValueError.
     """
     users: list[str]
     items: list[str]
@@ -144,15 +146,27 @@ class DatasetSplit:
         return pos
 
     @cached_property
-    def test_candidates(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """(positives, candidates) by test user, ascending, built once: the
-        positives are the user's test items, chronological, and the candidates
-        those positives followed by the user's negatives."""
+    def val_candidates(self) -> np.ndarray:
+        """[U_val, 1 + n_val_neg]: each validation user's list, in `val_users`
+        order, built once: its positive, then its negatives."""
+        return np.column_stack([self.item[self.part == VAL], self.val_negatives])
+
+    @cached_property
+    def test_candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        """[U_test, C]: each test user's list, in `test_users` order, built
+        once: its positives, chronological, then its negatives, `PAD` after a
+        list shorter than C; and [U_test]: how many positives lead each row.
+        A split keeps one interaction per (user, item) and draws negatives the
+        user never touched, so the positives are exactly those columns."""
         test = self.part == TEST
-        users, items = self.user[test], self.item[test]
-        positives = np.split(items, np.flatnonzero(np.diff(users)) + 1)
-        return {u: (pos, np.concatenate([pos, neg])) for u, pos, neg
-                in zip(self.test_users.tolist(), positives, self.test_negatives)}
+        users, n_neg = self.user[test], self.test_negatives.shape[1]
+        row = np.searchsorted(self.test_users, users)
+        n_pos = np.bincount(row, minlength=len(self.test_users))
+        out = np.full((len(n_pos), n_pos.max(initial=0) + n_neg), PAD, dtype=np.int64)
+        out[row, np.arange(len(row)) - (np.cumsum(n_pos) - n_pos)[row]] = self.item[test]
+        out[np.arange(len(n_pos))[:, None], n_pos[:, None] + np.arange(n_neg)] = \
+            self.test_negatives
+        return out, n_pos
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ of one evaluation go to the model in a single `explain_pairs` call, and
 counterfactual explanations whose solve missed its target are counted.
 
 Each pass ranks its users `CHUNK_USERS` at a time: a chunk's candidate lists
-are the rows of one matrix, padded with `PAD`, which the model scores in one
+are a slice of rows of the split's `val_candidates` or `test_candidates`,
+built once per split and padded with `PAD`, which the model scores in one
 `score_matrix` call, `rank_rows` ranks and `ndcg_rows` scores. `evaluate`
 hands copies of the bed users' candidate scores on to the explanations, so
-no user is scored twice, and holds none of the pass's matrices while it
-explains.
+no user is scored twice, and holds none of the pass's score matrices while
+it explains.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import TEST, TRAIN, VAL, DatasetSplit
-from .models.base import PAD, Recommender, rank_rows
+from .dataset import PAD, TEST, TRAIN, DatasetSplit
+from .models.base import Recommender, rank_rows
 
 # users a ranking pass scores and ranks at once: a chunk's matrices, and the
 # [chunk, n_items] tables EFM builds for it, stay small whatever the number
@@ -66,52 +67,34 @@ def _mean(parts: list[np.ndarray]) -> float:
     return float(np.cumsum(values)[-1]) / len(values) if len(values) else 0.0
 
 
-def _padded(lists: Sequence[np.ndarray]) -> np.ndarray:
-    """The lists as the rows of one matrix, `PAD` after each shorter list."""
-    lengths = np.array([len(row) for row in lists], dtype=np.int64)
-    out = np.full((len(lists), lengths.max(initial=0)), PAD, dtype=np.int64)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(lists) if len(lists) else PAD
-    return out
-
-
-def _ranked_chunks(model: Recommender, users: np.ndarray, lists: Sequence[np.ndarray]):
+def _ranked_chunks(model: Recommender, users: np.ndarray, lists: np.ndarray):
     """Per chunk of at most `CHUNK_USERS` users, in order: the chunk's slice,
-    the model's scores of its lists, as `PAD`-padded rows, and each row's
-    columns in rank order (`rank_rows`)."""
+    the model's scores of its rows of `lists`, a split's `PAD`-padded
+    candidate matrix, and each row's columns in rank order (`rank_rows`)."""
     for lo in range(0, len(users), CHUNK_USERS):
         part = slice(lo, lo + CHUNK_USERS)
-        rows = _padded(lists[part])
+        rows = lists[part]
         scores = model.score_matrix(users[part], rows)
         yield part, scores, rank_rows(scores, rows)
 
 
-def _test_lists(split: DatasetSplit) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each test user's candidates, in `test_users` order, and how many of
-    them lead the list as its positives. A split keeps one interaction per
-    (user, item) and draws negatives the user never touched, so the
-    positives are exactly the candidates in those columns."""
-    lists = split.test_candidates.values()
-    return [cands for _, cands in lists], np.array([len(pos) for pos, _ in lists], dtype=np.int64)
-
-
 def validation_ndcg(model: Recommender, split: DatasetSplit, k: int = 10) -> float:
     """Mean NDCG@k over each user's 1-positive + sampled-negatives list."""
-    lists = np.column_stack([split.item[split.part == VAL], split.val_negatives])
     ndcg = [ndcg_rows(order[:, :k] == 0, np.ones(len(order)), k)
-            for _, _, order in _ranked_chunks(model, split.val_users, lists)]
+            for _, _, order in _ranked_chunks(model, split.val_users, split.val_candidates)]
     return _mean(ndcg)
 
 
 def build_bed(model: Recommender, split: DatasetSplit, k_rec: int = 5) -> dict[int, list[int]]:
     """Per user, the test positives the given model ranks in its top `k_rec`
     of the user's candidate list. Evaluate every condition on the same bed."""
-    cands, n_pos = _test_lists(split)
+    cands, n_pos = split.test_candidates
     bed: dict[int, list[int]] = {}
     for part, _, order in _ranked_chunks(model, split.test_users, cands):
         top = np.sort(order[:, :k_rec], axis=1)  # the list's order: positives chronological
-        for i, (u, cols) in enumerate(zip(split.test_users[part].tolist(), top)):
-            if len(hits := cols[cols < n_pos[part][i]]):
-                bed[u] = cands[part.start + i][hits].tolist()
+        for u, row, cols, n in zip(split.test_users[part].tolist(), cands[part], top, n_pos[part]):
+            if len(hits := cols[cols < n]):
+                bed[u] = row[hits].tolist()
     return bed
 
 
@@ -172,13 +155,13 @@ def _rank_test_users(model: Recommender, split: DatasetSplit, bed: dict[int, lis
                      k_ndcg: int) -> tuple[float, dict[int, np.ndarray]]:
     """Mean NDCG@k_ndcg over the test users, and a copy of each bed user's
     candidate scores, in `candidate_items` order."""
-    cands, n_pos = _test_lists(split)
+    cands, n_pos = split.test_candidates
     ndcg, bed_scores = [], {}
     for part, scores, order in _ranked_chunks(model, split.test_users, cands):
         ndcg.append(ndcg_rows(order[:, :k_ndcg] < n_pos[part, None], n_pos[part], k_ndcg))
-        for i, u in enumerate(split.test_users[part].tolist()):
+        for u, row, listed in zip(split.test_users[part].tolist(), scores, cands[part] != PAD):
             if u in bed:
-                bed_scores[u] = scores[i, :len(cands[part.start + i])].copy()
+                bed_scores[u] = row[listed]
     return _mean(ndcg), bed_scores
 
 

@@ -117,13 +117,14 @@ SETTINGS: dict[str, Setting] = {
 
 
 def check_settings(cfg: dict) -> None:
-    """Before any artifact: a key `DEFAULTS` lacks, a value of another type
-    than its default (the rules of `load_config` and `apply_override`, which
-    a config built in code skips), a value its key's row of `RULES` forbids,
-    or an algo `models.MODELS` lacks or with settings its model cannot use,
-    raises ConfigError naming the key, or the model section for a model's
-    setting. A value the type rule converts (an int for a float) is stored
-    back, so a config built in code hashes as one loaded from a file."""
+    """Before any artifact: a key `DEFAULTS` lacks, a key of it missing, a
+    value of another type than its default (the rules of `load_config` and
+    `apply_override`, which a config built in code skips), a value its key's
+    row of `RULES` forbids, or an algo `models.MODELS` lacks or with settings
+    its model cannot use, raises ConfigError naming the key, or the model
+    section for a model's setting. A value the type rule converts (an int for
+    a float) is stored back, so a config built in code hashes as one loaded
+    from a file."""
     _merge(DEFAULTS, cfg, store=False)
     for dotted, (path, key, default, rule) in SETTINGS.items():
         section = cfg
@@ -154,7 +155,10 @@ def default_config() -> dict:
 
 
 def _merge(base: dict, incoming: dict, prefix: str = "", store: bool = True) -> None:
-    """Set `incoming`'s settings in `base`, which must hold each key; `store` false only checks."""
+    """Set `incoming`'s settings in `base`, which must hold each key; `store`
+    false only checks, and also that `incoming` holds every key of `base`."""
+    if not store and (missing := [key for key in base if key not in incoming]):
+        raise ConfigError(f"missing config key: {prefix + missing[0]!r}")
     for key, value in incoming.items():
         dotted = f"{prefix}{key}"
         if key not in base:

@@ -15,7 +15,8 @@ its single-pair case.
 A clean `loss_grad` pass may share its Y-free work with the adversarial pass
 after it; that work is not kept on the model, where a parameter update would
 make it stale. `rank_rows` ranks the candidate lists of many users at once,
-each list a row padded with `PAD`; `rank_items` is its one-row case.
+each list a row padded with `PAD` (defined with the split, which lays the
+lists out); `rank_items` is its one-row case.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ..dataset import MAX_RATING, TRAIN, DatasetSplit
+from ..dataset import MAX_RATING, PAD, TRAIN, DatasetSplit
 from ..diffcore import Tensor
 from ..rng import SplitMix64
 
@@ -77,9 +78,6 @@ def scatter_add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -
     np.add.at(flat, (rows[:, None] * n + np.arange(n)).ravel(), values.ravel())
 
 
-PAD = -1  # fills a candidate row past the end of its list
-
-
 def rank_rows(scores: np.ndarray, items: np.ndarray) -> np.ndarray:
     """The columns of each row of `items` [U, C], ordered by descending score
     of `scores` [U, C]; exact ties go to the lower item id. `PAD` slots, which
@@ -124,12 +122,15 @@ class Recommender(ABC):
         self.n_rating = split.n_rating
 
     def candidate_items(self, u: int) -> np.ndarray:
-        """Test user u's candidates of `DatasetSplit.test_candidates`: its
-        positives, then its negatives. A user without one raises KeyError."""
-        try:
-            return self._split.test_candidates[u][1]
-        except KeyError:
-            raise KeyError(f"user {u} has no held-out candidate list") from None
+        """Test user u's row of `DatasetSplit.test_candidates` without its
+        `PAD` slots: its positives, then its negatives. A user without one
+        raises KeyError."""
+        users = self._split.test_users
+        row = int(np.searchsorted(users, u))
+        if row == len(users) or users[row] != u:
+            raise KeyError(f"user {u} has no held-out candidate list")
+        cands = self._split.test_candidates[0][row]
+        return cands[cands != PAD]
 
     def epoch_batches(self, rng: SplitMix64, batch_size: int) -> Iterator[PairBatch]:
         """Shuffled minibatches of train interactions plus 1:1 sampled negatives.

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustrec.aspects import build_matrices, count_mentions
-from robustrec.dataset import (SPLIT_ARRAYS, TEST, TRAIN, VAL, IngestError, SplitConfig,
+from robustrec.dataset import (PAD, SPLIT_ARRAYS, TEST, TRAIN, VAL, IngestError, SplitConfig,
                                SplitError, build_split, dataset_stats, ingest_reviews,
                                split_arrays, split_from_arrays)
 from robustrec.evalkit import gold_explanations, train_feature_sets
@@ -83,12 +83,13 @@ def test_short_user_rules(caplog):
 
 
 def test_candidate_items_are_the_split_test_lists(tiny_split, efm_tiny, cer_tiny):
-    lists = list(tiny_split.test_candidates.items())
-    assert [u for u, _ in lists] == tiny_split.test_users.tolist()
+    cands, n_pos = tiny_split.test_candidates
+    assert len(cands) == len(n_pos) == len(tiny_split.test_users)
     for model in (efm_tiny, cer_tiny):
-        for u, (positives, cands) in lists:
+        for u, row, n in zip(tiny_split.test_users.tolist(), cands, n_pos):
             got = model.candidate_items(u).tolist()
-            assert got == cands.tolist() and got[:len(positives)] == positives.tolist()
+            assert got == row[row != PAD].tolist()
+            assert got[:n] == [it.item for it in interactions(tiny_split, TEST, u)]
         with pytest.raises(KeyError, match=f"user {tiny_split.n_users} has no held-out"):
             model.candidate_items(tiny_split.n_users)
     # a user of the split with a validation but no test interaction
@@ -374,10 +375,19 @@ def test_array_readers_match_per_interaction_loops(reviews):
 
     assert split.val_users.tolist() == [it.user for it in rows if it.part == VAL]
     assert split.test_users.tolist() == sorted({it.user for it in rows if it.part == TEST})
-    for row, (u, (positives, cands)) in enumerate(split.test_candidates.items()):
+    # the candidate matrices, row by row, are the per-user lists; `PAD` fills
+    # a test row past the end of a list shorter than the longest
+    cands, n_pos = split.test_candidates
+    assert cands.shape == (len(split.test_users),
+                           n_pos.max(initial=0) + split.test_negatives.shape[1])
+    for row, u in enumerate(split.test_users.tolist()):
         want = [it.item for it in interactions(split, TEST, u)]
-        assert positives.tolist() == want
-        assert cands.tolist() == want + split.test_negatives[row].tolist()
+        assert n_pos[row] == len(want)
+        assert cands[row].tolist() == want + split.test_negatives[row].tolist() + \
+            [PAD] * (cands.shape[1] - len(want) - split.test_negatives.shape[1])
+    assert split.val_candidates.shape == (len(split.val_users), 1 + split.val_negatives.shape[1])
+    for row, it in enumerate(interactions(split, VAL)):
+        assert split.val_candidates[row].tolist() == [it.item] + split.val_negatives[row].tolist()
 
     again = split_from_arrays(*split_arrays(split))
     assert interactions(again) == rows

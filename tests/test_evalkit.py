@@ -300,19 +300,21 @@ def test_ranking_passes_equal_the_per_user_definitions(k, chunk, monkeypatch):
     model = _ScriptedModel(lambda u, v: float((7 * u + 3 * v) % 5) - 2.0)
     total = 0.0
     bed = {}
-    for u, (positives, cands) in split.test_candidates.items():
+    for u in split.test_users.tolist():
+        positives = [it.item for it in interactions(split, TEST, u)]
+        cands = np.array(positives + list(range(6)))
         ranked = rank_items(model.scores(u, cands), cands)
-        total += ndcg_at(ranked, set(positives.tolist()), k)
-        if hits := [v for v in positives.tolist() if v in ranked[:k]]:
+        total += ndcg_at(ranked, set(positives), k)
+        if hits := [v for v in positives if v in ranked[:k]]:
             bed[u] = hits
     assert evaluate(model, split, {}, {}, {}, k_ndcg=k).ndcg == total / len(split.test_users)
     assert build_bed(model, split, k_rec=k) == bed
 
     total = 0.0
-    cands = np.column_stack([split.item[split.part == VAL], split.val_negatives])
-    for u, row in zip(split.val_users.tolist(), cands):
-        total += ndcg_at(rank_items(model.scores(u, row), row), {int(row[0])}, k)
-    assert validation_ndcg(model, split, k=k) == total / len(cands)
+    for it in interactions(split, VAL):
+        row = np.array([it.item] + list(range(6)))
+        total += ndcg_at(rank_items(model.scores(it.user, row), row), {it.item}, k)
+    assert validation_ndcg(model, split, k=k) == total / len(split.val_users)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

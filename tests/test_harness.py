@@ -31,6 +31,7 @@ from robustrec.harness.sweep import (CACHE_ENV, RESULT_COLUMNS, RESULT_TABLE, Sw
                                      enumerate_cells, resolve_cache, run_sweep,
                                      write_results)
 from robustrec.models import CERConfig, EFM, EFMConfig, build_model
+from robustrec.models.base import Recommender
 from robustrec.models.checkpoint import load_checkpoint, save_checkpoint
 from robustrec.robustness import (DefenseConfig, EarlyStopper, TrainingConfig, TrainResult,
                                   attack_weights, train_defended)
@@ -138,6 +139,22 @@ def test_check_settings_rejects_a_key_the_defaults_lack(path, value, text):
     cfg = default_config()
     *sections, key = path
     functools.reduce(dict.__getitem__, sections, cfg)[key] = value
+    with pytest.raises(ConfigError) as err:
+        check_settings(cfg)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("path, text", [
+    (("eval", "top_n"), "missing config key: 'eval.top_n'"),
+    (("attack",), "missing config key: 'attack'"),
+    (("model", "cer", "hidden"), "missing config key: 'model.cer.hidden'"),
+], ids=["eval.top_n", "attack", "model.cer.hidden"])
+def test_check_settings_names_a_missing_key(path, text):
+    # a config built in code may lack a setting or a whole section; the check
+    # names it by its dotted key, not as a bare KeyError of its last part
+    cfg = default_config()
+    *sections, key = path
+    del functools.reduce(dict.__getitem__, sections, cfg)[key]
     with pytest.raises(ConfigError) as err:
         check_settings(cfg)
     assert str(err.value) == text
@@ -651,6 +668,25 @@ def test_cold_sweep_reads_back_nothing_it_built(corpus, tmp_path, monkeypatch):
     # behind its attacked rows, are the ones this sweep just built
     assert loads == []
     assert norms == []
+
+
+def test_every_ranking_pass_of_a_sweep_slices_the_split_matrices(corpus, tmp_path,
+                                                                  monkeypatch):
+    # the split builds its candidate matrices once; every pass of a sweep
+    # (validation epochs, beds, results rows) scores slices of those objects
+    scored = []
+    for cls in (Recommender, EFM):
+        def spy(self, users, candidates, real=cls.score_matrix):
+            scored.append((self._split, candidates))
+            return real(self, users, candidates)
+
+        monkeypatch.setattr(cls, "score_matrix", spy)
+    cfg = _sweep_config(corpus)
+    cfg["sweep"]["algos"] = ["efm", "cer"]
+    run_sweep(cfg, tmp_path / "cache")
+    [split] = {id(split): split for split, _ in scored}.values()
+    matrices = {id(split.val_candidates), id(split.test_candidates[0])}
+    assert {id(candidates.base) for _, candidates in scored} == matrices
 
 
 @pytest.fixture(scope="module")

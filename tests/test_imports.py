@@ -249,27 +249,66 @@ def test_sweep_functions_take_at_most_four_parameters():
 CONFIG_NAMES = {"cfg", "dcfg"}
 
 
+def _is_config_chain(node: ast.expr) -> bool:
+    """Whether `node` is `cfg` or `dcfg`, a `.cfg` attribute, or a subscript
+    or attribute chain of one."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        if isinstance(node, ast.Attribute) and node.attr == "cfg":
+            return True
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in CONFIG_NAMES
+
+
+def _bound_names(target: ast.expr, value: ast.expr) -> set[str]:
+    """The names `target = value` binds to a config chain; a tuple target
+    takes each part of a tuple value, or every name from a chain."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        if isinstance(value, (ast.Tuple, ast.List)) and len(value.elts) == len(target.elts):
+            return set().union(*map(_bound_names, target.elts, value.elts))
+        return {sub.id for sub in ast.walk(target)
+                if isinstance(sub, ast.Name)} if _is_config_chain(value) else set()
+    return {target.id} if isinstance(target, ast.Name) and _is_config_chain(value) else set()
+
+
 def config_reads_in_builds(path: Path) -> list[str]:
     """`build (line N) reads ...` for each function named `build` in `path`
-    whose body, nested functions included, names `cfg` or `dcfg` or reads a
-    `.cfg` attribute."""
+    whose body, nested functions included, names `cfg` or `dcfg`, reads a
+    `.cfg` attribute, or names what its enclosing function bound to a
+    subscript or attribute chain of one of these."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "build":
-            reads = {sub.id for sub in ast.walk(node)
-                     if isinstance(sub, ast.Name) and sub.id in CONFIG_NAMES}
-            reads |= {".cfg" for sub in ast.walk(node)
-                      if isinstance(sub, ast.Attribute) and sub.attr == "cfg"}
-            if reads:
-                found.append((node.lineno, f"build (line {node.lineno}) reads "
-                                           f"{', '.join(sorted(reads))}"))
+
+    def visit(node: ast.AST, aliases: set[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, aliases)
+                continue
+            if child.name == "build":
+                reads = {sub.id for sub in ast.walk(child)
+                         if isinstance(sub, ast.Name) and sub.id in CONFIG_NAMES | aliases}
+                reads |= {".cfg" for sub in ast.walk(child)
+                          if isinstance(sub, ast.Attribute) and sub.attr == "cfg"}
+                if reads:
+                    found.append((child.lineno, f"build (line {child.lineno}) reads "
+                                                f"{', '.join(sorted(reads))}"))
+            visit(child, set().union(*(_bound_names(target, sub.value)
+                                       for sub in ast.walk(child) if isinstance(sub, ast.Assign)
+                                       for target in sub.targets)))
+
+    visit(ast.parse(path.read_text()), set())
     return [text for _, text in sorted(found)]
 
 
 def test_no_sweep_build_reads_the_config():
     # a build that read a setting its key does not hash would let a cached
-    # artifact stand for other inputs; reads belong in the key dict
-    assert config_reads_in_builds(SRC / "harness" / "sweep.py") == []
+    # artifact stand for other inputs; reads belong in the key dict. The one
+    # exception is load_dataset's build, which reads the review file at
+    # `review`, dataset.path: the key hashes the file's sha256 in its place
+    path = SRC / "harness" / "sweep.py"
+    [load_dataset] = [node for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.FunctionDef) and node.name == "load_dataset"]
+    [build] = [node for node in load_dataset.body
+               if isinstance(node, ast.FunctionDef) and node.name == "build"]
+    assert config_reads_in_builds(path) == [f"build (line {build.lineno}) reads review"]
 
 
 def test_the_config_check_finds_a_planted_read(tmp_path):
@@ -282,9 +321,14 @@ def test_the_config_check_finds_a_planted_read(tmp_path):
                       "def other(sweep):\n    config = sweep.config\n"
                       "    def build():\n        def inner():\n            return cfg\n"
                       "        return config['eval'], inner\n"
-                      "    def build_bed():\n        return sweep.cfg\n")
+                      "    def build_bed():\n        return sweep.cfg\n"
+                      "class Cell:\n    def gradient(self):\n"
+                      "        model, attack = self.model, self.sweep.cfg['attack']\n"
+                      "        (seed, size), n = self.sweep.cfg['pair'], len(model)\n"
+                      "        def build():\n            return model, attack, seed, size, n\n")
     assert config_reads_in_builds(module) == [
-        "build (line 4) reads dcfg", "build (line 9) reads .cfg", "build (line 13) reads cfg"]
+        "build (line 4) reads dcfg, key", "build (line 9) reads .cfg",
+        "build (line 13) reads cfg", "build (line 23) reads attack, seed, size"]
 
 
 def test_the_parameter_check_counts_every_kind(tmp_path):

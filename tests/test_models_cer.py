@@ -369,8 +369,9 @@ def test_build_model_rejects_malformed_hidden(tiny_split, hidden):
 
 def test_evaluate_scores_each_test_user_once_and_explains_as_before(cer_tiny, tiny_split,
                                                                     monkeypatch):
-    bed = {u: positives.tolist() for u, (positives, _) in tiny_split.test_candidates.items()
-           if len(positives)}
+    cands, n_pos = tiny_split.test_candidates
+    bed = {u: row[:n].tolist() for u, row, n in zip(tiny_split.test_users.tolist(), cands, n_pos)
+           if n}
     gold = {(u, v): {0} for u, items in bed.items() for v in items}
     scored, explained = [], []
     real_scores, real_explain = CER.scores, CER.explain_pairs

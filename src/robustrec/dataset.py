@@ -16,8 +16,10 @@ from items the user never interacted with; the two draws may overlap.
 """
 from __future__ import annotations
 
+import io
 import json
 import logging
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -186,16 +188,25 @@ def _sorted_ids(ids: dict[str, int], codes: np.ndarray) -> tuple[list[str], np.n
     return [names[c] for c in used], index[codes]
 
 
-def ingest_reviews(source: str | Path | Iterable[str], min_reviews_per_user: int = 1,
+def ingest_reviews(source: str | Path | bytes | Iterable[str], min_reviews_per_user: int = 1,
                    max_rating: int = MAX_RATING) -> Reviews:
     """Parse JSON-lines reviews, drop sparse users, sort by (user_id, timestamp).
 
-    Dropping a user never changes any other user's review count, so one
-    filtering pass reaches the fixpoint.
+    `source` is a file path, its bytes or its lines; IngestError names the
+    first line that is not UTF-8. Dropping a user never changes any other
+    user's review count, so one filtering pass reaches the fixpoint.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return ingest_reviews(fh, min_reviews_per_user, max_rating)
+        source = Path(source).read_bytes()
+    if isinstance(source, bytes):
+        try:
+            return ingest_reviews(io.TextIOWrapper(io.BytesIO(source), encoding="utf-8"),
+                                  min_reviews_per_user, max_rating)
+        except UnicodeDecodeError:  # the line is looked for only once decoding failed
+            # surrogateescape reads each byte that is not UTF-8 as U+DC80-U+DCFF
+            lines = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", errors="surrogateescape")
+            i = next(i for i, line in enumerate(lines, 1) if re.search("[\udc80-\udcff]", line))
+            raise IngestError(f"line {i}: not UTF-8") from None
     users, items, features = {}, {}, {}  # id -> code, in order of first sight
     rows, mentions = [], []  # (user, item, rating, timestamp, n_mentions); feature, sentiment
     for i, line in enumerate(source, start=1):

@@ -359,13 +359,11 @@ class Adam:
     form's.
     """
 
-    def __init__(self, params: list[np.ndarray], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[np.ndarray], lr: float, weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
         self._m = [np.zeros_like(p) for p in self.params]

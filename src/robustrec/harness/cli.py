@@ -175,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
                 "evaluate": cmd_evaluate, "sweep": cmd_sweep, "report": cmd_report}
     try:
         handlers[args.command](cfg, cache, args)
-    except (ConfigError, IngestError, SplitError, ResultsError, FileNotFoundError) as e:
+    except (ConfigError, IngestError, SplitError, ResultsError, OSError) as e:
         print(f"robustrec: error: {e}", file=sys.stderr)  # bad input: one line, no traceback
         return 2
     return 0

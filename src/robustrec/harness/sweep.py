@@ -236,8 +236,7 @@ def load_dataset(cfg: dict, cache: Path, sha256: str | None = None) -> Dataset:
         raw = Path(review).read_bytes()
         if hashlib.sha256(raw).hexdigest() != sha256:
             raise ValueError(f"{review} changed while it was being read")
-        reviews = ingest_reviews(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
-                                 min_reviews_per_user=source["min_reviews_per_user"],
+        reviews = ingest_reviews(raw, min_reviews_per_user=source["min_reviews_per_user"],
                                  max_rating=source["max_rating"])
         split = build_split(reviews, SplitConfig(seed=source["seed"]),
                             max_rating=source["max_rating"])

@@ -1,4 +1,5 @@
-"""Recommender models sharing the loss/scores/explain contract."""
+"""Recommender models sharing the loss/scores/explain contract. `MODELS` maps
+each model name to its class, whose `config_class` is its config dataclass."""
 from __future__ import annotations
 
 from ..dataset import DatasetSplit
@@ -12,7 +13,7 @@ __all__ = [
     "PairBatch", "Recommender", "build_model", "counterfactual_deltas",
     "load_checkpoint", "model_config", "rank_items", "save_checkpoint",
 ]
-MODELS = {"efm": (EFM, EFMConfig), "cer": (CER, CERConfig)}
+MODELS = {"efm": EFM, "cer": CER}
 
 
 def model_config(kind: str, model_cfg: dict) -> EFMConfig | CERConfig:
@@ -20,10 +21,10 @@ def model_config(kind: str, model_cfg: dict) -> EFMConfig | CERConfig:
     cannot use raises ValueError."""
     if kind not in MODELS:
         raise ValueError(f"unknown model kind {kind!r} (expected 'efm' or 'cer')")
-    return MODELS[kind][1](**model_cfg.get(kind, {}))
+    return MODELS[kind].config_class(**model_cfg.get(kind, {}))
 
 
 def build_model(kind: str, split: DatasetSplit, model_cfg: dict) -> Recommender:
     """Construct an EFM or CER sized for `split` from a config section dict."""
     config = model_config(kind, model_cfg)
-    return MODELS[kind][0](split.n_users, split.n_items, split.n_features, config=config)
+    return MODELS[kind](split.n_users, split.n_items, split.n_features, config=config)

@@ -1,4 +1,4 @@
-"""Shared recommender contract: batching, ranking, parameter plumbing.
+"""Shared recommender contract: construction, batching, ranking, parameter plumbing.
 
 Both recommenders expose the same surface: `loss_grad`, the batch loss with
 its hand-derived parameter gradients (and optionally dL/dY, which the defense
@@ -102,12 +102,16 @@ def rank_items(scores: np.ndarray, item_ids: np.ndarray) -> list[int]:
 
 
 class Recommender(ABC):
-    """Base class; construct, `attach` a split and its aspect matrices, `reinit`."""
+    """Base class; construct from the sizes and a config (`config_class()` if
+    None), `attach` a split and its aspect matrices, `reinit`."""
 
     kind: str = ""
     binary_targets: bool = False
+    config_class: type  # the model's frozen config dataclass
 
-    def __init__(self) -> None:
+    def __init__(self, n_users: int, n_items: int, n_features: int, config=None) -> None:
+        self.config = self.config_class() if config is None else config
+        self.n_users, self.n_items, self.n_features = n_users, n_items, n_features
         self.params: dict[str, Tensor] = {}
         self.X: np.ndarray | None = None  # user aspect matrix, set by attach
         self.Y: np.ndarray | None = None  # item aspect matrix, set by attach

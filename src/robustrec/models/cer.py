@@ -93,14 +93,7 @@ def counterfactual_deltas(score_grad: Callable[[np.ndarray], tuple[np.ndarray, n
 class CER(Recommender):
     kind = "cer"
     binary_targets = True
-
-    def __init__(self, n_users: int, n_items: int, n_features: int,
-                 config: CERConfig = CERConfig()):
-        super().__init__()
-        self.config = config
-        self.n_users = n_users
-        self.n_items = n_items
-        self.n_features = n_features
+    config_class = CERConfig
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         h1, h2 = self.config.hidden

@@ -49,18 +49,7 @@ class EFMConfig:
 class EFM(Recommender):
     kind = "efm"
     binary_targets = False
-
-    def __init__(self, n_users: int, n_items: int, n_features: int,
-                 config: EFMConfig = EFMConfig()):
-        super().__init__()
-        self.config = config
-        self.n_users = n_users
-        self.n_items = n_items
-        self.n_features = n_features
-        self._Xmask: np.ndarray | None = None
-        self._Ymask: np.ndarray | None = None
-        self._ones_r = np.ones((config.n_factors, 1))
-        self._ones_h = np.ones((config.n_hidden, 1))
+    config_class = EFMConfig
 
     def attach(self, split, X: np.ndarray, Y: np.ndarray) -> None:
         super().attach(split, X, Y)
@@ -68,6 +57,8 @@ class EFM(Recommender):
         # keeps the clean pattern even though it shifts the values
         self._Xmask = (self.X != 0.0).astype(np.float64)
         self._Ymask = (self.Y != 0.0).astype(np.float64)
+        self._ones_r = np.ones((self.config.n_factors, 1))
+        self._ones_h = np.ones((self.config.n_hidden, 1))
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         r, h = self.config.n_factors, self.config.n_hidden

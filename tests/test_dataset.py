@@ -206,6 +206,22 @@ def test_ingest_validation_errors_carry_line_numbers():
                             '"triples": []}' % rating])
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_ingest_names_the_first_line_that_is_not_utf8(newline, tmp_path):
+    # the bad line lies past the decoder's first chunk, and a later one is bad too
+    good = [_line(f"u{k}", "i", 3, k).encode() for k in range(300)]
+    raw = newline.join([*good[:250], b"", b'{"user_id": "\xff"}', *good[250:],
+                        b'{"user_id": "\xc3"}', b""])
+    path = tmp_path / "reviews.jsonl"
+    path.write_bytes(raw)
+    for source in (path, str(path), raw):
+        with pytest.raises(IngestError, match="^line 252: not UTF-8$"):
+            ingest_reviews(source)
+    path.write_bytes(raw.replace(b"\xff", b"f").replace(b"\xc3", b"c"))
+    with pytest.raises(IngestError, match="^line 252: missing key"):  # the same numbering
+        ingest_reviews(path)
+
+
 def test_ingest_keeps_feature_and_sentiment_in_file_order_whatever_the_opinion():
     triples = [{"feature": "screen", "opinion": "sharp", "sentiment": 1},
                {"feature": "battery", "sentiment": -1},

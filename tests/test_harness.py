@@ -770,6 +770,7 @@ def _review_line(user, item, ts):
     ("missing review file", "No such file or directory"),
     ("IngestError", "line 2: missing key 'user_id'"),
     ("not a review object", "line 2: a review is a JSON object, got [1, 2]"),
+    ("not UTF-8", "line 2: not UTF-8"),
     ("SplitError", "user u0: need 100 test negatives, only 0 never-interacted items"),
     ("train --model.algo xyz", "model.algo: unknown algo 'xyz', expected one of ['cer', 'efm']"),
     ('sweep --sweep.algos ["efm","xyz"]', "sweep.algos: unknown algo 'xyz'"),
@@ -808,6 +809,8 @@ def test_cli_input_errors_end_in_one_line_with_status_2(case, text, tmp_path, ca
         reviews.write_text(_review_line("u0", "i0", 1) + '{"rating": 3}\n')
     elif case == "not a review object":
         reviews.write_text(_review_line("u0", "i0", 1) + "[1, 2]\n")
+    elif case == "not UTF-8":
+        reviews.write_bytes(_review_line("u0", "i0", 1).encode() + b'{"user_id": "\xff"}\n')
     elif case == "SplitError":  # 8 interactions, no never-interacted item
         reviews.write_text("".join(_review_line("u0", f"i{t}", t) for t in range(8)))
     path = [] if case == "no dataset.path" else ["--dataset.path", str(reviews)]
@@ -819,6 +822,21 @@ def test_cli_input_errors_end_in_one_line_with_status_2(case, text, tmp_path, ca
         assert _status(["--cache", str(cache), *command, *path]) == 2
         _assert_one_line_error(capsys, text)
         assert _files(cache) == []
+
+
+@pytest.mark.parametrize("case", ["review file is a directory", "results file is a directory",
+                                  "report out is a file", "cache is a file"])
+def test_cli_path_it_cannot_read_or_write_ends_in_one_line(case, corpus, tmp_path, capsys):
+    results, path = tmp_path / "results.csv", tmp_path / "path"
+    write_results(results, [])
+    path.mkdir() if "directory" in case else path.write_text("")
+    cache = path if case == "cache is a file" else tmp_path / "cache"
+    argv = {"review file is a directory": ["ingest", "--dataset.path", str(path)],
+            "results file is a directory": ["report", "--results", str(path)],
+            "report out is a file": ["report", "--results", str(results), "--out", str(path)],
+            "cache is a file": ["ingest", "--dataset.path", str(corpus)]}[case]
+    assert _status(["--cache", str(cache), *argv]) == 2
+    _assert_one_line_error(capsys, f"'{path}")  # the message names the path
 
 
 @pytest.mark.parametrize("case, argv, text", [
